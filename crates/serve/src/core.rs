@@ -1,8 +1,8 @@
 //! The serving pipeline: admission → cache → engine.
 //!
 //! [`ServeCore`] is transport-agnostic and synchronous — the TCP server
-//! calls [`ServeCore::handle`] from `spawn_blocking`, tests call it
-//! directly. It multiplexes every tenant onto one [`BrowseSession`]
+//! calls [`ServeCore::handle`] inline on each connection's thread, tests
+//! call it directly. It multiplexes every tenant onto one [`BrowseSession`]
 //! (either service profile) and degrades under load instead of queueing:
 //!
 //! 1. **Admission** — each tenant holds at most `queue_capacity`
@@ -43,7 +43,7 @@ pub struct ServeCore {
 
 /// RAII guard counting one request through [`ServeCore::handle`]; the
 /// graceful-shutdown drain waits for the count to reach zero before the
-/// session's WAL is synced and the listener exits.
+/// session's WAL is synced and the server exits.
 pub struct OpGuard<'a> {
     core: &'a ServeCore,
 }

@@ -210,12 +210,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound one line of `[`s overflows the
+/// stack; protocol messages nest three levels at most.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value from `input` (trailing whitespace allowed,
-/// trailing garbage rejected).
+/// trailing garbage rejected). Nesting deeper than 128 levels and
+/// duplicate object keys are errors.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -229,6 +236,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -277,12 +286,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one nesting level down, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -328,6 +352,9 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
+                    if let Some(key) = duplicate_key(&fields) {
+                        return Err(self.err(&format!("duplicate key {key:?}")));
+                    }
                     self.pos += 1;
                     return Ok(Json::Obj(fields));
                 }
@@ -413,9 +440,47 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The first key (in sorted order) that `fields` holds twice. Sorting
+/// keeps a many-key object O(n log n), where pairwise checks would be
+/// quadratic.
+fn duplicate_key(fields: &[(String, Json)]) -> Option<&str> {
+    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&deep).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        // Objects count too, and a bomb far past the bound fails fast.
+        let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(60_000)).is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_at_any_depth() {
+        let err = parse(r#"{"tenant":"t","op":"ping","op":"shutdown"}"#).unwrap_err();
+        assert!(err.message.contains("duplicate key \"op\""), "{err}");
+        assert!(parse(r#"{"a":{"b":1,"b":2}}"#).is_err());
+        // Equal keys in different objects are fine.
+        assert!(parse(r#"{"a":{"a":1},"b":[{"a":2},{"a":3}]}"#).is_ok());
+        // A wide object is checked without pairwise comparisons.
+        let wide: Vec<String> = (0..20_000).map(|i| format!("\"k{i}\":{i}")).collect();
+        assert!(parse(&format!("{{{}}}", wide.join(","))).is_ok());
+        let dup = format!("{{{},\"k7\":0}}", wide.join(","));
+        assert!(parse(&dup).unwrap_err().message.contains("\"k7\""));
+    }
 
     #[test]
     fn round_trips_protocol_shaped_messages() {

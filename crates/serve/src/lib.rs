@@ -65,5 +65,5 @@ pub use core::{OpGuard, ServeCore};
 pub use durable::DurableSession;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use proto::{BrowseParams, BrowseReply, ProtoError, Request, Response, ShedReason};
-pub use server::{serve, Server};
+pub use server::{Server, MAX_CONNECTIONS};
 pub use tenant::{ServeConfig, TenantSnapshot, TenantState};
