@@ -18,10 +18,9 @@
 use euler_core::{Level2Estimator, RelationCounts};
 use euler_cube::{Dense2D, PrefixSum2D};
 use euler_grid::{Grid, GridRect, SnappedRect};
-use serde::{Deserialize, Serialize};
 
 /// One Min-skew bucket: a cell-aligned region with its statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinSkewBucket {
     /// Cell range `[x0, x1) × [y0, y1)` in grid coordinates.
     pub x0: usize,

@@ -1,11 +1,10 @@
 use euler_core::{Level2Estimator, RelationCounts};
 use euler_grid::{GridRect, Tiling};
-use serde::{Deserialize, Serialize};
 
 /// The relation a browsing user asks about — the query-type selector of
 /// the GeoBrowsing client (§1: contains, contained, overlap; plus the
 /// Level 1 intersect view existing systems offer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relation {
     /// Objects contained in a tile (`N_cs`).
     Contains,

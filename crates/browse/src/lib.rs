@@ -61,8 +61,6 @@ pub use faceted::FacetedService;
 pub use pyramid::{PyramidBrowser, PyramidError};
 pub use render::render_heatmap;
 pub use request::BrowseRequest;
-#[allow(deprecated)]
-pub use service::BrowseOptions;
 pub use service::GeoBrowsingService;
 pub use session::{run_browse, BrowseSession, PinnedSession};
 

@@ -1,13 +1,8 @@
 //! The unified browse request: one builder for everything a multi-tile
-//! browse can be asked to do.
-//!
-//! Before this module the browse surface was split across two structs —
-//! `BrowseOptions` (threads, telemetry, mega-hit threshold) and the
-//! engine's `BatchOptions` (deadline, cancel token) — forced through two
-//! entry points (`browse` / `browse_with`). [`BrowseRequest`] collapses
-//! the pair: every knob in one builder, one
-//! `browse(&Tiling, &BrowseRequest)` entry point, and a front door that
-//! can hand the same request to any [`crate::BrowseSession`].
+//! browse can be asked to do — worker count, telemetry and the mega-hit
+//! threshold, plus the deadline and cancel token it hands the engine as
+//! `BatchOptions` — behind one `browse(&Tiling, &BrowseRequest)` entry
+//! point that can hand the same request to any [`crate::BrowseSession`].
 
 use std::time::Duration;
 
@@ -146,18 +141,6 @@ impl BrowseRequest {
     }
 }
 
-#[allow(deprecated)]
-impl From<&crate::BrowseOptions> for BrowseRequest {
-    /// Carries the legacy options into the unified request (deprecation
-    /// bridge; remove with `BrowseOptions`).
-    fn from(opts: &crate::BrowseOptions) -> BrowseRequest {
-        BrowseRequest::new()
-            .threads(opts.raw_threads())
-            .telemetry(opts.telemetry_enabled())
-            .mega_threshold(opts.mega_limit())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,19 +177,5 @@ mod tests {
         assert_eq!(batch.check_interval(), Some(3));
         token.cancel();
         assert!(batch.cancel().expect("token attached").is_cancelled());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_options_convert_losslessly() {
-        let opts = crate::BrowseOptions::new()
-            .threads(5)
-            .telemetry(false)
-            .mega_threshold(42);
-        let req = BrowseRequest::from(&opts);
-        assert_eq!(req.effective_threads(), 5);
-        assert!(!req.telemetry_enabled());
-        assert_eq!(req.mega_limit(), 42);
-        assert!(!req.has_controls());
     }
 }

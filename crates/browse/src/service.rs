@@ -1,97 +1,13 @@
 use std::sync::Arc;
 
 use euler_core::{LiveEulerHistogram, LiveSEuler};
-use euler_engine::{BatchOptions, EstimatorEngine, SharedEstimator};
+use euler_engine::{EstimatorEngine, SharedEstimator};
 use euler_geom::Rect;
 use euler_grid::{Grid, SnappedRect, Snapper, Tiling};
 use euler_metrics::{Recorder, TelemetrySnapshot};
 
 use crate::session::{run_browse, BrowseSession, PinnedSession};
 use crate::{BrowseRequest, BrowseResult, Browser};
-
-/// Options for a multi-tile browse: worker count and telemetry.
-///
-/// Superseded by [`BrowseRequest`], which additionally carries the
-/// deadline and cancellation controls that used to require a separate
-/// `BatchOptions` argument. This struct remains for one release as a
-/// shim; `BrowseRequest::from(&opts)` carries the values over.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `BrowseRequest` — one builder for threads, telemetry, \
-            mega_threshold, deadline and cancel_token"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BrowseOptions {
-    threads: usize,
-    telemetry: bool,
-    mega_threshold: i64,
-}
-
-#[allow(deprecated)]
-impl Default for BrowseOptions {
-    fn default() -> BrowseOptions {
-        BrowseOptions {
-            threads: 1,
-            telemetry: true,
-            mega_threshold: 10_000,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl BrowseOptions {
-    /// The default options: one thread, telemetry on, mega-hit threshold
-    /// 10 000.
-    pub fn new() -> BrowseOptions {
-        BrowseOptions::default()
-    }
-
-    /// Sets the engine worker count; `0` means one worker per available
-    /// core.
-    pub fn threads(mut self, threads: usize) -> BrowseOptions {
-        self.threads = threads;
-        self
-    }
-
-    /// Toggles recording into the service's [`Recorder`].
-    pub fn telemetry(mut self, on: bool) -> BrowseOptions {
-        self.telemetry = on;
-        self
-    }
-
-    /// Sets the per-tile intersect count from which a tile counts as a
-    /// mega-hit in the telemetry.
-    pub fn mega_threshold(mut self, threshold: i64) -> BrowseOptions {
-        self.mega_threshold = threshold;
-        self
-    }
-
-    /// The effective worker count for this machine.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
-
-    /// Whether telemetry recording is enabled.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry
-    }
-
-    /// The raw configured worker count (0 = one per core).
-    pub fn raw_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The mega-hit advice threshold.
-    pub fn mega_limit(&self) -> i64 {
-        self.mega_threshold
-    }
-}
 
 /// A concurrent GeoBrowsing front end over an updatable Euler histogram.
 ///
@@ -240,32 +156,6 @@ impl GeoBrowsingService {
     pub fn browse(&self, tiling: &Tiling, req: &BrowseRequest) -> BrowseResult {
         let est: SharedEstimator = self.snapshot();
         run_browse(&est, &self.recorder, tiling, req)
-    }
-
-    /// [`Self::browse`] under split legacy option structs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold `BrowseOptions` + `BatchOptions` into one \
-                `BrowseRequest` and call `browse`"
-    )]
-    #[allow(deprecated)]
-    pub fn browse_with(
-        &self,
-        tiling: &Tiling,
-        opts: &BrowseOptions,
-        batch: &BatchOptions,
-    ) -> BrowseResult {
-        let mut req = BrowseRequest::from(opts);
-        if let Some(budget) = batch.deadline_budget() {
-            req = req.deadline(budget);
-        }
-        if let Some(stride) = batch.check_interval() {
-            req = req.check_every(stride);
-        }
-        if let Some(token) = batch.cancel() {
-            req = req.cancel_token(token.clone());
-        }
-        self.browse(tiling, &req)
     }
 }
 
@@ -462,32 +352,6 @@ mod tests {
             "unanswered tiles are not zero-hit advice"
         );
         assert_eq!(stats.deadline_exceeded, 1);
-    }
-
-    /// The deprecated two-struct surface still answers, identically to
-    /// the unified request it forwards to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_browse_request() {
-        let svc = GeoBrowsingService::new(grid());
-        svc.insert(&Rect::new(1.2, 1.2, 1.8, 1.8).unwrap());
-        let tiling = Tiling::new(svc.grid().full(), 4, 4).unwrap();
-
-        let new_api = svc.browse(&tiling, &req().threads(2).telemetry(false));
-        let old_api = svc.browse_with(
-            &tiling,
-            &BrowseOptions::new().threads(2).telemetry(false),
-            &BatchOptions::default(),
-        );
-        assert_eq!(new_api.counts(), old_api.counts());
-
-        // Controls carried by the legacy BatchOptions still bite.
-        let starved = svc.browse_with(
-            &tiling,
-            &BrowseOptions::new().telemetry(false),
-            &BatchOptions::new().deadline(std::time::Duration::ZERO),
-        );
-        assert_eq!(starved.unavailable().len(), 16);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! Both checks are deterministic: same spec, same verdict, any machine.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use euler_core::snapshot::DeltaOp;
 use euler_core::{EulerHistogram, FrozenEulerHistogram};
@@ -64,10 +65,15 @@ fn prefix_rebuilds(spec: &CaseSpec, log: &[DeltaOp]) -> Vec<FrozenEulerHistogram
     out
 }
 
+/// A fresh scratch directory path per call: the process id and a
+/// per-process counter keep concurrent law runs (parallel tests on the
+/// same seed, say) out of each other's stores.
 fn scratch_dir(tag: &str, seed: u64, k: usize) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     std::env::temp_dir().join(format!(
-        "euler-crash-{tag}-{seed:x}-{k}-{}",
-        std::process::id()
+        "euler-crash-{tag}-{seed:x}-{k}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ))
 }
 

@@ -155,7 +155,6 @@ pub fn run_case(spec: &CaseSpec) -> CaseOutcome {
     let mut outcome = CaseOutcome::default();
 
     differential_matrix(&grid, &objects, &queries, &oracle, &mut outcome);
-    check_kernel_tiers(&grid, &objects, &mut outcome.violations);
     check_compressed_tier(&grid, &objects, &mut outcome.violations);
     check_parallel_sweep(&grid, &objects, &mut outcome.violations);
     check_dynamic_replay(spec, &grid, &objects, &queries, &mut outcome.violations);
@@ -341,31 +340,6 @@ pub fn sweep_tilings(grid: &Grid) -> Vec<Tiling> {
         );
     }
     tilings
-}
-
-/// Kernel-equivalence law: the lane-packed kernel tier must be
-/// bit-identical to the scalar reference on the case's frozen cube —
-/// sweep tile sums under every proxy mode plus the batched point kernels
-/// (`prefix_many` / `signed_sum4`) on every tile of every sweep-law
-/// tiling shape. Both tiers are always compiled, so the law holds the
-/// active tier (whichever the `scalar-kernels` feature selected) against
-/// the other one in the same binary; the sweep-equivalence and
-/// differential laws above then pin every estimator to the active tier.
-/// This check adds no differential comparisons (the accounting tests
-/// rely on that).
-fn check_kernel_tiers(grid: &Grid, objects: &[SnappedRect], out: &mut Vec<Violation>) {
-    let hist = EulerHistogram::build(*grid, objects).freeze();
-    for tiling in sweep_tilings(grid) {
-        if let Err(e) = euler_core::sweep::verify_kernel_tiers(&hist, &tiling) {
-            out.push(Violation {
-                estimator: format!("kernel-tiers: {e}"),
-                law: "packed kernel tier = scalar reference, bit-identical",
-                query: grid.full(),
-                got: RelationCounts::default(),
-                oracle: RelationCounts::default(),
-            });
-        }
-    }
 }
 
 /// Compressed-tier law: a histogram frozen onto the run-compressed cube

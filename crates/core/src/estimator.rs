@@ -1,5 +1,4 @@
 use euler_grid::{GridRect, Tiling};
-use serde::{Deserialize, Serialize};
 
 /// The four Level 2 result counts of a browsing query (with `N_eq ≡ 0`
 /// after snapping; §4.2).
@@ -7,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// Estimates are kept as signed integers: the approximation algebra can
 /// produce small negative values (e.g. `N_cd` from Equation 21); use
 /// [`RelationCounts::clamped`] when reporting to users.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RelationCounts {
     /// `N_d` — objects disjoint from the query.
     pub disjoint: i64,

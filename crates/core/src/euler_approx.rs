@@ -25,7 +25,6 @@
 //! (§5.4).
 
 use euler_grid::{GridRect, Tiling};
-use serde::{Deserialize, Serialize};
 
 use crate::sweep::{sweep_euler_approx, TilingPlan};
 use crate::{EulerSource, FrozenEulerHistogram, Level2Estimator, RelationCounts};
@@ -35,7 +34,7 @@ use crate::{EulerSource, FrozenEulerHistogram, Level2Estimator, RelationCounts};
 /// The paper draws one orientation; both are valid and differ only in
 /// which query edges generate O1/O2 error, so the choice is exposed for
 /// the `ablation_regions` experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RegionSplit {
     /// Region A = left/right slabs inside the query's **y-band**;
     /// Region B = full-width top/bottom slabs. (Figure 11's layout.)
@@ -90,8 +89,8 @@ pub(crate) fn n_ei_proxy_x2<H: EulerSource + ?Sized>(
     q: &GridRect,
     split: RegionSplit,
 ) -> i64 {
-    // A frozen backend evaluates each orientation's four windows as one
-    // lane-packed `signed_sum4`; the dynamic backend keeps the guarded
+    // A frozen backend evaluates each orientation's four windows in one
+    // `signed_sum4` call; the dynamic backend keeps the guarded
     // per-window path.
     if let Some(f) = hist.as_frozen() {
         return match split {
@@ -107,7 +106,7 @@ pub(crate) fn n_ei_proxy_x2<H: EulerSource + ?Sized>(
     }
 }
 
-/// [`proxy_y_band`] with all four windows in one lane-packed call.
+/// [`proxy_y_band`] with all four windows in one `signed_sum4` call.
 ///
 /// The `q.x0 > 0`-style guards vanish: a window that the guarded path
 /// skips is empty after Euler-index clipping, and its lane's four-corner
@@ -129,7 +128,7 @@ fn proxy_y_band_frozen(f: &FrozenEulerHistogram, q: &GridRect) -> i64 {
     s[0] + s[1] + s[2] + s[3]
 }
 
-/// The transposed split, lane-packed like [`proxy_y_band_frozen`].
+/// The transposed split, batched like [`proxy_y_band_frozen`].
 fn proxy_x_band_frozen(f: &FrozenEulerHistogram, q: &GridRect) -> i64 {
     let nx = f.grid().nx() as i64;
     let ny = f.grid().ny() as i64;

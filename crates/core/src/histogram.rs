@@ -30,7 +30,6 @@
 
 use euler_cube::{CompressedPrefix2D, CubeTier, Dense2D, Diff2D, PrefixSum2D};
 use euler_grid::{Grid, GridRect, SnappedRect};
-use serde::{Deserialize, Serialize};
 
 use crate::EulerSource;
 
@@ -83,7 +82,7 @@ fn bucket_sign(ex: usize, ey: usize) -> i64 {
 /// A mutable Euler histogram. Supports bulk construction, incremental
 /// insertion and removal; freeze it into a [`FrozenEulerHistogram`] for
 /// constant-time queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EulerHistogram {
     grid: Grid,
     buckets: Dense2D,
@@ -292,7 +291,7 @@ impl EulerHistogram {
 
 /// The cumulative Euler histogram `H_c` of §5.2: all estimator quantities
 /// are O(1) signed range sums on this structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrozenEulerHistogram {
     grid: Grid,
     cum: CubeTier,

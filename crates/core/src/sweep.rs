@@ -17,8 +17,8 @@
 //! pass, materializing per boundary row a structure-of-arrays **strip**
 //! of clipped prefix values — an `a` (open) and a `b` (closed) array,
 //! one entry per vertical boundary — and combining four strips into a
-//! whole row of tile sums with the lane-packed
-//! [`euler_cube::kernels::KernelTier::strip_combine`] family:
+//! whole row of tile sums with the
+//! [`euler_cube::kernels::strip_combine2`] family:
 //!
 //! ```text
 //!   row r+1  ─ SA_hi (2·y−2) ── SB_hi (2·y−1) ─   ← filled this row,
@@ -44,10 +44,9 @@
 //! [`crate::ExactContains2D`] has its own 4-D analogue built on
 //! [`euler_cube::PrefixSumNd::axis_offset_clipped`]. All overrides are
 //! bit-identical to the default per-tile loop — a law the conformance
-//! suite enforces — and [`verify_kernel_tiers`] additionally checks the
-//! packed kernel tier against the scalar reference on every plan.
+//! suite enforces.
 
-use euler_cube::kernels::{Active, KernelTier, PackedTier, ScalarTier};
+use euler_cube::kernels;
 use euler_cube::CubeTier;
 use euler_grid::Tiling;
 
@@ -223,13 +222,13 @@ impl CornerStrip<'_> {
     /// (the plan's interleaved indices are non-decreasing, which is
     /// exactly what [`euler_cube::CompressedPrefix2D::gather_row2_clipped`]
     /// needs to fill both arrays in `O(runs + cols)`).
-    fn fill<K: KernelTier>(&mut self, plan: &TilingPlan, cum: &CubeTier, er: i64) {
+    fn fill(&mut self, plan: &TilingPlan, cum: &CubeTier, er: i64) {
         match cum {
             CubeTier::Dense(cum) => {
                 let row = cum.row_clipped(er);
                 let w = row.len() - 1;
                 let n = plan.ia.len();
-                K::gather2(
+                kernels::gather2(
                     row,
                     &plan.ia[..n - 1],
                     &plan.ib[..n - 1],
@@ -254,7 +253,7 @@ impl CornerStrip<'_> {
 /// Euler row `er_a` and the closed-corner strip at `er_b` — in one fused
 /// pass: the two rows share the plan's index lattice, so the quad gather
 /// reads each index pair once and feeds all four strip arrays.
-fn fill_pair<K: KernelTier>(
+fn fill_pair(
     sa: &mut CornerStrip,
     sb: &mut CornerStrip,
     plan: &TilingPlan,
@@ -285,7 +284,7 @@ fn fill_pair<K: KernelTier>(
         sb.a[0] = row_b[plan.ia[0]];
         sb.b[0] = row_b[plan.ib[0]];
     }
-    K::gather_pairs2(
+    kernels::gather_pairs2(
         row_a,
         row_b,
         plan.ia[f],
@@ -313,11 +312,11 @@ pub(crate) struct TileSums {
     pub proxy_x2: i64,
 }
 
-/// The row-major sweep core, generic over the kernel tier: fills corner
+/// The row-major sweep core: fills corner
 /// strips once per boundary row and hands the callback one whole tile
 /// row at a time as unit-stride slices (`n_ii`, `closed`, `proxy_x2` —
 /// the last is all zeros unless a proxy was requested).
-fn sweep_rows_in<K: KernelTier>(
+fn sweep_rows(
     hist: &FrozenEulerHistogram,
     plan: &TilingPlan,
     proxy: Option<RegionSplit>,
@@ -413,7 +412,7 @@ fn sweep_rows_in<K: KernelTier>(
     // strip while the addend is assembled.
     let mut xadd = Vec::new();
     if need_x {
-        sa_hi.fill::<K>(plan, cum, cum.height() as i64 - 1);
+        sa_hi.fill(plan, cum, cum.height() as i64 - 1);
         let top = &sa_hi;
         xadd = (0..cols)
             .map(|c| {
@@ -434,7 +433,7 @@ fn sweep_rows_in<K: KernelTier>(
             .collect();
     }
 
-    fill_pair::<K>(
+    fill_pair(
         &mut sa_lo,
         &mut sb_lo,
         plan,
@@ -444,7 +443,7 @@ fn sweep_rows_in<K: KernelTier>(
     );
 
     for r in 0..rows {
-        fill_pair::<K>(
+        fill_pair(
             &mut sa_hi,
             &mut sb_hi,
             plan,
@@ -454,7 +453,7 @@ fn sweep_rows_in<K: KernelTier>(
         );
         // inside_sum over each tile (four corners across two strips) and
         // closed_sum (the complementary corner pairs), in one fused pass.
-        K::strip_combine2(
+        kernels::strip_combine2(
             sa_hi.a, sa_hi.b, sb_lo.a, sb_lo.b, sb_hi.b, sb_hi.a, sa_lo.b, sa_lo.a, n_ii_row,
             closed_row,
         );
@@ -462,10 +461,10 @@ fn sweep_rows_in<K: KernelTier>(
             // A left/right side slabs in the tile's y-band; the per-row
             // constant carries the full-width terms and Region B slabs.
             let k = sa_hi.last - sb_lo.last + slab_above[r + 1] + slab_below[r];
-            K::strip_combine_k(sb_lo.b, sb_lo.a, sa_hi.b, sa_hi.a, k, proxy_y_row);
+            kernels::strip_combine_k(sb_lo.b, sb_lo.a, sa_hi.b, sa_hi.a, k, proxy_y_row);
         }
         if need_x {
-            K::strip_combine_add(sa_lo.a, sa_lo.b, sb_hi.a, sb_hi.b, &xadd, proxy_x_row);
+            kernels::strip_combine_add(sa_lo.a, sa_lo.b, sb_hi.a, sb_hi.b, &xadd, proxy_x_row);
         }
         let proxy_slice: &[i64] = match proxy {
             None => proxy_row,
@@ -507,17 +506,8 @@ pub(crate) fn sweep_tile_sums(
     plan: &TilingPlan,
     proxy: Option<RegionSplit>,
 ) -> Vec<TileSums> {
-    sweep_tile_sums_in::<Active>(hist, plan, proxy)
-}
-
-/// [`sweep_tile_sums`] through an explicit kernel tier.
-fn sweep_tile_sums_in<K: KernelTier>(
-    hist: &FrozenEulerHistogram,
-    plan: &TilingPlan,
-    proxy: Option<RegionSplit>,
-) -> Vec<TileSums> {
     let mut out = Vec::with_capacity(plan.len());
-    sweep_rows_in::<K>(hist, plan, proxy, |n_ii, closed, proxy_x2| {
+    sweep_rows(hist, plan, proxy, |n_ii, closed, proxy_x2| {
         out.extend(
             n_ii.iter()
                 .zip(closed)
@@ -540,14 +530,6 @@ fn sweep_tile_sums_in<K: KernelTier>(
 /// never materialize as intermediate buffers, and the batch total rides
 /// along in registers instead of costing a second pass over the output.
 pub(crate) fn sweep_s_euler(
-    hist: &FrozenEulerHistogram,
-    plan: &TilingPlan,
-) -> (Vec<RelationCounts>, RelationCounts) {
-    sweep_s_euler_in::<Active>(hist, plan)
-}
-
-/// [`sweep_s_euler`] through an explicit kernel tier.
-fn sweep_s_euler_in<K: KernelTier>(
     hist: &FrozenEulerHistogram,
     plan: &TilingPlan,
 ) -> (Vec<RelationCounts>, RelationCounts) {
@@ -587,7 +569,7 @@ fn sweep_s_euler_in<K: KernelTier>(
         last: 0,
     };
 
-    fill_pair::<K>(
+    fill_pair(
         &mut sa_lo,
         &mut sb_lo,
         plan,
@@ -598,7 +580,7 @@ fn sweep_s_euler_in<K: KernelTier>(
 
     let mut out = Vec::with_capacity(plan.len());
     for r in 0..rows {
-        fill_pair::<K>(
+        fill_pair(
             &mut sa_hi,
             &mut sb_hi,
             plan,
@@ -609,12 +591,12 @@ fn sweep_s_euler_in<K: KernelTier>(
         // Per tile `c`: `n_ii = SA_hi.a[c+1] − SA_hi.b[c] − SB_lo.a[c+1]
         // + SB_lo.b[c]` and `closed = SB_hi.b[c+1] − SB_hi.a[c] −
         // SA_lo.b[c+1] + SA_lo.a[c]`: one fused `strip_combine2` pass
-        // writes both rows with lane arithmetic. The row totals are
+        // writes both rows. The row totals are
         // separate vectorized slice sums and the emission is a pure map —
         // keeping loop-carried accumulators out of every per-tile loop is
         // what lets all three stages vectorize (measured ~25% faster than
         // fusing the sums into either neighboring loop).
-        K::strip_combine2(
+        kernels::strip_combine2(
             sa_hi.a, sa_hi.b, sb_lo.a, sb_lo.b, sb_hi.b, sb_hi.a, sa_lo.b, sa_lo.a, n_ii_row,
             closed_row,
         );
@@ -662,7 +644,7 @@ pub(crate) fn sweep_euler_approx(
     let size = hist.object_count() as i64;
     let total = hist.total();
     let mut out = Vec::with_capacity(plan.len());
-    sweep_rows_in::<Active>(hist, plan, Some(split), |n_ii, closed, proxy_x2| {
+    sweep_rows(hist, plan, Some(split), |n_ii, closed, proxy_x2| {
         out.extend(
             n_ii.iter()
                 .zip(closed)
@@ -683,86 +665,6 @@ pub(crate) fn sweep_euler_approx(
         );
     });
     out
-}
-
-/// The kernel-equivalence law, as a checkable hook for the conformance
-/// suite: evaluates the tiling through **both** kernel tiers — the
-/// packed production tier and the scalar reference — for every proxy
-/// mode, plus the lane-packed point kernels (`signed_sum4`,
-/// `prefix_many`) on every tile window, and requires bit-identical
-/// results. Returns a description of the first divergence.
-pub fn verify_kernel_tiers(hist: &FrozenEulerHistogram, t: &Tiling) -> Result<(), String> {
-    let plan = TilingPlan::new(t);
-    for proxy in [
-        None,
-        Some(RegionSplit::YBandSides),
-        Some(RegionSplit::XBandSides),
-        Some(RegionSplit::Average),
-    ] {
-        let scalar = sweep_tile_sums_in::<ScalarTier>(hist, &plan, proxy);
-        let packed = sweep_tile_sums_in::<PackedTier>(hist, &plan, proxy);
-        for (i, (s, p)) in scalar.iter().zip(&packed).enumerate() {
-            if s != p {
-                return Err(format!(
-                    "sweep tiers diverge at tile {i} under {proxy:?}: scalar {s:?} vs packed {p:?}"
-                ));
-            }
-        }
-    }
-    // The batched point kernels (`signed_sum4_in`, `prefix_many_in`)
-    // are dense-layout entry points; on the compressed tier the sweep
-    // comparison above is the whole tier surface.
-    let Some(cum) = hist.cum().as_dense() else {
-        return Ok(());
-    };
-    for ((c, r), tile) in t.iter() {
-        // The two estimator windows of the tile (inside / closed), lane-
-        // packed twice over, through both tiers and against the strip
-        // pipeline's answer for the same tile.
-        let (x0, y0) = (tile.x0 as i64, tile.y0 as i64);
-        let (x1, y1) = (tile.x1 as i64, tile.y1 as i64);
-        let ex0 = [2 * x0, 2 * x0 - 1, 2 * x0, 2 * x0 - 1];
-        let ey0 = [2 * y0, 2 * y0 - 1, 2 * y0, 2 * y0 - 1];
-        let ex1 = [2 * x1 - 2, 2 * x1 - 1, 2 * x1 - 2, 2 * x1 - 1];
-        let ey1 = [2 * y1 - 2, 2 * y1 - 1, 2 * y1 - 2, 2 * y1 - 1];
-        let s = cum.signed_sum4_in::<ScalarTier>(ex0, ey0, ex1, ey1);
-        let p = cum.signed_sum4_in::<PackedTier>(ex0, ey0, ex1, ey1);
-        if s != p {
-            return Err(format!(
-                "signed_sum4 tiers diverge at tile ({c},{r}): scalar {s:?} vs packed {p:?}"
-            ));
-        }
-        let want = (
-            hist.inside_sum(tile.x0, tile.y0, tile.x1, tile.y1),
-            hist.closed_sum(tile.x0, tile.y0, tile.x1, tile.y1),
-        );
-        if (p[0], p[1]) != want {
-            return Err(format!(
-                "signed_sum4 disagrees with point path at tile ({c},{r}): {:?} vs {want:?}",
-                (p[0], p[1])
-            ));
-        }
-        // The corner lookups behind those windows, batched.
-        let xs = [ex0[0] - 1, ex1[0], ex0[1] - 1, ex1[1]];
-        let ys = [ey0[0] - 1, ey1[0], ey0[1] - 1, ey1[1]];
-        let mut s_pts = [0i64; 4];
-        let mut p_pts = [0i64; 4];
-        cum.prefix_many_in::<ScalarTier>(&xs, &ys, &mut s_pts);
-        cum.prefix_many_in::<PackedTier>(&xs, &ys, &mut p_pts);
-        if s_pts != p_pts {
-            return Err(format!(
-                "prefix_many tiers diverge at tile ({c},{r}): scalar {s_pts:?} vs packed {p_pts:?}"
-            ));
-        }
-        for l in 0..4 {
-            if p_pts[l] != cum.prefix_clipped(xs[l], ys[l]) {
-                return Err(format!(
-                    "prefix_many disagrees with prefix_clipped at tile ({c},{r}) lane {l}"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -865,21 +767,6 @@ mod tests {
         }
     }
 
-    /// The kernel-equivalence law on the boundary-case tiling corpus:
-    /// scalar and packed tiers are bit-identical everywhere.
-    #[test]
-    fn kernel_tiers_agree_on_boundary_tilings() {
-        let g = grid(16, 12);
-        let hist = EulerHistogram::build(g, &random_objects(&g, 140, 23)).freeze();
-        for t in tilings(&g) {
-            verify_kernel_tiers(&hist, &t).unwrap();
-        }
-        let empty = EulerHistogram::build(g, &[]).freeze();
-        for t in tilings(&g) {
-            verify_kernel_tiers(&empty, &t).unwrap();
-        }
-    }
-
     /// The compressed-tier law at the sweep level: every strip-filled
     /// sweep output on the compressed cube is bit-identical to the dense
     /// cube, for every proxy mode and boundary tiling — including the
@@ -910,13 +797,12 @@ mod tests {
                 sweep_s_euler(&comp, &plan),
                 "{t:?} s-euler"
             );
-            verify_kernel_tiers(&comp, &t).unwrap();
         }
     }
 
-    /// Lane-ragged tiling shapes: tile-column counts around the kernel
-    /// lane width (1..=LANES+2) sweep correctly, including single-column
-    /// and single-row tilings.
+    /// Ragged tiling shapes: tile-column counts around the gathers'
+    /// unroll width (1..=LANES+2) sweep correctly, including
+    /// single-column and single-row tilings.
     #[test]
     fn ragged_column_counts_match_loop() {
         use euler_cube::kernels::LANES;
@@ -1031,9 +917,6 @@ mod tests {
             prop_assert_eq!(
                 x.estimate_tiling(&t),
                 t.iter().map(|(_, q)| x.estimate(&q)).collect::<Vec<_>>());
-
-            // And the kernel tiers agree on the same random instance.
-            prop_assert_eq!(verify_kernel_tiers(&hist, &t), Ok(()));
         }
     }
 }

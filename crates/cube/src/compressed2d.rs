@@ -1,7 +1,5 @@
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Dense2D;
 use crate::PrefixSum2D;
 
@@ -45,7 +43,7 @@ const RUN_BYTES: usize = 4 + 16;
 /// emptiness tests) in [`Self::signed_sum4`] and
 /// [`Self::range_sum_pair`]. The conformance crate holds this as the
 /// compressed-tier law.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedPrefix2D {
     width: usize,
     height: usize,
@@ -314,7 +312,7 @@ fn encode_parity_runs(acc: &[i64], out: &mut Vec<Run>) {
 /// bit-identically; `euler-core` picks a tier at freeze/refreeze time by
 /// a size heuristic, and the sweep evaluator dispatches its strip fills
 /// on the variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CubeTier {
     /// The dense row-blocked cube — every lookup is a pure load.
     Dense(PrefixSum2D),
@@ -359,7 +357,7 @@ impl CubeTier {
         }
     }
 
-    /// Four lane-packed clipped window sums; see
+    /// Four clipped window sums in one call; see
     /// [`PrefixSum2D::signed_sum4`].
     #[inline]
     pub fn signed_sum4(&self, x0: [i64; 4], y0: [i64; 4], x1: [i64; 4], y1: [i64; 4]) -> [i64; 4] {
@@ -400,17 +398,6 @@ impl CubeTier {
     #[inline]
     pub fn is_compressed(&self) -> bool {
         matches!(self, CubeTier::Compressed(_))
-    }
-
-    /// The dense cube, when this tier is dense — the point-kernel
-    /// batch entry points (`prefix_many`, `signed_sum4_in`) live only
-    /// there.
-    #[inline]
-    pub fn as_dense(&self) -> Option<&PrefixSum2D> {
-        match self {
-            CubeTier::Dense(d) => Some(d),
-            CubeTier::Compressed(_) => None,
-        }
     }
 }
 

@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major 2-D array of `i64` counters.
 ///
 /// Index convention throughout the workspace: `(x, y)` with `x` the fast
 /// axis — `idx = y * width + x`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dense2D {
     width: usize,
     height: usize,

@@ -1,720 +1,215 @@
-//! Batched, lane-packed kernels over the blocked prefix cube.
+//! The dense loops over the blocked prefix cube.
 //!
 //! The sweep evaluator in `euler-core` and the clipped point lookups of
 //! [`crate::PrefixSum2D`] both reduce to a handful of dense loops: gather
 //! clipped prefix values into structure-of-arrays strips, combine four
 //! shifted strips into per-tile sums, and clamp/lookup small batches of
-//! signed coordinates. This module implements those loops twice:
+//! signed coordinates. Each loop has exactly one body:
 //!
-//! * [`PackedTier`] — the production tier, written against the explicit
-//!   4-wide [`I64x4`] lane struct so the combines compile to vector
-//!   arithmetic on any target without `std::simd` (MSRV 1.87) or
-//!   `unsafe`;
-//! * [`ScalarTier`] — the obviously-correct scalar reference, kept
-//!   compiled at all times so conformance can differentially compare the
-//!   two tiers bit for bit in a single binary.
-//!
-//! [`Active`] is the tier behind the public cube/sweep API: the packed
-//! tier by default, the scalar tier when the `scalar-kernels` feature is
-//! enabled (CI runs the full test suite under both).
+//! * the elementwise combines and [`signed_sum4`] are plain indexed loops
+//!   — rustc autovectorizes them as they stand. The combines first
+//!   narrow every input to exactly the output's length, which is what
+//!   lets the optimizer drop the per-element bounds checks (a combine
+//!   indexing the unnarrowed slices measured up to ~1.4× slower at
+//!   browse-tile widths);
+//! * the two gathers ([`gather2`], [`gather_pairs2`]) are unrolled
+//!   [`LANES`]-wide, because a gather is address-bound and the unroll is
+//!   what keeps several independent loads in flight.
 //!
 //! All kernels share the cube's clipped-lookup convention: a signed
 //! coordinate is clamped to `[-1, dim - 1]` and shifted by the zero guard
 //! row/column, so out-of-range reads land on a zero plane instead of a
 //! branch (see [`crate::PrefixSum2D::prefix_clipped`]).
 
-use std::ops::{Add, Sub};
-
-/// Lane width of the packed kernels, in `i64` elements (4 × 64 bit =
-/// one 256-bit vector register).
+/// Unroll width of the gathers, in `i64` elements.
 pub const LANES: usize = 4;
 
-/// An explicit 4-wide `i64` lane group.
-///
-/// Plain safe Rust: the compiler maps the element-wise operations onto
-/// vector instructions where available (the 32-byte alignment matches a
-/// 256-bit register), and onto scalar code otherwise. This is the
-/// "explicit lanes, no intrinsics" middle ground that keeps the crate
-/// `#![forbid(unsafe_code)]` and MSRV-clean while making the
-/// vectorization opportunity impossible for the optimizer to miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(align(32))]
-pub struct I64x4(pub [i64; 4]);
-
-impl I64x4 {
-    /// All four lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: i64) -> I64x4 {
-        I64x4([v; 4])
-    }
-
-    /// Loads the first four elements of `s` (unaligned).
-    #[inline(always)]
-    pub fn load(s: &[i64]) -> I64x4 {
-        I64x4([s[0], s[1], s[2], s[3]])
-    }
-
-    /// Stores the four lanes into the first four elements of `out`.
-    #[inline(always)]
-    pub fn store(self, out: &mut [i64]) {
-        out[..4].copy_from_slice(&self.0);
-    }
-
-    /// Lane-wise minimum.
-    #[inline(always)]
-    pub fn min(self, rhs: I64x4) -> I64x4 {
-        let (a, b) = (self.0, rhs.0);
-        I64x4([
-            a[0].min(b[0]),
-            a[1].min(b[1]),
-            a[2].min(b[2]),
-            a[3].min(b[3]),
-        ])
-    }
-
-    /// Lane-wise maximum.
-    #[inline(always)]
-    pub fn max(self, rhs: I64x4) -> I64x4 {
-        let (a, b) = (self.0, rhs.0);
-        I64x4([
-            a[0].max(b[0]),
-            a[1].max(b[1]),
-            a[2].max(b[2]),
-            a[3].max(b[3]),
-        ])
-    }
-
-    /// The four lanes as a plain array.
-    #[inline(always)]
-    pub fn to_array(self) -> [i64; 4] {
-        self.0
-    }
-}
-
-/// Lane-wise addition.
-impl Add for I64x4 {
-    type Output = I64x4;
-
-    #[inline(always)]
-    fn add(self, rhs: I64x4) -> I64x4 {
-        let (a, b) = (self.0, rhs.0);
-        I64x4([a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]])
-    }
-}
-
-/// Lane-wise subtraction.
-impl Sub for I64x4 {
-    type Output = I64x4;
-
-    #[inline(always)]
-    fn sub(self, rhs: I64x4) -> I64x4 {
-        let (a, b) = (self.0, rhs.0);
-        I64x4([a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]])
-    }
-}
-
-/// Clamps a lane group of signed coordinates into the cube's internal
-/// (guard-shifted) index range `[0, dim]`:
-/// `clip(v) = max(min(v, dim − 1) + 1, 0)`. Index 0 is the zero guard
-/// plane, index `dim` the last prefix plane.
+/// Clamps a signed coordinate into the cube's internal (guard-shifted)
+/// index range `[0, dim]`: `clip(v) = max(min(v, dim − 1) + 1, 0)`.
+/// Index 0 is the zero guard plane, index `dim` the last prefix plane.
 #[inline(always)]
-pub(crate) fn clip4(v: I64x4, dim: i64) -> [usize; 4] {
-    let c = v
-        .min(I64x4::splat(dim - 1))
-        .add(I64x4::splat(1))
-        .max(I64x4::splat(0))
-        .to_array();
-    [c[0] as usize, c[1] as usize, c[2] as usize, c[3] as usize]
-}
-
-/// The scalar twin of [`clip4`] for loop tails.
-#[inline(always)]
-fn clip1(v: i64, dim: i64) -> usize {
+fn clip(v: i64, dim: i64) -> usize {
     (v.min(dim - 1) + 1).max(0) as usize
 }
 
-/// One kernel tier: a full set of the strip/batch primitives the cube
-/// and the sweep evaluator consume.
-///
-/// The two implementors ([`PackedTier`], [`ScalarTier`]) are required to
-/// be **bit-identical** on every input — the kernel-equivalence law the
-/// conformance suite enforces across the whole estimator corpus. All
-/// methods are static so a tier can be selected at compile time as a
-/// zero-sized type parameter.
-pub trait KernelTier {
-    /// Shifted four-strip combine: `out[i] = a[i+1] − b[i] − c[i+1] +
-    /// d[i]`. This is the four-corner arithmetic of every per-tile
-    /// signed sum, applied across a whole row of tiles at once
-    /// (`a`/`c` need `out.len() + 1` elements, `b`/`d` `out.len()`).
-    fn strip_combine(a: &[i64], b: &[i64], c: &[i64], d: &[i64], out: &mut [i64]);
-
-    /// [`Self::strip_combine`] plus a per-row constant: `out[i] =
-    /// a[i+1] − b[i] − c[i+1] + d[i] + k`.
-    fn strip_combine_k(a: &[i64], b: &[i64], c: &[i64], d: &[i64], k: i64, out: &mut [i64]);
-
-    /// [`Self::strip_combine`] plus a per-column addend: `out[i] =
-    /// a[i+1] − b[i] − c[i+1] + d[i] + add[i]`.
-    fn strip_combine_add(a: &[i64], b: &[i64], c: &[i64], d: &[i64], add: &[i64], out: &mut [i64]);
-
-    /// Two independent [`Self::strip_combine`]s in one fused pass:
-    /// `out1` from `(a1, b1, c1, d1)` and `out2` from `(a2, b2, c2,
-    /// d2)`. The sweep's inside and closed rows read disjoint corner
-    /// strips of the same tile row, so fusing them halves the loop
-    /// overhead and keeps both output streams hot.
-    #[allow(clippy::too_many_arguments)]
-    fn strip_combine2(
-        a1: &[i64],
-        b1: &[i64],
-        c1: &[i64],
-        d1: &[i64],
-        a2: &[i64],
-        b2: &[i64],
-        c2: &[i64],
-        d2: &[i64],
-        out1: &mut [i64],
-        out2: &mut [i64],
-    );
-
-    /// Dual gather: `a[k] = row[ia[k]]`, `b[k] = row[ib[k]]` for `k <
-    /// a.len()`. Used to fill the structure-of-arrays corner strips from
-    /// one cube row; the index pairs are adjacent Euler columns, so both
-    /// loads of a pair usually share a cache line.
-    fn gather2(row: &[i64], ia: &[usize], ib: &[usize], a: &mut [i64], b: &mut [i64]);
-
-    /// Quad gather over two rows sharing one index lattice: `a0[k] =
-    /// row0[ia[k]]`, `b0[k] = row0[ib[k]]`, `a1[k] = row1[ia[k]]`,
-    /// `b1[k] = row1[ib[k]]`. The sweep fills an open-corner strip and a
-    /// closed-corner strip per boundary row — the same column indices
-    /// against two adjacent cube rows — so fusing the two fills halves
-    /// the index traffic and keeps four independent loads in flight per
-    /// boundary.
-    #[allow(clippy::too_many_arguments)]
-    fn gather2x2(
-        row0: &[i64],
-        row1: &[i64],
-        ia: &[usize],
-        ib: &[usize],
-        a0: &mut [i64],
-        b0: &mut [i64],
-        a1: &mut [i64],
-        b1: &mut [i64],
-    );
-
-    /// Strided quad gather for an **affine** index lattice: with `j =
-    /// start + k·stride`, `a0[k] = row0[j]`, `b0[k] = row0[j + 1]`,
-    /// `a1[k] = row1[j]`, `b1[k] = row1[j + 1]`. Tiling plans produce
-    /// exactly this shape away from the clamped edges (closed column =
-    /// open column + 1, consecutive boundaries `2·w` apart), which turns
-    /// the gather into a strided pair copy: no index-array loads and —
-    /// in the packed tier — no per-element bounds checks. Requires
-    /// `stride ≥ 2` and `start + (len − 1)·stride + 1 < row.len()` when
-    /// `len > 0`.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_pairs2(
-        row0: &[i64],
-        row1: &[i64],
-        start: usize,
-        stride: usize,
-        a0: &mut [i64],
-        b0: &mut [i64],
-        a1: &mut [i64],
-        b1: &mut [i64],
-    );
-
-    /// Batched clipped prefix lookup over the raw cube storage:
-    /// `out[i] = P(xs[i], ys[i])` with each signed coordinate clamped
-    /// into the array and negatives landing on the zero guard plane.
-    fn prefix_many(
-        p: &[i64],
-        stride: usize,
-        width: usize,
-        height: usize,
-        xs: &[i64],
-        ys: &[i64],
-        out: &mut [i64],
-    );
-
-    /// Four clipped window sums in one call, one window per lane:
-    /// `out[l] = Σ` over the signed inclusive window `[x0[l], x1[l]] ×
-    /// [y0[l], y1[l]]` intersected with the array, computed as the
-    /// four-corner combination of branchlessly clipped prefixes. For an
-    /// ordered lane (`x0 ≤ x1`, `y0 ≤ y1`) this equals the clipped range
-    /// sum (0 when clipping empties the window). An inverted lane is
-    /// permitted only when both bounds of the inverted axis clamp onto a
-    /// common plane (entirely below the array or entirely past it) — the
-    /// Euler boundary-window algebra produces exactly these, and they
-    /// collapse to 0.
-    #[allow(clippy::too_many_arguments)]
-    fn signed_sum4(
-        p: &[i64],
-        stride: usize,
-        width: usize,
-        height: usize,
-        x0: [i64; 4],
-        y0: [i64; 4],
-        x1: [i64; 4],
-        y1: [i64; 4],
-    ) -> [i64; 4];
-}
-
-/// The scalar reference tier: straight-line loops with no lane
-/// structure, kept compiled as the differential-testing baseline.
-pub struct ScalarTier;
-
-impl KernelTier for ScalarTier {
-    #[inline]
-    fn strip_combine(a: &[i64], b: &[i64], c: &[i64], d: &[i64], out: &mut [i64]) {
-        for i in 0..out.len() {
-            out[i] = a[i + 1] - b[i] - c[i + 1] + d[i];
-        }
-    }
-
-    #[inline]
-    fn strip_combine_k(a: &[i64], b: &[i64], c: &[i64], d: &[i64], k: i64, out: &mut [i64]) {
-        for i in 0..out.len() {
-            out[i] = a[i + 1] - b[i] - c[i + 1] + d[i] + k;
-        }
-    }
-
-    #[inline]
-    fn strip_combine_add(a: &[i64], b: &[i64], c: &[i64], d: &[i64], add: &[i64], out: &mut [i64]) {
-        for i in 0..out.len() {
-            out[i] = a[i + 1] - b[i] - c[i + 1] + d[i] + add[i];
-        }
-    }
-
-    #[inline]
-    fn strip_combine2(
-        a1: &[i64],
-        b1: &[i64],
-        c1: &[i64],
-        d1: &[i64],
-        a2: &[i64],
-        b2: &[i64],
-        c2: &[i64],
-        d2: &[i64],
-        out1: &mut [i64],
-        out2: &mut [i64],
-    ) {
-        for i in 0..out1.len() {
-            out1[i] = a1[i + 1] - b1[i] - c1[i + 1] + d1[i];
-            out2[i] = a2[i + 1] - b2[i] - c2[i + 1] + d2[i];
-        }
-    }
-
-    #[inline]
-    fn gather2(row: &[i64], ia: &[usize], ib: &[usize], a: &mut [i64], b: &mut [i64]) {
-        for k in 0..a.len() {
-            a[k] = row[ia[k]];
-            b[k] = row[ib[k]];
-        }
-    }
-
-    #[inline]
-    fn gather2x2(
-        row0: &[i64],
-        row1: &[i64],
-        ia: &[usize],
-        ib: &[usize],
-        a0: &mut [i64],
-        b0: &mut [i64],
-        a1: &mut [i64],
-        b1: &mut [i64],
-    ) {
-        for k in 0..a0.len() {
-            a0[k] = row0[ia[k]];
-            b0[k] = row0[ib[k]];
-            a1[k] = row1[ia[k]];
-            b1[k] = row1[ib[k]];
-        }
-    }
-
-    #[inline]
-    fn gather_pairs2(
-        row0: &[i64],
-        row1: &[i64],
-        start: usize,
-        stride: usize,
-        a0: &mut [i64],
-        b0: &mut [i64],
-        a1: &mut [i64],
-        b1: &mut [i64],
-    ) {
-        let mut j = start;
-        for k in 0..a0.len() {
-            a0[k] = row0[j];
-            b0[k] = row0[j + 1];
-            a1[k] = row1[j];
-            b1[k] = row1[j + 1];
-            j += stride;
-        }
-    }
-
-    #[inline]
-    fn prefix_many(
-        p: &[i64],
-        stride: usize,
-        width: usize,
-        height: usize,
-        xs: &[i64],
-        ys: &[i64],
-        out: &mut [i64],
-    ) {
-        for i in 0..out.len() {
-            let cx = clip1(xs[i], width as i64);
-            let cy = clip1(ys[i], height as i64);
-            out[i] = p[cx + cy * stride];
-        }
-    }
-
-    #[inline]
-    fn signed_sum4(
-        p: &[i64],
-        stride: usize,
-        width: usize,
-        height: usize,
-        x0: [i64; 4],
-        y0: [i64; 4],
-        x1: [i64; 4],
-        y1: [i64; 4],
-    ) -> [i64; 4] {
-        let mut out = [0i64; 4];
-        for l in 0..4 {
-            let lo_x = clip1(x0[l] - 1, width as i64);
-            let hi_x = clip1(x1[l], width as i64);
-            let lo_y = clip1(y0[l] - 1, height as i64) * stride;
-            let hi_y = clip1(y1[l], height as i64) * stride;
-            out[l] = p[hi_x + hi_y] - p[lo_x + hi_y] - p[hi_x + lo_y] + p[lo_x + lo_y];
-        }
-        out
+/// Shifted four-strip combine plus a per-row constant: `out[i] =
+/// a[i+1] − b[i] − c[i+1] + d[i] + k`. This is the four-corner arithmetic
+/// of every per-tile signed sum, applied across a whole row of tiles at
+/// once (`a`/`c` need `out.len() + 1` elements, `b`/`d` `out.len()`).
+#[inline]
+pub fn strip_combine_k(a: &[i64], b: &[i64], c: &[i64], d: &[i64], k: i64, out: &mut [i64]) {
+    let n = out.len();
+    let (a, b, c, d) = (&a[1..=n], &b[..n], &c[1..=n], &d[..n]);
+    for i in 0..n {
+        out[i] = a[i] - b[i] - c[i] + d[i] + k;
     }
 }
 
-/// The production tier: explicit [`I64x4`] lane groups with scalar loop
-/// tails, autovectorization-friendly by construction.
-pub struct PackedTier;
-
-impl KernelTier for PackedTier {
-    #[inline]
-    fn strip_combine(a: &[i64], b: &[i64], c: &[i64], d: &[i64], out: &mut [i64]) {
-        let n = out.len();
-        // Pre-narrowed slices + `chunks_exact` zips: every lane load is
-        // provably in bounds, so the I64x4 arithmetic lowers to clean
-        // vector code instead of check-laden scalar loops.
-        let (ah, ch, bl, dl) = (&a[1..n + 1], &c[1..n + 1], &b[..n], &d[..n]);
-        let mut oc = out.chunks_exact_mut(LANES);
-        for ((((o, pa), pb), pc), pd) in (&mut oc)
-            .zip(ah.chunks_exact(LANES))
-            .zip(bl.chunks_exact(LANES))
-            .zip(ch.chunks_exact(LANES))
-            .zip(dl.chunks_exact(LANES))
-        {
-            I64x4::load(pa)
-                .sub(I64x4::load(pb))
-                .sub(I64x4::load(pc))
-                .add(I64x4::load(pd))
-                .store(o);
-        }
-        let rem = oc.into_remainder();
-        let start = n - rem.len();
-        for (i, o) in rem.iter_mut().enumerate() {
-            let i = start + i;
-            *o = ah[i] - bl[i] - ch[i] + dl[i];
-        }
-    }
-
-    #[inline]
-    fn strip_combine_k(a: &[i64], b: &[i64], c: &[i64], d: &[i64], k: i64, out: &mut [i64]) {
-        let n = out.len();
-        let (ah, ch, bl, dl) = (&a[1..n + 1], &c[1..n + 1], &b[..n], &d[..n]);
-        let vk = I64x4::splat(k);
-        let mut oc = out.chunks_exact_mut(LANES);
-        for ((((o, pa), pb), pc), pd) in (&mut oc)
-            .zip(ah.chunks_exact(LANES))
-            .zip(bl.chunks_exact(LANES))
-            .zip(ch.chunks_exact(LANES))
-            .zip(dl.chunks_exact(LANES))
-        {
-            I64x4::load(pa)
-                .sub(I64x4::load(pb))
-                .sub(I64x4::load(pc))
-                .add(I64x4::load(pd))
-                .add(vk)
-                .store(o);
-        }
-        let rem = oc.into_remainder();
-        let start = n - rem.len();
-        for (i, o) in rem.iter_mut().enumerate() {
-            let i = start + i;
-            *o = ah[i] - bl[i] - ch[i] + dl[i] + k;
-        }
-    }
-
-    #[inline]
-    fn strip_combine_add(a: &[i64], b: &[i64], c: &[i64], d: &[i64], add: &[i64], out: &mut [i64]) {
-        let n = out.len();
-        let (ah, ch, bl, dl, xl) = (&a[1..n + 1], &c[1..n + 1], &b[..n], &d[..n], &add[..n]);
-        let mut oc = out.chunks_exact_mut(LANES);
-        for (((((o, pa), pb), pc), pd), px) in (&mut oc)
-            .zip(ah.chunks_exact(LANES))
-            .zip(bl.chunks_exact(LANES))
-            .zip(ch.chunks_exact(LANES))
-            .zip(dl.chunks_exact(LANES))
-            .zip(xl.chunks_exact(LANES))
-        {
-            I64x4::load(pa)
-                .sub(I64x4::load(pb))
-                .sub(I64x4::load(pc))
-                .add(I64x4::load(pd))
-                .add(I64x4::load(px))
-                .store(o);
-        }
-        let rem = oc.into_remainder();
-        let start = n - rem.len();
-        for (i, o) in rem.iter_mut().enumerate() {
-            let i = start + i;
-            *o = ah[i] - bl[i] - ch[i] + dl[i] + xl[i];
-        }
-    }
-
-    #[inline]
-    fn strip_combine2(
-        a1: &[i64],
-        b1: &[i64],
-        c1: &[i64],
-        d1: &[i64],
-        a2: &[i64],
-        b2: &[i64],
-        c2: &[i64],
-        d2: &[i64],
-        out1: &mut [i64],
-        out2: &mut [i64],
-    ) {
-        let n = out1.len();
-        let (ah1, ch1, bl1, dl1) = (&a1[1..n + 1], &c1[1..n + 1], &b1[..n], &d1[..n]);
-        let (ah2, ch2, bl2, dl2) = (&a2[1..n + 1], &c2[1..n + 1], &b2[..n], &d2[..n]);
-        let mut o1c = out1.chunks_exact_mut(LANES);
-        let mut o2c = out2.chunks_exact_mut(LANES);
-        for (((((((((o1, o2), p1a), p1b), p1c), p1d), p2a), p2b), p2c), p2d) in (&mut o1c)
-            .zip(&mut o2c)
-            .zip(ah1.chunks_exact(LANES))
-            .zip(bl1.chunks_exact(LANES))
-            .zip(ch1.chunks_exact(LANES))
-            .zip(dl1.chunks_exact(LANES))
-            .zip(ah2.chunks_exact(LANES))
-            .zip(bl2.chunks_exact(LANES))
-            .zip(ch2.chunks_exact(LANES))
-            .zip(dl2.chunks_exact(LANES))
-        {
-            I64x4::load(p1a)
-                .sub(I64x4::load(p1b))
-                .sub(I64x4::load(p1c))
-                .add(I64x4::load(p1d))
-                .store(o1);
-            I64x4::load(p2a)
-                .sub(I64x4::load(p2b))
-                .sub(I64x4::load(p2c))
-                .add(I64x4::load(p2d))
-                .store(o2);
-        }
-        let (r1, r2) = (o1c.into_remainder(), o2c.into_remainder());
-        let start = n - r1.len();
-        for (i, (o1, o2)) in r1.iter_mut().zip(r2.iter_mut()).enumerate() {
-            let i = start + i;
-            *o1 = ah1[i] - bl1[i] - ch1[i] + dl1[i];
-            *o2 = ah2[i] - bl2[i] - ch2[i] + dl2[i];
-        }
-    }
-
-    #[inline]
-    fn gather2(row: &[i64], ia: &[usize], ib: &[usize], a: &mut [i64], b: &mut [i64]) {
-        // Gathers are address-bound, not arithmetic-bound; the lane win
-        // here is unrolling the loop 4-wide so four independent loads are
-        // in flight per iteration, with grouped stores. The index loads
-        // themselves stay bounds-checked — they are data-dependent.
-        let n = a.len();
-        let (ia, ib) = (&ia[..n], &ib[..n]);
-        let mut ac = a.chunks_exact_mut(LANES);
-        let mut bc = b.chunks_exact_mut(LANES);
-        for (((oa, ob), pi), pj) in (&mut ac)
-            .zip(&mut bc)
-            .zip(ia.chunks_exact(LANES))
-            .zip(ib.chunks_exact(LANES))
-        {
-            I64x4([row[pi[0]], row[pi[1]], row[pi[2]], row[pi[3]]]).store(oa);
-            I64x4([row[pj[0]], row[pj[1]], row[pj[2]], row[pj[3]]]).store(ob);
-        }
-        let (ra, rb) = (ac.into_remainder(), bc.into_remainder());
-        let start = n - ra.len();
-        for (k, (oa, ob)) in ra.iter_mut().zip(rb.iter_mut()).enumerate() {
-            let k = start + k;
-            *oa = row[ia[k]];
-            *ob = row[ib[k]];
-        }
-    }
-
-    #[inline]
-    fn gather2x2(
-        row0: &[i64],
-        row1: &[i64],
-        ia: &[usize],
-        ib: &[usize],
-        a0: &mut [i64],
-        b0: &mut [i64],
-        a1: &mut [i64],
-        b1: &mut [i64],
-    ) {
-        // Same unrolling rationale as `gather2`, doubled: one pass over
-        // the index lattice feeds all four strip arrays, so each index
-        // pair is loaded once instead of twice and eight independent
-        // gathers are in flight per iteration.
-        let n = a0.len();
-        let (ia, ib) = (&ia[..n], &ib[..n]);
-        let mut a0c = a0.chunks_exact_mut(LANES);
-        let mut b0c = b0.chunks_exact_mut(LANES);
-        let mut a1c = a1.chunks_exact_mut(LANES);
-        let mut b1c = b1.chunks_exact_mut(LANES);
-        for (((((oa0, ob0), oa1), ob1), pi), pj) in (&mut a0c)
-            .zip(&mut b0c)
-            .zip(&mut a1c)
-            .zip(&mut b1c)
-            .zip(ia.chunks_exact(LANES))
-            .zip(ib.chunks_exact(LANES))
-        {
-            I64x4([row0[pi[0]], row0[pi[1]], row0[pi[2]], row0[pi[3]]]).store(oa0);
-            I64x4([row0[pj[0]], row0[pj[1]], row0[pj[2]], row0[pj[3]]]).store(ob0);
-            I64x4([row1[pi[0]], row1[pi[1]], row1[pi[2]], row1[pi[3]]]).store(oa1);
-            I64x4([row1[pj[0]], row1[pj[1]], row1[pj[2]], row1[pj[3]]]).store(ob1);
-        }
-        let (ra0, rb0) = (a0c.into_remainder(), b0c.into_remainder());
-        let (ra1, rb1) = (a1c.into_remainder(), b1c.into_remainder());
-        let start = n - ra0.len();
-        for k in 0..ra0.len() {
-            let i = start + k;
-            ra0[k] = row0[ia[i]];
-            rb0[k] = row0[ib[i]];
-            ra1[k] = row1[ia[i]];
-            rb1[k] = row1[ib[i]];
-        }
-    }
-
-    #[inline]
-    fn gather_pairs2(
-        row0: &[i64],
-        row1: &[i64],
-        start: usize,
-        stride: usize,
-        a0: &mut [i64],
-        b0: &mut [i64],
-        a1: &mut [i64],
-        b1: &mut [i64],
-    ) {
-        let n = a0.len();
-        if n == 0 {
-            return;
-        }
-        // Narrow both rows to exactly the strided span, then unroll
-        // 4-wide like `gather2x2` with the offsets computed from one
-        // running base — sixteen independent loads in flight per
-        // iteration and no index-array traffic at all.
-        let end = start + (n - 1) * stride + 2;
-        let (r0, r1) = (&row0[start..end], &row1[start..end]);
-        let (s1, s2, s3) = (stride, 2 * stride, 3 * stride);
-        let mut a0c = a0.chunks_exact_mut(LANES);
-        let mut b0c = b0.chunks_exact_mut(LANES);
-        let mut a1c = a1.chunks_exact_mut(LANES);
-        let mut b1c = b1.chunks_exact_mut(LANES);
-        let mut j = 0usize;
-        for (((oa0, ob0), oa1), ob1) in (&mut a0c).zip(&mut b0c).zip(&mut a1c).zip(&mut b1c) {
-            I64x4([r0[j], r0[j + s1], r0[j + s2], r0[j + s3]]).store(oa0);
-            I64x4([r0[j + 1], r0[j + s1 + 1], r0[j + s2 + 1], r0[j + s3 + 1]]).store(ob0);
-            I64x4([r1[j], r1[j + s1], r1[j + s2], r1[j + s3]]).store(oa1);
-            I64x4([r1[j + 1], r1[j + s1 + 1], r1[j + s2 + 1], r1[j + s3 + 1]]).store(ob1);
-            j += 4 * stride;
-        }
-        let (ra0, rb0) = (a0c.into_remainder(), b0c.into_remainder());
-        let (ra1, rb1) = (a1c.into_remainder(), b1c.into_remainder());
-        let start_k = n - ra0.len();
-        for k in 0..ra0.len() {
-            let j = (start_k + k) * stride;
-            ra0[k] = r0[j];
-            rb0[k] = r0[j + 1];
-            ra1[k] = r1[j];
-            rb1[k] = r1[j + 1];
-        }
-    }
-
-    #[inline]
-    fn prefix_many(
-        p: &[i64],
-        stride: usize,
-        width: usize,
-        height: usize,
-        xs: &[i64],
-        ys: &[i64],
-        out: &mut [i64],
-    ) {
-        let n = out.len();
-        let (w, h) = (width as i64, height as i64);
-        let mut i = 0;
-        while i + LANES <= n {
-            let cx = clip4(I64x4::load(&xs[i..]), w);
-            let cy = clip4(I64x4::load(&ys[i..]), h);
-            let v = I64x4([
-                p[cx[0] + cy[0] * stride],
-                p[cx[1] + cy[1] * stride],
-                p[cx[2] + cy[2] * stride],
-                p[cx[3] + cy[3] * stride],
-            ]);
-            v.store(&mut out[i..]);
-            i += LANES;
-        }
-        while i < n {
-            out[i] = p[clip1(xs[i], w) + clip1(ys[i], h) * stride];
-            i += 1;
-        }
-    }
-
-    #[inline]
-    fn signed_sum4(
-        p: &[i64],
-        stride: usize,
-        width: usize,
-        height: usize,
-        x0: [i64; 4],
-        y0: [i64; 4],
-        x1: [i64; 4],
-        y1: [i64; 4],
-    ) -> [i64; 4] {
-        let (w, h) = (width as i64, height as i64);
-        let one = I64x4::splat(1);
-        // Branchless lane clamps; the ±1 shifts select the four-corner
-        // planes of each window.
-        let lo_x = clip4(I64x4(x0).sub(one), w);
-        let hi_x = clip4(I64x4(x1), w);
-        let lo_y = clip4(I64x4(y0).sub(one), h);
-        let hi_y = clip4(I64x4(y1), h);
-        let mut out = [0i64; 4];
-        for l in 0..4 {
-            let (ly, hy) = (lo_y[l] * stride, hi_y[l] * stride);
-            out[l] = p[hi_x[l] + hy] - p[lo_x[l] + hy] - p[hi_x[l] + ly] + p[lo_x[l] + ly];
-        }
-        out
+/// Shifted four-strip combine plus a per-column addend: `out[i] =
+/// a[i+1] − b[i] − c[i+1] + d[i] + add[i]`.
+#[inline]
+pub fn strip_combine_add(a: &[i64], b: &[i64], c: &[i64], d: &[i64], add: &[i64], out: &mut [i64]) {
+    let n = out.len();
+    let (a, b, c, d, add) = (&a[1..=n], &b[..n], &c[1..=n], &d[..n], &add[..n]);
+    for i in 0..n {
+        out[i] = a[i] - b[i] - c[i] + d[i] + add[i];
     }
 }
 
-/// The tier behind the public cube/sweep API: packed by default, the
-/// scalar reference when the `scalar-kernels` feature is enabled.
-#[cfg(not(feature = "scalar-kernels"))]
-pub type Active = PackedTier;
-/// The tier behind the public cube/sweep API: packed by default, the
-/// scalar reference when the `scalar-kernels` feature is enabled.
-#[cfg(feature = "scalar-kernels")]
-pub type Active = ScalarTier;
+/// Two independent shifted four-strip combines in one fused pass:
+/// `out1[i] = a1[i+1] − b1[i] − c1[i+1] + d1[i]` and likewise `out2`
+/// from `(a2, b2, c2, d2)`. The sweep's inside and closed rows read
+/// disjoint corner strips of the same tile row, so fusing them halves
+/// the loop overhead and keeps both output streams hot.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn strip_combine2(
+    a1: &[i64],
+    b1: &[i64],
+    c1: &[i64],
+    d1: &[i64],
+    a2: &[i64],
+    b2: &[i64],
+    c2: &[i64],
+    d2: &[i64],
+    out1: &mut [i64],
+    out2: &mut [i64],
+) {
+    let n = out1.len();
+    let (a1, b1, c1, d1) = (&a1[1..=n], &b1[..n], &c1[1..=n], &d1[..n]);
+    let (a2, b2, c2, d2) = (&a2[1..=n], &b2[..n], &c2[1..=n], &d2[..n]);
+    let out2 = &mut out2[..n];
+    for i in 0..n {
+        out1[i] = a1[i] - b1[i] - c1[i] + d1[i];
+        out2[i] = a2[i] - b2[i] - c2[i] + d2[i];
+    }
+}
+
+/// Dual gather: `a[k] = row[ia[k]]`, `b[k] = row[ib[k]]` for `k <
+/// a.len()`. Used to fill the structure-of-arrays corner strips from one
+/// cube row; the index pairs are adjacent Euler columns, so both loads of
+/// a pair usually share a cache line.
+#[inline]
+pub fn gather2(row: &[i64], ia: &[usize], ib: &[usize], a: &mut [i64], b: &mut [i64]) {
+    // Gathers are address-bound, not arithmetic-bound; the win here is
+    // unrolling the loop 4-wide so four independent loads are in flight
+    // per iteration, with grouped stores. The index loads themselves stay
+    // bounds-checked — they are data-dependent.
+    let n = a.len();
+    let (ia, ib) = (&ia[..n], &ib[..n]);
+    let mut ac = a.chunks_exact_mut(LANES);
+    let mut bc = b.chunks_exact_mut(LANES);
+    for (((oa, ob), pi), pj) in (&mut ac)
+        .zip(&mut bc)
+        .zip(ia.chunks_exact(LANES))
+        .zip(ib.chunks_exact(LANES))
+    {
+        oa.copy_from_slice(&[row[pi[0]], row[pi[1]], row[pi[2]], row[pi[3]]]);
+        ob.copy_from_slice(&[row[pj[0]], row[pj[1]], row[pj[2]], row[pj[3]]]);
+    }
+    let (ra, rb) = (ac.into_remainder(), bc.into_remainder());
+    let start = n - ra.len();
+    for (k, (oa, ob)) in ra.iter_mut().zip(rb.iter_mut()).enumerate() {
+        let k = start + k;
+        *oa = row[ia[k]];
+        *ob = row[ib[k]];
+    }
+}
+
+/// Strided quad gather for an **affine** index lattice: with
+/// `j = start + k·stride`, `a0[k] = row0[j]`, `b0[k] = row0[j + 1]`,
+/// `a1[k] = row1[j]`, `b1[k] = row1[j + 1]`. Tiling plans produce
+/// exactly this shape away from the clamped edges (closed column = open
+/// column + 1, consecutive boundaries `2·w` apart), which turns the
+/// gather into a strided pair copy: no index-array loads and no
+/// per-element bounds checks. Requires `stride ≥ 2` and
+/// `start + (len − 1)·stride + 1 < row.len()` when `len > 0`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn gather_pairs2(
+    row0: &[i64],
+    row1: &[i64],
+    start: usize,
+    stride: usize,
+    a0: &mut [i64],
+    b0: &mut [i64],
+    a1: &mut [i64],
+    b1: &mut [i64],
+) {
+    let n = a0.len();
+    if n == 0 {
+        return;
+    }
+    // Narrow both rows to exactly the strided span, then unroll 4-wide
+    // with the offsets computed from one running base — sixteen
+    // independent loads in flight per iteration and no index-array
+    // traffic at all.
+    let end = start + (n - 1) * stride + 2;
+    let (r0, r1) = (&row0[start..end], &row1[start..end]);
+    let (s1, s2, s3) = (stride, 2 * stride, 3 * stride);
+    let mut a0c = a0.chunks_exact_mut(LANES);
+    let mut b0c = b0.chunks_exact_mut(LANES);
+    let mut a1c = a1.chunks_exact_mut(LANES);
+    let mut b1c = b1.chunks_exact_mut(LANES);
+    let mut j = 0usize;
+    for (((oa0, ob0), oa1), ob1) in (&mut a0c).zip(&mut b0c).zip(&mut a1c).zip(&mut b1c) {
+        oa0.copy_from_slice(&[r0[j], r0[j + s1], r0[j + s2], r0[j + s3]]);
+        ob0.copy_from_slice(&[r0[j + 1], r0[j + s1 + 1], r0[j + s2 + 1], r0[j + s3 + 1]]);
+        oa1.copy_from_slice(&[r1[j], r1[j + s1], r1[j + s2], r1[j + s3]]);
+        ob1.copy_from_slice(&[r1[j + 1], r1[j + s1 + 1], r1[j + s2 + 1], r1[j + s3 + 1]]);
+        j += 4 * stride;
+    }
+    let (ra0, rb0) = (a0c.into_remainder(), b0c.into_remainder());
+    let (ra1, rb1) = (a1c.into_remainder(), b1c.into_remainder());
+    let start_k = n - ra0.len();
+    for k in 0..ra0.len() {
+        let j = (start_k + k) * stride;
+        ra0[k] = r0[j];
+        rb0[k] = r0[j + 1];
+        ra1[k] = r1[j];
+        rb1[k] = r1[j + 1];
+    }
+}
+
+/// Four clipped window sums in one call over the raw cube storage (`p`
+/// with row stride `stride` over a `width × height` array), one window
+/// per lane: `out[l] = Σ` over the signed inclusive window `[x0[l],
+/// x1[l]] × [y0[l], y1[l]]` intersected with the array, computed as the
+/// four-corner combination of branchlessly clipped prefixes. For an
+/// ordered lane (`x0 ≤ x1`, `y0 ≤ y1`) this equals the clipped range sum
+/// (0 when clipping empties the window). An inverted lane is permitted
+/// only when both bounds of the inverted axis clamp onto a common plane
+/// (entirely below the array or entirely past it) — the Euler
+/// boundary-window algebra produces exactly these, and they collapse
+/// to 0.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn signed_sum4(
+    p: &[i64],
+    stride: usize,
+    width: usize,
+    height: usize,
+    x0: [i64; 4],
+    y0: [i64; 4],
+    x1: [i64; 4],
+    y1: [i64; 4],
+) -> [i64; 4] {
+    let (w, h) = (width as i64, height as i64);
+    let mut out = [0i64; 4];
+    for l in 0..4 {
+        let lo_x = clip(x0[l] - 1, w);
+        let hi_x = clip(x1[l], w);
+        let lo_y = clip(y0[l] - 1, h) * stride;
+        let hi_y = clip(y1[l], h) * stride;
+        out[l] = p[hi_x + hi_y] - p[lo_x + hi_y] - p[hi_x + lo_y] + p[lo_x + lo_y];
+    }
+    out
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dense2D, PrefixSum2D};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_vec(n: usize, seed: u64) -> Vec<i64> {
@@ -722,120 +217,122 @@ mod tests {
         (0..n).map(|_| rng.gen_range(-1000..1000)).collect()
     }
 
-    /// Every strip kernel shape agrees between the two tiers on lengths
-    /// around the lane width (0..=2·LANES + 3 covers empty, sub-lane,
-    /// exact-lane and ragged-tail cases).
+    /// Lengths around the unroll width: empty, sub-lane, exact-lane and
+    /// ragged-tail cases.
+    fn lengths() -> std::ops::RangeInclusive<usize> {
+        0..=(2 * LANES + 3)
+    }
+
     #[test]
-    fn tiers_agree_on_strip_combines() {
-        for n in 0..=(2 * LANES + 3) {
+    fn strip_combines_match_their_formulas() {
+        for n in lengths() {
             let a = random_vec(n + 1, 1);
             let b = random_vec(n + 1, 2);
             let c = random_vec(n + 1, 3);
             let d = random_vec(n + 1, 4);
             let add = random_vec(n, 5);
-            let mut s = vec![0i64; n];
-            let mut v = vec![0i64; n];
-            ScalarTier::strip_combine(&a, &b, &c, &d, &mut s);
-            PackedTier::strip_combine(&a, &b, &c, &d, &mut v);
-            assert_eq!(s, v, "strip_combine n={n}");
-            ScalarTier::strip_combine_k(&a, &b, &c, &d, 17, &mut s);
-            PackedTier::strip_combine_k(&a, &b, &c, &d, 17, &mut v);
-            assert_eq!(s, v, "strip_combine_k n={n}");
-            ScalarTier::strip_combine_add(&a, &b, &c, &d, &add, &mut s);
-            PackedTier::strip_combine_add(&a, &b, &c, &d, &add, &mut v);
-            assert_eq!(s, v, "strip_combine_add n={n}");
+            let plain = |a: &[i64], b: &[i64], c: &[i64], d: &[i64], i: usize| {
+                a[i + 1] - b[i] - c[i + 1] + d[i]
+            };
+            let mut out = vec![0i64; n];
+
+            strip_combine_k(&a, &b, &c, &d, 17, &mut out);
+            let want: Vec<i64> = (0..n).map(|i| plain(&a, &b, &c, &d, i) + 17).collect();
+            assert_eq!(out, want, "strip_combine_k n={n}");
+
+            strip_combine_add(&a, &b, &c, &d, &add, &mut out);
+            let want: Vec<i64> = (0..n).map(|i| plain(&a, &b, &c, &d, i) + add[i]).collect();
+            assert_eq!(out, want, "strip_combine_add n={n}");
 
             let e = random_vec(n + 1, 6);
             let f = random_vec(n + 1, 7);
             let g = random_vec(n + 1, 8);
             let h = random_vec(n + 1, 9);
-            let (mut s2, mut v2) = (vec![0i64; n], vec![0i64; n]);
-            ScalarTier::strip_combine2(&a, &b, &c, &d, &e, &f, &g, &h, &mut s, &mut s2);
-            PackedTier::strip_combine2(&a, &b, &c, &d, &e, &f, &g, &h, &mut v, &mut v2);
-            assert_eq!((&s, &s2), (&v, &v2), "strip_combine2 n={n}");
-            // And the fused dual combine agrees with two plain combines.
-            let mut one = vec![0i64; n];
-            ScalarTier::strip_combine(&a, &b, &c, &d, &mut one);
-            assert_eq!(s, one, "strip_combine2 first row n={n}");
-            ScalarTier::strip_combine(&e, &f, &g, &h, &mut one);
-            assert_eq!(s2, one, "strip_combine2 second row n={n}");
+            let mut out2 = vec![0i64; n];
+            strip_combine2(&a, &b, &c, &d, &e, &f, &g, &h, &mut out, &mut out2);
+            let want1: Vec<i64> = (0..n).map(|i| plain(&a, &b, &c, &d, i)).collect();
+            let want2: Vec<i64> = (0..n).map(|i| plain(&e, &f, &g, &h, i)).collect();
+            assert_eq!((out, out2), (want1, want2), "strip_combine2 n={n}");
         }
     }
 
     #[test]
-    fn tiers_agree_on_gather2() {
+    fn gather2_matches_plain_indexing() {
         let row = random_vec(64, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        for n in 0..=(2 * LANES + 3) {
+        for n in lengths() {
             let ia: Vec<usize> = (0..n).map(|_| rng.gen_range(0..64)).collect();
             let ib: Vec<usize> = (0..n).map(|_| rng.gen_range(0..64)).collect();
-            let (mut sa, mut sb) = (vec![0i64; n], vec![0i64; n]);
-            let (mut va, mut vb) = (vec![0i64; n], vec![0i64; n]);
-            ScalarTier::gather2(&row, &ia, &ib, &mut sa, &mut sb);
-            PackedTier::gather2(&row, &ia, &ib, &mut va, &mut vb);
-            assert_eq!((sa, sb), (va, vb), "gather2 n={n}");
+            let (mut a, mut b) = (vec![0i64; n], vec![0i64; n]);
+            gather2(&row, &ia, &ib, &mut a, &mut b);
+            let want_a: Vec<i64> = ia.iter().map(|&i| row[i]).collect();
+            let want_b: Vec<i64> = ib.iter().map(|&i| row[i]).collect();
+            assert_eq!((a, b), (want_a, want_b), "gather2 n={n}");
         }
     }
 
+    /// Strides from 2 (back-to-back pairs, the full-chunk edge case)
+    /// upward, at several start offsets.
     #[test]
-    fn tiers_agree_on_gather2x2() {
-        let row0 = random_vec(64, 9);
-        let row1 = random_vec(64, 10);
-        let mut rng = StdRng::seed_from_u64(11);
-        for n in 0..=(2 * LANES + 3) {
-            let ia: Vec<usize> = (0..n).map(|_| rng.gen_range(0..64)).collect();
-            let ib: Vec<usize> = (0..n).map(|_| rng.gen_range(0..64)).collect();
-            let mut s = [vec![0i64; n], vec![0i64; n], vec![0i64; n], vec![0i64; n]];
-            let mut v = [vec![0i64; n], vec![0i64; n], vec![0i64; n], vec![0i64; n]];
-            {
-                let [s0, s1, s2, s3] = &mut s;
-                ScalarTier::gather2x2(&row0, &row1, &ia, &ib, s0, s1, s2, s3);
-            }
-            {
-                let [v0, v1, v2, v3] = &mut v;
-                PackedTier::gather2x2(&row0, &row1, &ia, &ib, v0, v1, v2, v3);
-            }
-            assert_eq!(s, v, "gather2x2 n={n}");
-            // And the fused gather agrees with two plain dual gathers.
-            let (mut ga, mut gb) = (vec![0i64; n], vec![0i64; n]);
-            ScalarTier::gather2(&row0, &ia, &ib, &mut ga, &mut gb);
-            assert_eq!((&s[0], &s[1]), (&ga, &gb), "gather2x2 row0 n={n}");
-        }
-    }
-
-    /// The strided pair gather agrees between tiers and with the general
-    /// quad gather over the equivalent affine index lattice, across
-    /// strides (2 = back-to-back pairs, the full-chunk edge case) and
-    /// lengths straddling the lane width.
-    #[test]
-    fn tiers_agree_on_gather_pairs2() {
+    fn gather_pairs2_matches_plain_indexing() {
         let row0 = random_vec(128, 12);
         let row1 = random_vec(128, 13);
         for stride in [2usize, 3, 5, 10] {
             for start in [0usize, 1, 4] {
-                for n in 0..=(2 * LANES + 3) {
+                for n in lengths() {
                     if n > 0 && start + (n - 1) * stride + 1 >= 128 {
                         continue;
                     }
-                    let ia: Vec<usize> = (0..n).map(|k| start + k * stride).collect();
-                    let ib: Vec<usize> = ia.iter().map(|&j| j + 1).collect();
-                    let mut s = [vec![0i64; n], vec![0i64; n], vec![0i64; n], vec![0i64; n]];
-                    let mut v = [vec![0i64; n], vec![0i64; n], vec![0i64; n], vec![0i64; n]];
-                    let mut g = [vec![0i64; n], vec![0i64; n], vec![0i64; n], vec![0i64; n]];
+                    let mut got = [vec![0i64; n], vec![0i64; n], vec![0i64; n], vec![0i64; n]];
                     {
-                        let [s0, s1, s2, s3] = &mut s;
-                        ScalarTier::gather_pairs2(&row0, &row1, start, stride, s0, s1, s2, s3);
+                        let [a0, b0, a1, b1] = &mut got;
+                        gather_pairs2(&row0, &row1, start, stride, a0, b0, a1, b1);
                     }
-                    {
-                        let [v0, v1, v2, v3] = &mut v;
-                        PackedTier::gather_pairs2(&row0, &row1, start, stride, v0, v1, v2, v3);
+                    let js: Vec<usize> = (0..n).map(|k| start + k * stride).collect();
+                    let want = [
+                        js.iter().map(|&j| row0[j]).collect::<Vec<_>>(),
+                        js.iter().map(|&j| row0[j + 1]).collect(),
+                        js.iter().map(|&j| row1[j]).collect(),
+                        js.iter().map(|&j| row1[j + 1]).collect(),
+                    ];
+                    assert_eq!(got, want, "stride={stride} start={start} n={n}");
+                }
+            }
+        }
+    }
+
+    /// `signed_sum4` (through [`PrefixSum2D::signed_sum4`]) equals four
+    /// [`PrefixSum2D::range_sum_clipped`] calls on ordered windows that
+    /// hang off every side of the array, on arrays from empty to wider
+    /// than two lanes.
+    #[test]
+    fn signed_sum4_matches_four_clipped_range_sums() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for w in lengths() {
+            for h in [0usize, 1, 2, LANES + 1, 2 * LANES + 3] {
+                let a = Dense2D::from_vec(w, h, random_vec(w * h, (w * 31 + h) as u64));
+                let p = PrefixSum2D::build(&a);
+                for _ in 0..16 {
+                    let (mut x0, mut y0) = ([0i64; 4], [0i64; 4]);
+                    let (mut x1, mut y1) = ([0i64; 4], [0i64; 4]);
+                    for l in 0..4 {
+                        x0[l] = rng.gen_range(-6..w as i64 + 6);
+                        y0[l] = rng.gen_range(-6..h as i64 + 6);
+                        x1[l] = x0[l] + rng.gen_range(0..w as i64 + 3);
+                        y1[l] = y0[l] + rng.gen_range(0..h as i64 + 3);
                     }
-                    {
-                        let [g0, g1, g2, g3] = &mut g;
-                        ScalarTier::gather2x2(&row0, &row1, &ia, &ib, g0, g1, g2, g3);
+                    let got = p.signed_sum4(x0, y0, x1, y1);
+                    for l in 0..4 {
+                        assert_eq!(
+                            got[l],
+                            p.range_sum_clipped(x0[l], y0[l], x1[l], y1[l]),
+                            "{w}x{h} lane {l}: [{},{}]x[{},{}]",
+                            x0[l],
+                            x1[l],
+                            y0[l],
+                            y1[l]
+                        );
                     }
-                    assert_eq!(s, v, "gather_pairs2 stride={stride} start={start} n={n}");
-                    assert_eq!(s, g, "vs gather2x2 stride={stride} start={start} n={n}");
                 }
             }
         }

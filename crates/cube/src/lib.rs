@@ -22,9 +22,8 @@
 //! * [`RangeFenwick2D`] — a dynamic cube (O(log² n) rectangle update and
 //!   rectangle sum), in the update-efficient-cube direction the paper
 //!   cites as \[GRAE99\]/\[RAE00\];
-//! * [`kernels`] — the batched, lane-packed kernel tiers behind
-//!   [`PrefixSum2D`]'s clipped lookups and `euler-core`'s sweep strips
-//!   (the `scalar-kernels` feature swaps in the scalar reference tier).
+//! * [`kernels`] — the dense loops behind [`PrefixSum2D`]'s batched
+//!   clipped lookups and `euler-core`'s sweep strips.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A dense d-dimensional array of `i64` counters with runtime-chosen
 /// dimensionality.
 ///
@@ -7,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// this array (plus [`PrefixSumNd`]) is the substrate for the
 /// d-dimensional Euler histogram and the paper's §2 example comparing a
 /// 2-D grid (64,800 cells) against the 4-D point encoding (4·10⁹ cells).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseNd {
     dims: Vec<usize>,
     strides: Vec<usize>,
@@ -118,7 +116,7 @@ impl DenseNd {
 
 /// The d-dimensional prefix-sum cube: inclusive range sums via 2^d
 /// inclusion–exclusion lookups \[HAMS97\].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixSumNd {
     dims: Vec<usize>,
     // Guard-padded extents (each +1) and their strides.

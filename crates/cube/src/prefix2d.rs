@@ -1,6 +1,4 @@
-use serde::{Deserialize, Serialize};
-
-use crate::kernels::{Active, KernelTier};
+use crate::kernels;
 use crate::Dense2D;
 
 /// Row stride granularity, in `i64` elements: 8 × 8 bytes = one 64-byte
@@ -22,11 +20,11 @@ const ROW_BLOCK: usize = 8;
 /// either axis is a zero plane. The guard plus a branchless clamp make
 /// every clipped lookup a pure load: a signed coordinate maps to
 /// `clamp(v, −1, dim − 1) + 1` with no data-dependent branch, which is
-/// what the batched kernels ([`Self::prefix_many`], [`Self::signed_sum4`]
-/// and the sweep strip fills in `euler-core`) lean on. The padding is
+/// what the batched kernels ([`Self::signed_sum4`] and the sweep strip
+/// fills in `euler-core`) lean on. The padding is
 /// invisible to the API and to persistence — `euler-core`'s `to_bytes`
 /// serializes raw buckets and rebuilds the cube (this layout) on load.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixSum2D {
     width: usize,
     height: usize,
@@ -159,43 +157,12 @@ impl PrefixSum2D {
         &self.p[off..off + self.width + 1]
     }
 
-    /// Batched [`Self::prefix_clipped`]: `out[i] = P(xs[i], ys[i])`
-    /// through the active kernel tier (`xs`, `ys` and `out` must share a
-    /// length).
-    #[inline]
-    pub fn prefix_many(&self, xs: &[i64], ys: &[i64], out: &mut [i64]) {
-        self.prefix_many_in::<Active>(xs, ys, out);
-    }
-
-    /// [`Self::prefix_many`] through an explicit kernel tier — the
-    /// differential-testing entry point of the kernel-equivalence law.
-    #[inline]
-    pub fn prefix_many_in<K: KernelTier>(&self, xs: &[i64], ys: &[i64], out: &mut [i64]) {
-        assert!(xs.len() == out.len() && ys.len() == out.len());
-        K::prefix_many(&self.p, self.stride, self.width, self.height, xs, ys, out);
-    }
-
-    /// Four [`Self::range_sum_clipped`] windows in one lane-packed call,
-    /// one window per lane; see
-    /// [`crate::kernels::KernelTier::signed_sum4`] for the lane-ordering
-    /// contract. Dispatches through the active kernel tier — see
-    /// [`Self::signed_sum4_in`] to pin a tier explicitly.
+    /// Four [`Self::range_sum_clipped`] windows in one call, one window
+    /// per lane; see [`kernels::signed_sum4`] for the lane-ordering
+    /// contract.
     #[inline]
     pub fn signed_sum4(&self, x0: [i64; 4], y0: [i64; 4], x1: [i64; 4], y1: [i64; 4]) -> [i64; 4] {
-        self.signed_sum4_in::<Active>(x0, y0, x1, y1)
-    }
-
-    /// [`Self::signed_sum4`] through an explicit kernel tier — the
-    /// differential-testing entry point of the kernel-equivalence law.
-    #[inline]
-    pub fn signed_sum4_in<K: KernelTier>(
-        &self,
-        x0: [i64; 4],
-        y0: [i64; 4],
-        x1: [i64; 4],
-        y1: [i64; 4],
-    ) -> [i64; 4] {
-        K::signed_sum4(
+        kernels::signed_sum4(
             &self.p,
             self.stride,
             self.width,
@@ -257,7 +224,7 @@ impl PrefixSum2D {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{PackedTier, ScalarTier, LANES};
+    use crate::kernels::LANES;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -350,9 +317,6 @@ mod tests {
                 [0; 4],
                 "{w}x{h}"
             );
-            let mut out = [1i64; 3];
-            p.prefix_many(&[-1, 0, 3], &[0, -1, 9], &mut out);
-            assert_eq!(out, [0; 3], "{w}x{h}");
         }
     }
 
@@ -450,36 +414,6 @@ mod tests {
             prop_assert_eq!(corners, p.range_sum_clipped(lo_x, lo_y, hi_x, hi_y));
         }
 
-        /// `range_sum_clipped` (through the active tier's layout) agrees
-        /// with both explicit kernel tiers' `signed_sum4` on ordered
-        /// windows — the cube-level kernel-equivalence law, including
-        /// arrays narrower than a lane.
-        #[test]
-        fn signed_sum4_tiers_match_range_sum_clipped(
-            seed in 0u64..30, w in 1usize..14, h in 1usize..11,
-            win in prop::collection::vec((-6i64..18, -6i64..16, 0i64..14, 0i64..12), 4))
-        {
-            let a = random_array(w, h, seed);
-            let p = PrefixSum2D::build(&a);
-            let mut x0 = [0i64; 4]; let mut y0 = [0i64; 4];
-            let mut x1 = [0i64; 4]; let mut y1 = [0i64; 4];
-            for l in 0..4 {
-                let (a0, b0, dw, dh) = win[l];
-                x0[l] = a0; y0[l] = b0;
-                x1[l] = a0 + dw; y1[l] = b0 + dh;
-            }
-            let packed = p.signed_sum4_in::<PackedTier>(x0, y0, x1, y1);
-            let scalar = p.signed_sum4_in::<ScalarTier>(x0, y0, x1, y1);
-            prop_assert_eq!(packed, scalar);
-            for l in 0..4 {
-                prop_assert_eq!(
-                    packed[l],
-                    p.range_sum_clipped(x0[l], y0[l], x1[l], y1[l]),
-                    "lane {}", l
-                );
-            }
-        }
-
         /// The paired-window kernel equals two independent clipped range
         /// sums on arbitrary ordered (possibly out-of-bounds) windows.
         #[test]
@@ -496,24 +430,6 @@ mod tests {
             let (sa, sb) = p.range_sum_pair(win[0], win[1]);
             prop_assert_eq!(sa, p.range_sum_clipped(win[0].0, win[0].1, win[0].2, win[0].3));
             prop_assert_eq!(sb, p.range_sum_clipped(win[1].0, win[1].1, win[1].2, win[1].3));
-        }
-
-        /// `prefix_many` through both tiers equals per-point
-        /// `prefix_clipped`, across ragged batch lengths.
-        #[test]
-        fn prefix_many_tiers_match_pointwise(
-            seed in 0u64..30, w in 1usize..14, h in 1usize..11, n in 0usize..13,
-            pts in prop::collection::vec((-6i64..18, -6i64..16), 13))
-        {
-            let a = random_array(w, h, seed);
-            let p = PrefixSum2D::build(&a);
-            let xs: Vec<i64> = pts[..n].iter().map(|&(x, _)| x).collect();
-            let ys: Vec<i64> = pts[..n].iter().map(|&(_, y)| y).collect();
-            let mut out = vec![0i64; n];
-            p.prefix_many(&xs, &ys, &mut out);
-            for i in 0..n {
-                prop_assert_eq!(out[i], p.prefix_clipped(xs[i], ys[i]), "point {}", i);
-            }
         }
     }
 }

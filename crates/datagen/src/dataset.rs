@@ -1,9 +1,8 @@
 use euler_geom::Rect;
 use euler_grid::{DataSpace, Grid, SnappedRect, Snapper};
-use serde::{Deserialize, Serialize};
 
 /// A named spatial dataset: MBRs in a data space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     name: String,
     space: DataSpace,
@@ -61,17 +60,16 @@ impl Dataset {
         let chunk = n.div_ceil(threads);
         let mut out: Vec<SnappedRect> = Vec::with_capacity(n);
         let chunks: Vec<&[Rect]> = self.rects.chunks(chunk).collect();
-        let results: Vec<Vec<SnappedRect>> = crossbeam::thread::scope(|s| {
+        let results: Vec<Vec<SnappedRect>> = std::thread::scope(|s| {
             let handles: Vec<_> = chunks
                 .into_iter()
-                .map(|c| s.spawn(move |_| snapper.snap_all(c)))
+                .map(|c| s.spawn(move || snapper.snap_all(c)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("snap worker panicked"))
                 .collect()
-        })
-        .expect("crossbeam scope");
+        });
         for mut r in results {
             out.append(&mut r);
         }
@@ -138,7 +136,7 @@ impl Dataset {
 }
 
 /// Summary statistics of a dataset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DatasetStats {
     /// Number of objects.
     pub count: usize,

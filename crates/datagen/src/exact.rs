@@ -193,17 +193,16 @@ pub fn ground_truth_all(objects: &[SnappedRect], tilings: &[Tiling]) -> Vec<Grou
     if tilings.len() <= 1 {
         return tilings.iter().map(|t| ground_truth(objects, t)).collect();
     }
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = tilings
             .iter()
-            .map(|t| s.spawn(move |_| ground_truth(objects, t)))
+            .map(|t| s.spawn(move || ground_truth(objects, t)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("ground-truth worker panicked"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 #[cfg(test)]

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::GeomError;
 
 /// Whether an interval endpoint is included in the interval.
@@ -9,7 +7,7 @@ use crate::GeomError;
 /// the two stand in different Level 2 relations to a grid-aligned query.
 /// Making the topology explicit lets the snapping step (§4.2's "shrink an
 /// object a little bit") be expressed and tested exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// Endpoint belongs to the interval (`[` / `]`).
     Closed,
@@ -22,7 +20,7 @@ pub enum Endpoint {
 /// Degenerate intervals (`lo == hi`) are allowed only when both endpoints
 /// are closed (a single point); an open degenerate interval would be empty
 /// and is rejected by [`Interval::new`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     lo: f64,
     hi: f64,

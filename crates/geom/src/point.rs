@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 /// A 2-D point with `f64` coordinates.
 ///
 /// Points are used for object centers in dataset generation and as the
 /// degenerate case of an MBR ("point data" in the ADL dataset, §6.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate (longitude in the paper's 360×180 space).
     pub x: f64,

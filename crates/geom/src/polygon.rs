@@ -7,13 +7,11 @@
 //! point-in-polygon tests when refining histogram hits; this module
 //! provides those without pulling a geometry dependency.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GeomError, Point, Rect};
 
 /// A simple polygon: ≥ 3 finite vertices in order (either winding), with
 /// an implicit closing edge from the last vertex to the first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     vertices: Vec<Point>,
 }

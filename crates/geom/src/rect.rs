@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{GeomError, Point};
 
 /// An axis-aligned rectangle (MBR) with `f64` coordinates.
@@ -9,7 +7,7 @@ use crate::{GeomError, Point};
 /// `euler-grid`, which converts raw MBRs into canonical open rectangles in
 /// grid units. Degenerate rectangles (points, horizontal/vertical segments)
 /// are valid — real datasets such as ADL and TIGER contain them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     xlo: f64,
     ylo: f64,

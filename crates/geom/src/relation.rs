@@ -23,10 +23,9 @@
 //! matching what a browsing user expects for point data.
 
 use crate::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Level 1 spatial relations (top of the paper's Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level1Relation {
     /// Interiors do not intersect.
     Disjoint,
@@ -36,7 +35,7 @@ pub enum Level1Relation {
 
 /// Level 2 spatial relations (interior–exterior intersection model,
 /// middle of Figure 3). `p` is the query, `q` the object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level2Relation {
     /// Interiors do not intersect (includes boundary-only contact).
     Disjoint,
@@ -71,7 +70,7 @@ impl Level2Relation {
 
 /// Level 3 spatial relations: the eight region relations of the
 /// 9-intersection model (bottom of Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level3Relation {
     /// Closures do not intersect.
     Disjoint,

@@ -1,5 +1,4 @@
 use euler_geom::Rect;
-use serde::{Deserialize, Serialize};
 
 use crate::{DataSpace, GridRect};
 
@@ -32,7 +31,7 @@ impl std::error::Error for GridError {}
 /// operates: an aligned query is exact at this resolution. The paper's
 /// running configuration is the 360×180 world space gridded at 1°×1°,
 /// i.e. `Grid::paper_default()`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Grid {
     space: DataSpace,
     nx: usize,

@@ -16,7 +16,6 @@
 //! error is never confused with semantic mismatch.
 
 use euler_geom::{Level2Relation, Rect};
-use serde::{Deserialize, Serialize};
 
 use crate::{Grid, GridRect};
 
@@ -31,7 +30,7 @@ pub const SNAP_EPSILON: f64 = 1.0 / (1u64 << 20) as f64;
 /// An object MBR in canonical snapped form: the open rectangle
 /// `(a, b) × (c, d)` in grid units, with non-integer bounds strictly inside
 /// the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnappedRect {
     a: f64,
     b: f64,

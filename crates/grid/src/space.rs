@@ -1,12 +1,11 @@
 use euler_geom::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// The rectangle `R²` enclosing all objects of a dataset (§3).
 ///
 /// Coordinates are in arbitrary data units; the paper normalizes every
 /// dataset into a `360 × 180` space with origin `(0, 0)` so that one set of
 /// query sets applies to all datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataSpace {
     bounds: Rect,
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Grid, GridError};
 
 /// The tile side lengths (in grid cells) of the paper's eleven query sets
@@ -9,7 +7,7 @@ pub const PAPER_TILE_SIZES: [usize; 11] = [20, 18, 15, 12, 10, 9, 6, 5, 4, 3, 2]
 /// A grid-aligned query rectangle: cells `[x0, x1) × [y0, y1)` in grid
 /// coordinates, i.e. the data-space rectangle between grid lines `x0..x1`
 /// and `y0..y1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridRect {
     /// Left grid line index (inclusive).
     pub x0: usize,
@@ -84,7 +82,7 @@ impl std::fmt::Display for GridRect {
 /// Tiles are produced in row-major order (bottom row first); when the
 /// region does not divide evenly, the last row/column of tiles absorbs the
 /// remainder so that the tiling always covers the region exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
     region: GridRect,
     cols: usize,
@@ -173,7 +171,7 @@ impl Tiling {
 /// One of the paper's browsing query sets: the whole data space tiled into
 /// `n × n`-cell tiles (`Qₙ`, §6.1.2). For the 360×180 paper grid, `Q₁₀`
 /// contains `36 × 18 = 648` queries and `Q₂` contains `16,200`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuerySet {
     tile_size: usize,
     tiling: Tiling,

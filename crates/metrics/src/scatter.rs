@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 /// A named estimated-vs-exact scatter series (the Figure 13/15 plots):
 /// `x` = exact result, `y` = estimated result; a perfect estimator lies on
 /// `y = x`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ScatterSeries {
     /// Series label.
     pub label: String,

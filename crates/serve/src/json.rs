@@ -1,6 +1,6 @@
 //! A minimal JSON value, parser and writer — just enough for the serve
 //! protocol's line-delimited messages. Hand-rolled because the
-//! workspace's vendored `serde` derives are no-ops (see
+//! workspace builds offline with no JSON library (see
 //! `vendor/README.md`); objects preserve insertion order so rendered
 //! messages are deterministic.
 

@@ -59,8 +59,6 @@ pub use euler_wal as wal;
 
 /// The types most applications need, in one import.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use euler_browse::BrowseOptions;
     pub use euler_browse::{
         advise, render_heatmap, BrowseRequest, BrowseSession, Browser, DynamicGeoBrowsingService,
         EulerBrowser, ExactBrowser, GeoBrowsingService, PinnedSession, Relation,
