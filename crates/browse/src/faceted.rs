@@ -159,6 +159,7 @@ impl<F: Eq + Hash + Clone> FacetedService<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BrowseSession;
     use euler_grid::DataSpace;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -13,16 +13,17 @@
 //!   [`euler_core::Level2Estimator`];
 //! * [`ExactBrowser`] — the exact difference-array backend (ground truth
 //!   at scale);
-//! * [`GeoBrowsingService`] — a concurrent, updatable front end: writers
-//!   insert/remove objects, readers browse consistent epoch snapshots of
-//!   an LSM-style live histogram (`euler_core::LiveEulerHistogram`)
-//!   through the one engine-backed entry point
-//!   ([`GeoBrowsingService::browse`] + [`BrowseRequest`]), with always-on
-//!   telemetry (latency percentiles, epochs, zero-hit/mega-hit counters);
-//! * [`DynamicGeoBrowsingService`] — the write-heavy profile of the same
-//!   substrate: browses pin the current snapshot (frozen cube + delta
-//!   view) and hold no lock across the tiling, so a browse never blocks
-//!   a concurrent insert;
+//! * [`BrowsingService`] — a concurrent, updatable front end: writers
+//!   insert/remove objects, readers browse consistent snapshots of an
+//!   LSM-style live histogram (`euler_core::LiveEulerHistogram`) through
+//!   the one engine-backed entry point ([`BrowseSession::browse`] +
+//!   [`BrowseRequest`]), with always-on telemetry (latency percentiles,
+//!   epochs, zero-hit/mega-hit counters). One body, two read policies:
+//!   [`GeoBrowsingService`] refreezes on the first read after a write, so
+//!   steady-state browses sweep a pure frozen cube;
+//!   [`DynamicGeoBrowsingService`] pins the current snapshot (frozen cube
+//!   plus delta view) and never refreezes, so a write-heavy feed stays
+//!   cheap and a browse never blocks a concurrent insert;
 //! * [`FacetedService`] — multi-attribute browsing (Figure 1's
 //!   region/date/subject filters) via one histogram per facet value;
 //! * [`PyramidBrowser`] — §1's "various resolutions": a lazily
@@ -34,17 +35,16 @@
 //! * [`advise`] — zero-hit/mega-hit analysis: the query-refinement hints
 //!   that motivate browsing in the first place.
 //!
-//! Both updatable services implement [`BrowseSession`] — pin-stamped
+//! Both read policies are driven through [`BrowseSession`] — pin-stamped
 //! snapshot acquisition plus the unified [`BrowseRequest`] browse entry
-//! point — which is what multi-tenant front doors (the `geobrowse serve`
-//! mode) and the conformance harness program against.
+//! point — which is also what multi-tenant front doors (the `geobrowse
+//! serve` mode) and the conformance harness program against.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod advise;
 mod browser;
-mod dynamic_service;
 mod exact_browser;
 mod faceted;
 mod pyramid;
@@ -55,13 +55,12 @@ mod session;
 
 pub use advise::{advise, Advice};
 pub use browser::{BrowseResult, Browser, EulerBrowser, Relation};
-pub use dynamic_service::DynamicGeoBrowsingService;
 pub use exact_browser::ExactBrowser;
 pub use faceted::FacetedService;
 pub use pyramid::{PyramidBrowser, PyramidError};
 pub use render::render_heatmap;
 pub use request::BrowseRequest;
-pub use service::GeoBrowsingService;
+pub use service::{BrowsingService, DynamicGeoBrowsingService, GeoBrowsingService};
 pub use session::{run_browse, BrowseSession, PinnedSession};
 
 pub use euler_core::RelationCounts;

@@ -25,16 +25,14 @@ use euler_engine::{BatchOptions, CancelToken};
 ///     .deadline(Duration::from_millis(50))
 ///     .mega_threshold(1_000);
 /// assert_eq!(req.effective_threads(), 4);
-/// assert!(req.has_controls());
+/// assert!(req.batch_options().has_controls());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BrowseRequest {
     threads: Option<usize>,
     telemetry: Option<bool>,
     mega_threshold: Option<i64>,
-    deadline: Option<Duration>,
-    check_every: Option<usize>,
-    cancel: Option<CancelToken>,
+    controls: BatchOptions,
 }
 
 impl BrowseRequest {
@@ -71,21 +69,21 @@ impl BrowseRequest {
     /// answered tiles are delivered and the unanswered tail is reported
     /// per tile (see `BrowseResult::unavailable`).
     pub fn deadline(mut self, budget: Duration) -> BrowseRequest {
-        self.deadline = Some(budget);
+        self.controls = self.controls.deadline(budget);
         self
     }
 
     /// Sets how many queries a worker runs between deadline/cancellation
     /// polls (see [`BatchOptions::check_every`]).
     pub fn check_every(mut self, queries: usize) -> BrowseRequest {
-        self.check_every = Some(queries.max(1));
+        self.controls = self.controls.check_every(queries);
         self
     }
 
     /// Attaches a cancellation token; flip it with [`CancelToken::cancel`]
     /// and the browse stops with partial delivery.
     pub fn cancel_token(mut self, token: CancelToken) -> BrowseRequest {
-        self.cancel = Some(token);
+        self.controls = self.controls.cancel_token(token);
         self
     }
 
@@ -109,35 +107,12 @@ impl BrowseRequest {
         self.mega_threshold.unwrap_or(Self::DEFAULT_MEGA_THRESHOLD)
     }
 
-    /// The wall-clock budget, if any.
-    pub fn deadline_budget(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Whether a deadline or cancel token is set — if so the engine takes
-    /// the cancellable per-tile path of the degradation ladder.
-    pub fn has_controls(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
-
-    /// The engine-level controls this request carries.
-    pub fn batch_options(&self) -> BatchOptions {
-        let mut opts = BatchOptions::new();
-        if let Some(budget) = self.deadline {
-            opts = opts.deadline(budget);
-        }
-        if let Some(stride) = self.check_every {
-            opts = opts.check_every(stride);
-        }
-        if let Some(token) = &self.cancel {
-            opts = opts.cancel_token(token.clone());
-        }
-        opts
+    /// The engine-level controls this request carries: deadline,
+    /// polling stride and cancel token. With a deadline or cancel token
+    /// set, the engine takes the cancellable per-tile path of the
+    /// degradation ladder.
+    pub fn batch_options(&self) -> &BatchOptions {
+        &self.controls
     }
 }
 
@@ -151,10 +126,10 @@ mod tests {
         assert_eq!(req.effective_threads(), 1);
         assert!(req.telemetry_enabled());
         assert_eq!(req.mega_limit(), 10_000);
-        assert!(req.deadline_budget().is_none());
-        assert!(req.cancel().is_none());
-        assert!(!req.has_controls());
-        assert!(!req.batch_options().has_controls());
+        let batch = req.batch_options();
+        assert!(batch.deadline_budget().is_none());
+        assert!(batch.cancel().is_none());
+        assert!(!batch.has_controls());
     }
 
     #[test]
@@ -170,9 +145,8 @@ mod tests {
         assert!(req.effective_threads() >= 1);
         assert!(!req.telemetry_enabled());
         assert_eq!(req.mega_limit(), 7);
-        assert_eq!(req.deadline_budget(), Some(Duration::from_millis(9)));
-        assert!(req.has_controls());
         let batch = req.batch_options();
+        assert!(batch.has_controls());
         assert_eq!(batch.deadline_budget(), Some(Duration::from_millis(9)));
         assert_eq!(batch.check_interval(), Some(3));
         token.cancel();

@@ -1,14 +1,14 @@
-//! The [`BrowseSession`] abstraction: one interface over the two browse
-//! service profiles.
+//! The [`BrowseSession`] abstraction: one interface over every browsable,
+//! updatable spatial session.
 //!
-//! [`GeoBrowsingService`](crate::GeoBrowsingService) (refreeze-on-read)
-//! and [`DynamicGeoBrowsingService`](crate::DynamicGeoBrowsingService)
-//! (pin-current, never refreeze) are facades over the same
-//! `LiveEulerHistogram` substrate that differ only in *read policy*.
-//! Anything that multiplexes work onto "a browsable, updatable spatial
-//! session" — the `geobrowse serve` front door, the conformance harness —
-//! should be written once against this trait instead of twice against
-//! the twins.
+//! [`BrowsingService`](crate::BrowsingService) implements it once for
+//! both read policies — refreeze-on-read
+//! ([`GeoBrowsingService`](crate::GeoBrowsingService)) and pin-current
+//! ([`DynamicGeoBrowsingService`](crate::DynamicGeoBrowsingService)) —
+//! and the durable serve session implements it on top. Anything
+//! that multiplexes work onto "a browsable, updatable spatial session" —
+//! the `geobrowse serve` front door, the conformance harness — is
+//! written once against this trait.
 
 use std::sync::Arc;
 
@@ -73,8 +73,9 @@ impl std::fmt::Debug for PinnedSession {
 /// A browsable, updatable spatial session: the interface the serve front
 /// door and the conformance harness program against.
 ///
-/// Both service profiles implement it; which one you hand out decides
-/// the read policy (refreeze-on-read vs pin-current), not the API.
+/// Both read policies of [`BrowsingService`](crate::BrowsingService)
+/// implement it; which one you hand out decides the read policy
+/// (refreeze-on-read vs pin-current), not the API.
 pub trait BrowseSession: Send + Sync {
     /// The session profile name (for telemetry and protocol banners).
     fn session_name(&self) -> &'static str;
@@ -155,6 +156,13 @@ pub trait BrowseSession: Send + Sync {
     /// Answers a browsing query on a freshly pinned view — the one
     /// multi-tile entry point. The request carries every knob: worker
     /// count, telemetry, mega-hit threshold, deadline, cancel token.
+    ///
+    /// Without a deadline or cancel token the engine answers the tiling
+    /// with one amortized sweep (counted in the telemetry's
+    /// `sweep_hits`). With one, it takes the cancellable per-tile path,
+    /// and tiles left unanswered when the budget runs out are listed in
+    /// [`BrowseResult::unavailable`] instead of failing the whole
+    /// tiling.
     fn browse(&self, tiling: &Tiling, req: &BrowseRequest) -> BrowseResult {
         run_browse(self.pin_session().estimator(), self.recorder(), tiling, req)
     }
@@ -165,8 +173,9 @@ pub trait BrowseSession: Send + Sync {
 /// converts failed slots into per-tile availability, and (when telemetry
 /// is on) feeds the zero-hit/mega-hit advice counters.
 ///
-/// Both service profiles and the serve front door funnel through this
-/// one function, so "what a browse means" is defined exactly once.
+/// Every session's [`BrowseSession::browse`] and the serve front door
+/// funnel through this one function, so "what a browse means" is defined
+/// exactly once.
 pub fn run_browse(
     estimator: &SharedEstimator,
     recorder: &Arc<Recorder>,
@@ -180,7 +189,7 @@ pub fn run_browse(
     }
     let result = builder
         .build()
-        .run_batch_with(&QueryBatch::from(tiling), &req.batch_options());
+        .run_batch_with(&QueryBatch::from(tiling), req.batch_options());
     let unavailable: Vec<usize> = result
         .outcomes
         .iter()
@@ -212,15 +221,16 @@ mod tests {
     use crate::{DynamicGeoBrowsingService, GeoBrowsingService};
     use euler_core::Level2Estimator;
     use euler_grid::DataSpace;
+    use std::time::Duration;
 
     fn grid() -> Grid {
         Grid::new(DataSpace::new(Rect::new(0.0, 0.0, 8.0, 8.0).unwrap()), 8, 8).unwrap()
     }
 
-    fn sessions() -> Vec<Box<dyn BrowseSession>> {
+    fn sessions() -> Vec<Arc<dyn BrowseSession>> {
         vec![
-            Box::new(GeoBrowsingService::new(grid())),
-            Box::new(DynamicGeoBrowsingService::new(grid())),
+            Arc::new(GeoBrowsingService::new(grid())),
+            Arc::new(DynamicGeoBrowsingService::new(grid())),
         ]
     }
 
@@ -240,6 +250,11 @@ mod tests {
 
             let tiling = Tiling::new(session.grid().full(), 4, 4).unwrap();
             let result = session.browse(&tiling, &BrowseRequest::new());
+            assert_eq!(
+                result.get(0, 0).intersecting(),
+                1,
+                "{name}: write is visible"
+            );
             let pinned = session.pin_session();
             for ((_, tile), got) in tiling.iter().zip(result.counts()) {
                 let want = pinned.estimator().estimate(&tile).clamped();
@@ -254,7 +269,13 @@ mod tests {
             session.remove(&r);
             assert_eq!(session.version(), v0 + 2, "{name}: remove bumps version");
             assert!(session.is_empty(), "{name}");
-            assert_eq!(session.telemetry().queries, 16, "{name}");
+            let result = session.browse(&tiling, &BrowseRequest::new());
+            assert_eq!(
+                result.get(0, 0).intersecting(),
+                0,
+                "{name}: removal is visible"
+            );
+            assert_eq!(session.telemetry().queries, 32, "{name}");
         }
     }
 
@@ -279,6 +300,165 @@ mod tests {
                 "{name}"
             );
             assert!(fresh.version() > pinned.version(), "{name}");
+        }
+    }
+
+    #[test]
+    fn parallel_browse_matches_sequential() {
+        for session in sessions() {
+            let name = session.session_name();
+            for i in 0..40 {
+                let x = 0.1 + (i % 7) as f64;
+                let y = 0.1 + (i % 5) as f64;
+                session.insert(&Rect::new(x, y, x + 0.7, y + 0.6).unwrap());
+            }
+            let tiling = Tiling::new(session.grid().full(), 8, 8).unwrap();
+            let seq = session.browse(&tiling, &BrowseRequest::new());
+            for threads in [0, 2, 4, 16] {
+                let par = session.browse(&tiling, &BrowseRequest::new().threads(threads));
+                assert_eq!(seq.counts(), par.counts(), "{name}: {threads} threads");
+            }
+            // The pinned view reports through the shared estimator interface.
+            let report = EstimatorEngine::builder(session.pin_session().estimator().clone())
+                .threads(4)
+                .build()
+                .run_batch(&QueryBatch::from(&tiling))
+                .report;
+            assert_eq!(report.queries, 64, "{name}");
+            assert_eq!(report.estimator, "S-EulerApprox", "{name}");
+        }
+    }
+
+    #[test]
+    fn telemetry_records_browses_and_advice_counters() {
+        for session in sessions() {
+            let name = session.session_name();
+            session.insert(&Rect::new(1.2, 1.2, 1.8, 1.8).unwrap());
+            let tiling = Tiling::new(session.grid().full(), 4, 4).unwrap();
+
+            session.browse(&tiling, &BrowseRequest::new().mega_threshold(1));
+            let stats = session.telemetry();
+            assert_eq!(stats.queries, 16, "{name}");
+            assert_eq!(stats.batches, 1, "{name}");
+            assert_eq!(stats.query_latency.count(), 16, "{name}");
+            // One object in one tile: 15 zero-hit tiles, 1 mega-hit (≥ 1).
+            assert_eq!(stats.zero_hits, 15, "{name}");
+            assert_eq!(stats.mega_hits, 1, "{name}");
+            assert!(stats.query_latency.p50() <= stats.query_latency.p99());
+
+            // Telemetry off: nothing moves.
+            session.browse(&tiling, &BrowseRequest::new().telemetry(false));
+            let after = session.telemetry();
+            assert_eq!((after.queries, after.batches), (16, 1), "{name}");
+
+            // Every tile accounts for the one object.
+            session.browse(&tiling, &BrowseRequest::new());
+            let stats = session.telemetry();
+            assert_eq!((stats.queries, stats.batches), (32, 2), "{name}");
+            assert_eq!(stats.objects_estimated, 32, "{name}");
+
+            // The snapshot renders as text tables.
+            assert!(stats.render().contains("p99"), "{name}");
+        }
+    }
+
+    #[test]
+    fn browse_dispatches_sweep_and_counts_it() {
+        for session in sessions() {
+            let name = session.session_name();
+            for i in 0..12 {
+                let x = 0.2 + (i % 6) as f64;
+                let y = 0.2 + (i % 4) as f64;
+                session.insert(&Rect::new(x, y, x + 0.5, y + 0.5).unwrap());
+            }
+            let tiling = Tiling::new(session.grid().full(), 4, 4).unwrap();
+            let result = session.browse(&tiling, &BrowseRequest::new());
+            let stats = session.telemetry();
+            assert_eq!(
+                stats.sweep_hits, 1,
+                "{name}: tiling browse takes the sweep path"
+            );
+            assert_eq!(stats.tiling_latency.count(), 1, "{name}");
+            assert_eq!(
+                stats.queries, 16,
+                "{name}: sweep telemetry stays tile-granular"
+            );
+
+            // The sweep path returns exactly what the per-tile loop would.
+            let pinned = session.pin_session();
+            for ((_, tile), got) in tiling.iter().zip(result.counts()) {
+                let want = pinned.estimator().estimate(&tile).clamped();
+                assert_eq!(*got, want, "{name}: tile {tile}");
+            }
+
+            // A telemetry-off browse still sweeps, but records nothing.
+            session.browse(&tiling, &BrowseRequest::new().telemetry(false));
+            assert_eq!(session.telemetry().sweep_hits, 1, "{name}");
+        }
+    }
+
+    /// Degraded serving: under a deadline the browse returns per-tile
+    /// availability instead of erroring the whole tiling, and the advice
+    /// counters do not mistake "no answer" for "zero hits".
+    #[test]
+    fn browse_with_deadline_surfaces_partial_availability() {
+        for session in sessions() {
+            let name = session.session_name();
+            session.insert(&Rect::new(1.2, 1.2, 1.8, 1.8).unwrap());
+            let tiling = Tiling::new(session.grid().full(), 4, 4).unwrap();
+            let quiet = || BrowseRequest::new().telemetry(false);
+
+            // A generous budget delivers everything, identical to no budget.
+            let full = session.browse(&tiling, &quiet());
+            let generous = session.browse(&tiling, &quiet().deadline(Duration::from_secs(3600)));
+            assert!(generous.is_complete(), "{name}");
+            assert_eq!(generous.counts(), full.counts(), "{name}");
+
+            // A zero budget delivers nothing — but still returns.
+            let zero_before = session.telemetry().zero_hits;
+            let starved = session.browse(&tiling, &BrowseRequest::new().deadline(Duration::ZERO));
+            assert!(!starved.is_complete(), "{name}");
+            assert_eq!(starved.unavailable().len(), 16, "{name}");
+            assert!(!starved.is_available(0, 0), "{name}");
+            assert!(starved.counts().iter().all(|c| c.total() == 0), "{name}");
+            let stats = session.telemetry();
+            assert_eq!(
+                stats.zero_hits, zero_before,
+                "{name}: unanswered tiles are not zero-hit advice"
+            );
+            assert_eq!(stats.deadline_exceeded, 1, "{name}");
+        }
+    }
+
+    /// One writer and three readers share a session; every write lands
+    /// and telemetry sees every concurrent browse exactly once.
+    #[test]
+    fn concurrent_readers_and_writers() {
+        for session in sessions() {
+            let name = session.session_name();
+            session.insert(&Rect::new(2.2, 2.2, 2.8, 2.8).unwrap());
+            let tiling = Tiling::new(session.grid().full(), 2, 2).unwrap();
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let session = session.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..50 {
+                            if t == 0 {
+                                let x = 0.1 + (i % 7) as f64;
+                                session.insert(&Rect::new(x, 0.1, x + 0.5, 0.6).unwrap());
+                            } else {
+                                let res = session.browse(&tiling, &BrowseRequest::new());
+                                assert!(res.counts()[0].total() >= 1);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(session.len(), 51, "{name}");
+            assert_eq!(session.telemetry().queries, 3 * 50 * 4, "{name}");
         }
     }
 }

@@ -534,12 +534,15 @@ fn check_browse_api(
     oracle: &[RelationCounts],
     out: &mut Vec<Violation>,
 ) {
+    // The pin-current session ingests one insert at a time, so its pins
+    // answer from the live delta rather than a bulk-built frozen cube.
+    let pin_current = DynamicGeoBrowsingService::new(*grid);
+    for r in &spec.rects() {
+        pin_current.insert(r);
+    }
     let sessions: Vec<Box<dyn BrowseSession>> = vec![
         Box::new(GeoBrowsingService::with_objects(*grid, &spec.rects())),
-        Box::new(DynamicGeoBrowsingService::with_objects(
-            *grid,
-            &spec.rects(),
-        )),
+        Box::new(pin_current),
     ];
     let tiling = Tiling::new(grid.full(), spec.nx.min(4), spec.ny.min(3))
         .expect("tiling within a >=2x2 grid");

@@ -1,6 +1,6 @@
 //! The concurrent-interleaving law for the epoch-snapshot substrate
 //! (`euler_core::snapshot`): **every answer a reader extracts from a
-//! pinned [`LiveSnapshot`] equals a frozen rebuild of some prefix of the
+//! pinned [`LiveSnapshot`](euler_core::LiveSnapshot) equals a frozen rebuild of some prefix of the
 //! write log** — the prefix named by the snapshot's `version()`.
 //!
 //! The law is what makes the LSM-style live histogram trustworthy under
@@ -102,8 +102,8 @@ fn rebuild_prefix(spec: &CaseSpec, log: &[DeltaOp], version: u64) -> EulerHistog
 /// a frozen rebuild of the observed write-log prefix.
 ///
 /// The writer applies the log one op at a time through
-/// [`LiveEulerHistogram`] (seal every [`SEAL_EVERY`], explicit refreeze
-/// every [`REFREEZE_EVERY`] ops and once at the end). Each reader loops
+/// [`LiveEulerHistogram`] (seal every `SEAL_EVERY` = 7 ops, explicit
+/// refreeze every `REFREEZE_EVERY` = 13 ops and once at the end). Each reader loops
 /// until the writer finishes: pin, answer one seeded query from the
 /// case's query plan, record the observation — no locks held while
 /// answering. Readers take one final pin after the writer is done, so

@@ -20,7 +20,7 @@
 //! - [`interleave`] — the concurrent-interleaving law for the
 //!   epoch-snapshot substrate: every answer a reader pins equals a frozen
 //!   rebuild of some write-log prefix, at any thread count;
-//! - [`shrink`] — delta-debugging of failures into minimal, replayable
+//! - [`shrink`](mod@shrink) — delta-debugging of failures into minimal, replayable
 //!   reproductions;
 //! - [`fault`] + [`corpus`] — injected defects proving the harness
 //!   catches bugs, and the regression corpus of one-line replays.

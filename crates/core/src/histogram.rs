@@ -222,10 +222,10 @@ impl EulerHistogram {
 
     /// Builds the cumulative (prefix-sum) form for constant-time queries,
     /// picking a storage tier by the size heuristic: small cubes freeze
-    /// dense unconditionally; past [`COMPRESS_MIN_DENSE_BYTES`] the
+    /// dense unconditionally; past `COMPRESS_MIN_DENSE_BYTES` (2 MiB) the
     /// run-compressed tier is tried first (straight from the buckets, so
     /// the dense cube is never allocated) and kept only when it beats
-    /// the dense projection by [`COMPRESS_KEEP_DIVISOR`]×. Both tiers
+    /// the dense projection by `COMPRESS_KEEP_DIVISOR` (4)×. Both tiers
     /// answer bit-identically, and the choice is deterministic in the
     /// bucket contents — freezing equal histograms yields equal frozen
     /// values.
@@ -268,7 +268,7 @@ impl EulerHistogram {
     /// Folds this histogram onto the half-resolution grid — the pyramid
     /// builds coarse levels from fine ones with this instead of
     /// re-ingesting objects. Each coarse bucket is the signed sum of its
-    /// [`fold_span`] fine slots, which equals the bucket a direct build
+    /// `fold_span` fine slots, which equals the bucket a direct build
     /// at the coarse grid would produce (the per-axis span sums are
     /// exactly the coarse ±1 coverage indicators). `None` when either
     /// dimension is odd or below 2.
@@ -351,7 +351,7 @@ impl FrozenEulerHistogram {
     }
 
     /// Folds onto the half-resolution grid without the bucket array:
-    /// each coarse bucket's [`fold_span`] window is contiguous per axis,
+    /// each coarse bucket's `fold_span` window is contiguous per axis,
     /// so it is **one** clipped range sum on the cube — this works on
     /// either tier and is how the pyramid derives a coarser level from
     /// an already-frozen finer one. Returns the mutable coarse

@@ -654,7 +654,7 @@ fn inside_span(bounds: &[usize], c0: usize, c1: usize) -> Option<(usize, usize)>
 /// `estimate_tiling` runs the frozen sweep kernel and then *scatters* the
 /// delta over the tile grid in `O(delta + tiles)` — each op's per-tile
 /// contribution factors into contiguous per-axis runs (see
-/// [`closed_span`]/[`inside_span`] internals), so one difference-array
+/// the `closed_span`/`inside_span` internals), so one difference-array
 /// rectangle add per op per window kind replaces a per-(tile, op) loop.
 /// The result is bit-identical to the per-tile estimate loop, preserving
 /// the workspace's sweep-equivalence law.

@@ -15,7 +15,7 @@ const ROW_BLOCK: usize = 8;
 /// # Layout
 ///
 /// Storage is row-blocked: each internal row is padded to a multiple of
-/// [`ROW_BLOCK`] elements (one cache line), with a zero **guard** row and
+/// `ROW_BLOCK` = 8 elements (one cache line), with a zero **guard** row and
 /// column in front — `p[(x+1) + (y+1)·stride] = P(x, y)`, and index 0 on
 /// either axis is a zero plane. The guard plus a branchless clamp make
 /// every clipped lookup a pure load: a signed coordinate maps to

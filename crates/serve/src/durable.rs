@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use euler_browse::{BrowseSession, DynamicGeoBrowsingService, PinnedSession};
 use euler_geom::Rect;
-use euler_grid::{Grid, Snapper, Tiling};
+use euler_grid::{Grid, Snapper};
 use euler_metrics::Recorder;
 use euler_wal::{DurableConfig, DurableLive, RecoveryReport};
 
@@ -61,7 +61,7 @@ impl BrowseSession for DurableSession {
     }
 
     fn grid(&self) -> &Grid {
-        BrowseSession::grid(&self.reads)
+        self.reads.grid()
     }
 
     fn len(&self) -> u64 {
@@ -78,10 +78,6 @@ impl BrowseSession for DurableSession {
 
     fn pin_session(&self) -> PinnedSession {
         self.reads.pin_session()
-    }
-
-    fn resolution_level(&self, tiling: &Tiling) -> usize {
-        self.reads.resolution_level(tiling)
     }
 
     /// Best-effort infallible form: a WAL failure is swallowed (the

@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use euler_browse::DynamicGeoBrowsingService;
+//! use euler_browse::{BrowseSession, DynamicGeoBrowsingService};
 //! use euler_geom::Rect;
 //! use euler_grid::{DataSpace, Grid};
 //! use euler_serve::{LocalClient, Request, Response, ServeConfig, ServeCore};

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use euler_browse::{DynamicGeoBrowsingService, GeoBrowsingService};
+use euler_browse::{BrowseSession, DynamicGeoBrowsingService, GeoBrowsingService};
 use euler_geom::Rect;
 use euler_grid::{DataSpace, Grid};
 use euler_serve::{LocalClient, Request, Response, ServeConfig, ServeCore};

@@ -3,13 +3,15 @@
 //! browse. Demonstrates the epoch-snapshot ingest substrate and the
 //! faceted service:
 //!
-//! * [`DynamicGeoBrowsingService`] — a facade over the LSM-style
-//!   [`LiveEulerHistogram`]: inserts are O(perimeter) delta appends,
-//!   readers pin an immutable [`LiveSnapshot`] and answer from it
-//!   without holding any lock, so a browse never blocks the stream;
-//! * [`GeoBrowsingService`] — same substrate, read-heavy profile: each
-//!   browse folds pending deltas into a freshly published epoch and
-//!   serves the whole tiling by prefix-sum sweep;
+//! * one browse service over the LSM-style [`LiveEulerHistogram`] with
+//!   two read policies. Inserts are O(perimeter) delta appends either
+//!   way; readers pin an immutable view and answer from it without
+//!   holding any lock, so a browse never blocks the stream;
+//!   * [`DynamicGeoBrowsingService`] (pin-current, write-heavy): a pin
+//!     takes the current frozen cube plus delta as is;
+//!   * [`GeoBrowsingService`] (refreeze-on-read, read-heavy): each browse
+//!     folds pending deltas into a freshly published epoch and serves
+//!     the whole tiling by prefix-sum sweep;
 //! * [`FacetedService`] — one histogram per subject type, browsing any
 //!   filter subset exactly (counts are additive over the partition).
 //!
@@ -21,7 +23,6 @@ use spatial_histograms::browse::{
     render_heatmap, BrowseRequest, DynamicGeoBrowsingService, FacetedService, GeoBrowsingService,
 };
 use spatial_histograms::core::persist::PersistError;
-use spatial_histograms::core::s_euler_counts;
 use spatial_histograms::prelude::*;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,7 +66,7 @@ fn main() -> Result<(), PersistError> {
     let grid = Grid::paper_default();
     let tiling = Tiling::new(grid.full(), 36, 18).unwrap();
 
-    // 1. The dynamic service absorbs the stream with no rebuilds. A
+    // 1. The pin-current service absorbs the stream with no rebuilds. A
     //    pinned snapshot is an immutable view of one write-log prefix:
     //    it keeps answering that state while ingest continues, and the
     //    stream never waits for a reader.
@@ -75,7 +76,7 @@ fn main() -> Result<(), PersistError> {
     for (_, rect) in tonight {
         live.insert(rect);
     }
-    let pinned = live.pin();
+    let pinned = live.pin_session();
     for (_, rect) in overnight {
         // These land while `pinned` is held — no blocking either way.
         live.insert(rect);
@@ -83,7 +84,7 @@ fn main() -> Result<(), PersistError> {
     let world = grid.full();
     println!(
         "pinned snapshot: {} events (stream has since reached {})",
-        s_euler_counts(&*pinned, &world).clamped().intersecting(),
+        pinned.estimator().estimate(&world).clamped().intersecting(),
         live.len()
     );
     let snapshot = live.browse(&tiling, &BrowseRequest::default());
@@ -93,9 +94,10 @@ fn main() -> Result<(), PersistError> {
         render_heatmap(&snapshot, spatial_histograms::browse::Relation::Intersect)
     );
 
-    // 2. The read-heavy service publishes a new epoch per browse-after-
-    //    write: pending deltas fold into the frozen prefix cube and the
-    //    whole tiling is answered by sweep from that single epoch.
+    // 2. The refreeze-on-read service publishes a new epoch per
+    //    browse-after-write: pending deltas fold into the frozen prefix
+    //    cube and the whole tiling is answered by sweep from that single
+    //    epoch.
     let epochal = GeoBrowsingService::new(grid);
     for (_, rect) in &events {
         epochal.insert(rect);

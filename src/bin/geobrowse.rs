@@ -270,6 +270,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if o.repeat == 0 {
         return Err("--repeat must be at least 1".into());
     }
+    if o.command == Command::Serve && (o.grid.0 < 2 || o.grid.1 < 2) {
+        return Err("serve needs a --grid of at least 2x2 cells".into());
+    }
     if o.data_dir.is_some() && o.profile == "frozen" {
         return Err("--data-dir requires the dynamic profile (durable reads pin current)".into());
     }
@@ -474,18 +477,16 @@ fn run_serve(o: &Options, grid: Grid, space: DataSpace) -> Result<(), String> {
         }
         profile = "durable".into();
         Arc::new(s)
-    } else if o.profile == "frozen" {
-        let s = GeoBrowsingService::new(grid);
-        for r in &rects {
-            s.insert(r);
-        }
-        Arc::new(s)
     } else {
-        let s = DynamicGeoBrowsingService::new(grid);
+        let s: Arc<dyn BrowseSession> = if o.profile == "frozen" {
+            Arc::new(GeoBrowsingService::new(grid))
+        } else {
+            Arc::new(DynamicGeoBrowsingService::new(grid))
+        };
         for r in &rects {
             s.insert(r);
         }
-        Arc::new(s)
+        s
     };
 
     let config = ServeConfig {
@@ -659,6 +660,10 @@ mod tests {
         assert!(parse_args(&args(&["--demo"])).is_err());
         assert!(parse_args(&args(&["--bogus"])).is_err());
         assert!(parse_args(&args(&["stats", "--demo", "adl", "--repeat", "0"])).is_err());
+        // Every serve profile keeps a live histogram, which needs 2x2.
+        assert!(parse_args(&args(&["serve", "--grid", "1x5"])).is_err());
+        assert!(parse_args(&args(&["serve", "--grid", "5x1", "--data-dir", "store"])).is_err());
+        assert!(parse_args(&args(&["serve", "--grid", "2x2"])).is_ok());
     }
 
     #[test]

@@ -21,7 +21,12 @@
 //! | [`metrics`] | average relative error, scatter stats, timing, text tables, hot-path telemetry |
 //! | [`conformance`] | the differential conformance harness: seeded cases, invariant catalogue, failure shrinking |
 //!
-//! The [`prelude`] exposes the types most applications need.
+//! The [`prelude`] exposes the types most applications need. The browse
+//! service is one type, [`browse::BrowsingService`], with two read
+//! policies: [`browse::GeoBrowsingService`] refreezes on the first read
+//! after a write, [`browse::DynamicGeoBrowsingService`] pins the current
+//! snapshot and never refreezes. Both are driven through the
+//! [`browse::BrowseSession`] trait, which the prelude imports.
 //!
 //! ```
 //! use spatial_histograms::prelude::*;

@@ -141,10 +141,10 @@ fn service_updates_visible_to_new_snapshots_only() {
     );
 
     service.insert(&Rect::new(15.0, 15.0, 25.0, 25.0).unwrap());
-    let snap_before = service.snapshot();
+    let pin_before = service.pin_session();
     service.insert(&Rect::new(100.0, 100.0, 120.0, 110.0).unwrap());
-    assert_eq!(snap_before.object_count(), 1);
-    assert_eq!(service.snapshot().object_count(), 2);
+    assert_eq!(pin_before.estimator().object_count(), 1);
+    assert_eq!(service.pin_session().estimator().object_count(), 2);
     assert_eq!(service.len(), 2);
 
     service.remove(&Rect::new(15.0, 15.0, 25.0, 25.0).unwrap());

@@ -2,7 +2,7 @@
 //! Euler histogram, the faceted service, and histogram/dataset
 //! persistence — exercised together across crates.
 
-use spatial_histograms::browse::{Browser, DynamicGeoBrowsingService, FacetedService};
+use spatial_histograms::browse::{DynamicGeoBrowsingService, FacetedService};
 use spatial_histograms::core::{
     DynamicEulerHistogram, EulerApprox, EulerHistogram, EulerSource, Level2Estimator, SEulerApprox,
 };
@@ -84,7 +84,7 @@ fn dynamic_service_matches_static_service_after_churn() {
     }
     let tiling = Tiling::new(grid.full(), 9, 6).unwrap();
     let a = stat.browse(&tiling, &BrowseRequest::default());
-    let b = Browser::browse(&dynamic, &tiling);
+    let b = dynamic.browse(&tiling, &BrowseRequest::default());
     for ((c, r), _t) in tiling.iter() {
         assert_eq!(a.get(c, r), b.get(c, r), "tile ({c},{r})");
     }
