@@ -49,7 +49,7 @@ pub type GeoBrowsingService = BrowsingService<true>;
 pub type DynamicGeoBrowsingService = BrowsingService<false>;
 
 impl<const REFREEZE_ON_READ: bool> BrowsingService<REFREEZE_ON_READ> {
-    /// An empty service over `grid` (at least 2×2 cells).
+    /// An empty service over `grid`.
     pub fn new(grid: Grid) -> Self {
         Self::from_live(Arc::new(LiveEulerHistogram::new(grid)))
     }

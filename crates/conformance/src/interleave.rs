@@ -26,7 +26,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::spec::CaseSpec;
 
-/// Seal the memtable every this many delta ops — deliberately small so
+/// Seal the delta's tail into a run every this many ops — deliberately small so
 /// short logs still exercise the sealed-run path.
 const SEAL_EVERY: usize = 7;
 /// The writer folds the delta and publishes a new epoch every this many

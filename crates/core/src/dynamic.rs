@@ -92,18 +92,6 @@ impl DynamicEulerHistogram {
         self.object_count -= 1;
     }
 
-    /// Applies one signed footprint (`+1` insert, `−1` delete) **without**
-    /// touching the object count.
-    ///
-    /// This is the memtable entry point of the epoch-snapshot substrate
-    /// ([`crate::snapshot`]): a delta records inserts *and* deletes of
-    /// objects that may live in the frozen base, so deletes can locally
-    /// outnumber inserts and the structure's own count is meaningless —
-    /// the substrate tracks the net count across `frozen + delta` itself.
-    pub fn apply_signed(&mut self, o: &SnappedRect, sign: i64) {
-        self.apply(o, sign);
-    }
-
     fn apply(&mut self, o: &SnappedRect, delta: i64) {
         let (ex0, ex1) = (2 * o.cx0() as i64, 2 * o.cx1() as i64);
         let (ey0, ey1) = (2 * o.cy0() as i64, 2 * o.cy1() as i64);

@@ -6,26 +6,33 @@
 //! The workspace has two write paths with opposite trade-offs: the static
 //! pipeline ([`crate::EulerHistogram`] → [`crate::EulerHistogram::freeze`])
 //! pays `O(buckets)` per snapshot but answers in O(1), while
-//! [`DynamicEulerHistogram`] absorbs updates in `O(log² n)` but must be
-//! guarded by a lock whenever it is shared — and a lock held across a
+//! [`crate::DynamicEulerHistogram`] absorbs updates in `O(log² n)` but must
+//! be guarded by a lock whenever it is shared — and a lock held across a
 //! whole tiling stalls writers on every browse. This module keeps both
 //! strengths: reads are served from an immutable [`LiveSnapshot`] (no lock
-//! held while answering), writes go to a small mutable delta, and a
-//! periodic **refreeze** folds the delta back into a fresh frozen cube.
+//! held while answering), writes go to a short list of signed ops, and a
+//! periodic **refreeze** folds that delta back into a fresh frozen cube.
 //!
 //! ## Structure
 //!
 //! ```text
 //!            writers (mutex-serialized)               readers
-//!   insert/remove ──► memtable (DynamicEulerHistogram)
+//!   insert/remove ──► tail ops (Vec + persistent list)
 //!                     │ every `seal_every` ops            pin() ──► Arc<LiveSnapshot>
 //!                     ▼                                      epoch e, version v
-//!                  sealed runs [run₀, run₁, …]               ├─ frozen prefix cube
-//!                     │ every `refreeze_every` ops           ├─ sealed runs (shared)
+//!                  sealed runs [ops₀, ops₁, …]               ├─ frozen prefix cube
+//!                     │ every `refreeze_every` ops           ├─ sealed op runs (shared)
 //!                     ▼                                      └─ tail ops (persistent list)
 //!                  refreeze: fold delta into base,
 //!                  freeze, publish epoch e+1
 //! ```
+//!
+//! The delta holds no bucket arrays at all: every run and the tail are
+//! plain [`DeltaOp`] lists, and each op's contribution to a signed window
+//! sum has a closed form (its footprint is a rank-1 sign pattern). The
+//! delta never exceeds `refreeze_every` ops, so a delta read is
+//! `O(delta)` with a small constant, a write is two pushes and a cons
+//! node, and a seal moves a `Vec`.
 //!
 //! Every write publishes a fresh [`LiveSnapshot`] (version `v+1`) that
 //! shares all heavy state with its predecessor: the frozen cube and the
@@ -51,12 +58,12 @@ use euler_grid::{Grid, GridRect, SnappedRect, Tiling};
 
 use crate::sweep::{sweep_tile_sums, TilingPlan};
 use crate::{
-    s_euler_counts, DynamicEulerHistogram, EulerHistogram, EulerSource, FrozenEulerHistogram,
-    Level2Estimator, RelationCounts,
+    s_euler_counts, EulerHistogram, EulerSource, FrozenEulerHistogram, Level2Estimator,
+    RelationCounts,
 };
 
-/// Default number of unsealed tail ops before the memtable is sealed into
-/// a run (keeps per-query tail scans short).
+/// Default number of unsealed tail ops before they are sealed into a run
+/// (keeps the persistent list each snapshot walks short).
 pub const DEFAULT_SEAL_EVERY: usize = 64;
 
 /// Default number of delta ops before an automatic refreeze folds the
@@ -109,12 +116,11 @@ struct TailNode {
     rest: Option<Arc<TailNode>>,
 }
 
-/// A sealed memtable: an immutable [`DynamicEulerHistogram`] holding the
-/// signed footprints of `ops`, serving `O(log² n)` signed sums. The op
-/// list is kept alongside for the tiling scatter path.
+/// A sealed run: `seal_every` consecutive tail ops moved into one
+/// contiguous, immutable list that every later snapshot shares by `Arc`.
+/// Reads sum its ops in closed form, exactly like the tail.
 #[derive(Debug)]
 struct SealedRun {
-    hist: DynamicEulerHistogram,
     ops: Vec<DeltaOp>,
 }
 
@@ -201,20 +207,14 @@ impl LiveSnapshot {
     }
 
     /// Signed sum over a clipped Euler-index rectangle: the frozen cube's
-    /// O(1) prefix lookup plus `O(runs · log² n + tail)` delta terms.
+    /// O(1) prefix lookup plus one closed-form term per delta op
+    /// (`O(delta)`, at most `refreeze_every` ops).
     pub fn signed_sum(&self, ex0: i64, ey0: i64, ex1: i64, ey1: i64) -> i64 {
         if ex0 > ex1 || ey0 > ey1 {
             return 0;
         }
         let mut sum = self.frozen.signed_sum(ex0, ey0, ex1, ey1);
-        for run in self.runs.iter() {
-            sum += run.hist.signed_sum(ex0, ey0, ex1, ey1);
-        }
-        let mut node = self.tail.as_deref();
-        while let Some(n) = node {
-            sum += op_signed_sum(&n.op, ex0, ey0, ex1, ey1);
-            node = n.rest.as_deref();
-        }
+        self.for_each_delta_op(|op| sum += op_signed_sum(op, ex0, ey0, ex1, ey1));
         sum
     }
 
@@ -290,16 +290,10 @@ impl EulerSource for LiveSnapshot {
         let (ix1, iy1) = (2 * q.x1 as i64 - 2, 2 * q.y1 as i64 - 2);
         let (cx0, cy0) = (ix0 - 1, iy0 - 1);
         let (cx1, cy1) = (ix1 + 1, iy1 + 1);
-        for run in self.runs.iter() {
-            n_ii += run.hist.signed_sum(ix0, iy0, ix1, iy1);
-            closed += run.hist.signed_sum(cx0, cy0, cx1, cy1);
-        }
-        let mut node = self.tail.as_deref();
-        while let Some(n) = node {
-            n_ii += op_signed_sum(&n.op, ix0, iy0, ix1, iy1);
-            closed += op_signed_sum(&n.op, cx0, cy0, cx1, cy1);
-            node = n.rest.as_deref();
-        }
+        self.for_each_delta_op(|op| {
+            n_ii += op_signed_sum(op, ix0, iy0, ix1, iy1);
+            closed += op_signed_sum(op, cx0, cy0, cx1, cy1);
+        });
         (n_ii, closed)
     }
 }
@@ -312,9 +306,8 @@ struct WriterState {
     base: EulerHistogram,
     /// All delta ops since the last refreeze (the fold source).
     pending: Vec<DeltaOp>,
-    /// The live memtable: unsealed ops applied incrementally.
-    memtable: DynamicEulerHistogram,
-    memtable_ops: Vec<DeltaOp>,
+    /// The unsealed tail ops in write order (the next run's contents).
+    tail_ops: Vec<DeltaOp>,
     runs: Arc<Vec<Arc<SealedRun>>>,
     tail: Option<Arc<TailNode>>,
     frozen: Arc<FrozenEulerHistogram>,
@@ -337,7 +330,7 @@ impl WriterState {
     }
 }
 
-/// The live histogram: a [`LiveEulerHistogram`] accepts `O(log² n)`
+/// The live histogram: a [`LiveEulerHistogram`] accepts O(1)
 /// inserts/deletes from any thread, serves lock-free reads through pinned
 /// [`LiveSnapshot`]s, and periodically refreezes the accumulated delta
 /// into a fresh frozen prefix cube, publishing a new epoch without ever
@@ -373,12 +366,11 @@ pub struct LiveEulerHistogram {
 
 impl LiveEulerHistogram {
     /// An empty live histogram with default seal/refreeze thresholds.
-    /// Grids must be at least 2×2 cells (the memtable's requirement).
     pub fn new(grid: Grid) -> LiveEulerHistogram {
         LiveEulerHistogram::with_config(grid, DEFAULT_SEAL_EVERY, Some(DEFAULT_REFREEZE_EVERY))
     }
 
-    /// An empty live histogram with explicit thresholds: the memtable is
+    /// An empty live histogram with explicit thresholds: the tail is
     /// sealed into a run every `seal_every` ops, and the delta is folded
     /// into a fresh frozen cube every `refreeze_every` ops (`None`
     /// disables automatic refreeze — callers drive it explicitly).
@@ -406,13 +398,11 @@ impl LiveEulerHistogram {
         refreeze_every: Option<usize>,
     ) -> LiveEulerHistogram {
         assert!(seal_every > 0, "seal_every must be positive");
-        let grid = *base.grid();
         let frozen = Arc::new(base.freeze());
         let state = WriterState {
             base,
             pending: Vec::new(),
-            memtable: DynamicEulerHistogram::new(grid),
-            memtable_ops: Vec::new(),
+            tail_ops: Vec::new(),
             runs: Arc::new(Vec::new()),
             tail: None,
             frozen,
@@ -460,8 +450,8 @@ impl LiveEulerHistogram {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Inserts a snapped object: `O(log² n)` memtable work plus an O(1)
-    /// snapshot publication.
+    /// Inserts a snapped object: two pushes and a cons node onto the
+    /// delta, then an O(1) snapshot publication.
     pub fn insert(&self, o: &SnappedRect) {
         self.apply(DeltaOp::insert(*o));
     }
@@ -479,8 +469,7 @@ impl LiveEulerHistogram {
             let live = w.frozen.object_count() as i64 + w.delta_count;
             assert!(live > 0, "remove from empty live histogram");
         }
-        w.memtable.apply_signed(&op.rect, op.sign);
-        w.memtable_ops.push(op);
+        w.tail_ops.push(op);
         w.tail = Some(Arc::new(TailNode {
             op,
             rest: w.tail.take(),
@@ -488,7 +477,7 @@ impl LiveEulerHistogram {
         w.pending.push(op);
         w.delta_count += op.sign;
         w.version += 1;
-        if w.memtable_ops.len() >= self.seal_every {
+        if w.tail_ops.len() >= self.seal_every {
             Self::seal(&mut w);
         }
         match self.refreeze_every {
@@ -498,13 +487,11 @@ impl LiveEulerHistogram {
         self.publish(&w);
     }
 
-    /// Moves the memtable into an immutable sealed run.
+    /// Moves the tail ops into an immutable sealed run.
     fn seal(w: &mut WriterState) {
-        let grid = *w.base.grid();
-        let hist = std::mem::replace(&mut w.memtable, DynamicEulerHistogram::new(grid));
-        let ops = std::mem::take(&mut w.memtable_ops);
+        let ops = std::mem::take(&mut w.tail_ops);
         let mut runs: Vec<Arc<SealedRun>> = w.runs.as_ref().clone();
-        runs.push(Arc::new(SealedRun { hist, ops }));
+        runs.push(Arc::new(SealedRun { ops }));
         w.runs = Arc::new(runs);
         w.tail = None;
     }
@@ -517,9 +504,7 @@ impl LiveEulerHistogram {
             w.base
                 .apply_signed_batch(pending.iter().map(|op| (&op.rect, op.sign)));
             w.frozen = Arc::new(w.base.freeze());
-            let grid = *w.base.grid();
-            w.memtable = DynamicEulerHistogram::new(grid);
-            w.memtable_ops.clear();
+            w.tail_ops.clear();
             w.runs = Arc::new(Vec::new());
             w.tail = None;
             w.delta_count = 0;
@@ -842,6 +827,34 @@ mod tests {
             }
             assert_eq!(snap.object_count(), reference.object_count());
             assert_eq!(snap.total(), reference.total());
+        }
+    }
+
+    #[test]
+    fn one_cell_wide_grids_match_frozen_rebuilds() {
+        for (nx, ny) in [(1, 1), (1, 7), (7, 1)] {
+            let g = grid(nx, ny);
+            let log = write_log(&g, 40, 9);
+            let live = LiveEulerHistogram::with_config(g, 3, Some(17));
+            for (i, op) in log.iter().enumerate() {
+                live.apply(*op);
+                let snap = live.pin();
+                let reference = rebuild(g, &log[..=i]);
+                let (ew, eh) = (2 * nx as i64 - 1, 2 * ny as i64 - 1);
+                for (ex0, ey0, ex1, ey1) in [(0, 0, ew - 1, eh - 1), (-1, -1, ew, eh), (1, 0, 1, 0)]
+                {
+                    assert_eq!(
+                        snap.signed_sum(ex0, ey0, ex1, ey1),
+                        reference.signed_sum(ex0, ey0, ex1, ey1),
+                        "{nx}x{ny} window ({ex0},{ey0})..({ex1},{ey1}) at version {}",
+                        i + 1
+                    );
+                }
+                let est = LiveSEuler::new(snap);
+                let frozen = crate::SEulerApprox::new(reference);
+                let q = g.full();
+                assert_eq!(est.estimate(&q), frozen.estimate(&q), "{nx}x{ny}");
+            }
         }
     }
 

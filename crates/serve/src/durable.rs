@@ -36,9 +36,23 @@ impl DurableSession {
         grid: Grid,
         cfg: DurableConfig,
     ) -> Result<(DurableSession, RecoveryReport), euler_wal::WalError> {
-        let (store, report) = DurableLive::open(dir, grid, cfg)?;
+        DurableSession::open_seeded(dir, grid, cfg, &[])
+    }
+
+    /// Like [`DurableSession::open`], but an empty store is first seeded
+    /// atomically with `preload` as write-log versions `1..=preload.len()`
+    /// (see [`DurableLive::open_seeded`]); a store holding writes keeps
+    /// its own history.
+    pub fn open_seeded(
+        dir: &Path,
+        grid: Grid,
+        cfg: DurableConfig,
+        preload: &[Rect],
+    ) -> Result<(DurableSession, RecoveryReport), euler_wal::WalError> {
+        let snapper = Snapper::new(grid);
+        let seed: Vec<_> = preload.iter().map(|r| snapper.snap(r)).collect();
+        let (store, report) = DurableLive::open_seeded(dir, grid, cfg, &seed)?;
         let reads = DynamicGeoBrowsingService::from_live(store.live().clone());
-        let snapper = Snapper::new(store.live().grid());
         Ok((
             DurableSession {
                 store,

@@ -23,8 +23,6 @@ use crate::WalError;
 pub struct DurableConfig {
     /// Append-side settings (fsync policy, segment rotation size).
     pub wal: WalConfig,
-    /// The live histogram's memtable seal threshold.
-    pub seal_every: usize,
     /// The live histogram's automatic refreeze threshold.
     pub refreeze_every: Option<usize>,
     /// Take a checkpoint automatically every this many acknowledged
@@ -38,7 +36,6 @@ impl Default for DurableConfig {
     fn default() -> DurableConfig {
         DurableConfig {
             wal: WalConfig::default(),
-            seal_every: DEFAULT_SEAL_EVERY,
             refreeze_every: Some(1024),
             checkpoint_every: Some(4096),
         }
@@ -124,11 +121,28 @@ impl DurableLive {
         grid: Grid,
         cfg: DurableConfig,
     ) -> Result<(DurableLive, RecoveryReport), WalError> {
+        DurableLive::open_seeded(dir, grid, cfg, &[])
+    }
+
+    /// Like [`DurableLive::open`], but an empty store (no checkpoint
+    /// beyond version 0, no records) is first seeded with `seed`: one
+    /// checkpoint image of `EulerHistogram::build(grid, seed)` at epoch 1,
+    /// version `seed.len()`, installed through the same
+    /// temp → fsync → rename → manifest path as every checkpoint. Seeding
+    /// is atomic: a crash before the manifest lands leaves the store at
+    /// version 0, and the next `open_seeded` seeds it again. A store that
+    /// already holds writes ignores `seed`.
+    pub fn open_seeded(
+        dir: &Path,
+        grid: Grid,
+        cfg: DurableConfig,
+        seed: &[SnappedRect],
+    ) -> Result<(DurableLive, RecoveryReport), WalError> {
         std::fs::create_dir_all(dir)?;
 
         // 1. Manifest → checkpoint image (or a fresh empty base).
         let manifest = Manifest::load(dir)?;
-        let (base, ckpt_epoch, ckpt_version, replay_from_seq) = match &manifest {
+        let (mut base, mut ckpt_epoch, mut ckpt_version, replay_from_seq) = match &manifest {
             Some(m) => {
                 let bytes = std::fs::read(dir.join(&m.checkpoint))
                     .map_err(|e| WalError::BadCheckpoint(format!("{}: {e}", m.checkpoint)))?;
@@ -184,10 +198,28 @@ impl DurableLive {
             }
         }
 
-        // 3. Rebuild the live histogram and replay the suffix.
+        // 3. Seed an empty store. The manifest names the segment step 5
+        // creates as the replay start, as a checkpoint's rotation does.
+        if ckpt_version == 0 && replay.is_empty() && !seed.is_empty() {
+            let hist = EulerHistogram::build(grid, seed);
+            let bytes = hist.to_bytes_compressed();
+            checkpoint_fault(dir, || bytes.clone())?;
+            let version = seed.len() as u64;
+            let manifest = Manifest {
+                epoch: 1,
+                version,
+                wal_seq: max_seq + 1,
+                wal_offset: SEGMENT_HEADER_LEN as u64,
+                checkpoint: write_image(dir, version, &bytes)?,
+            };
+            manifest.install(dir)?;
+            (base, ckpt_epoch, ckpt_version) = (hist, manifest.epoch, version);
+        }
+
+        // 4. Rebuild the live histogram and replay the suffix.
         let live = LiveEulerHistogram::restore(
             base,
-            cfg.seal_every,
+            DEFAULT_SEAL_EVERY,
             cfg.refreeze_every,
             ckpt_epoch,
             ckpt_version,
@@ -204,7 +236,7 @@ impl DurableLive {
             torn_tail,
         };
 
-        // 4. Open a fresh segment for new appends (sequence numbers are
+        // 5. Open a fresh segment for new appends (sequence numbers are
         // never reused, so a torn previous tail can never be confused
         // with new records).
         let wal = Wal::create(dir, cfg.wal, max_seq + 1, live.version() + 1)?;
@@ -327,36 +359,12 @@ impl DurableLive {
     }
 
     fn checkpoint_locked(&self, inner: &mut Inner) -> io::Result<(u64, u64)> {
-        match wal_fault(FaultSite::WalCheckpoint) {
-            Some(FaultKind::IoError) => {
-                return Err(io::Error::other("injected wal fault at WalCheckpoint"));
-            }
-            Some(FaultKind::ShortWrite(n)) => {
-                // Tear the temp image: harmless on recovery (the rename
-                // never happens), but the checkpoint attempt fails.
-                let image = self.live.checkpoint_image();
-                let tmp = self.dir.join("checkpoint.tmp");
-                if let Ok(mut f) = std::fs::File::create(&tmp) {
-                    let keep = (n as usize).min(image.bytes.len());
-                    let _ = f.write_all(&image.bytes.as_slice()[..keep]);
-                    let _ = f.sync_data();
-                }
-                return Err(io::Error::other("injected wal fault at WalCheckpoint"));
-            }
-            _ => {}
-        }
+        checkpoint_fault(&self.dir, || self.live.checkpoint_image().bytes)?;
         // Everything appended so far must be durable before the manifest
         // can claim the image + this WAL position as authoritative.
         inner.wal.sync()?;
         let image = self.live.checkpoint_image();
-        let name = format!("checkpoint-{:06}.euh", image.version);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(image.bytes.as_slice())?;
-        f.sync_data()?;
-        drop(f);
-        std::fs::rename(&tmp, self.dir.join(&name))?;
-        fsync_dir(&self.dir)?;
+        let name = write_image(&self.dir, image.version, &image.bytes)?;
         // Fresh segment so the manifest names a clean replay start.
         inner.wal.rotate()?;
         let manifest = Manifest {
@@ -395,4 +403,39 @@ impl DurableLive {
             }
         }
     }
+}
+
+/// The `WalCheckpoint` fail point, checked once per image install before
+/// anything is written. An injected short write also leaves a torn temp
+/// image behind: harmless on recovery (the rename never happens), but the
+/// install fails.
+fn checkpoint_fault(dir: &Path, image: impl FnOnce() -> bytes::Bytes) -> io::Result<()> {
+    match wal_fault(FaultSite::WalCheckpoint) {
+        Some(FaultKind::IoError) => {}
+        Some(FaultKind::ShortWrite(n)) => {
+            let bytes = image();
+            if let Ok(mut f) = std::fs::File::create(dir.join("checkpoint.tmp")) {
+                let keep = (n as usize).min(bytes.len());
+                let _ = f.write_all(&bytes.as_slice()[..keep]);
+                let _ = f.sync_data();
+            }
+        }
+        _ => return Ok(()),
+    }
+    Err(io::Error::other("injected wal fault at WalCheckpoint"))
+}
+
+/// Writes a checkpoint image for write-log `version` durably under its
+/// final name (temp file → fsync → rename → directory fsync) and returns
+/// that name. Until a manifest names it, recovery ignores the file.
+fn write_image(dir: &Path, version: u64, bytes: &bytes::Bytes) -> io::Result<String> {
+    let name = format!("checkpoint-{version:06}.euh");
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes.as_slice())?;
+    f.sync_data()?;
+    drop(f);
+    std::fs::rename(&tmp, dir.join(&name))?;
+    fsync_dir(dir)?;
+    Ok(name)
 }

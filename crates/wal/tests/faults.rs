@@ -176,3 +176,31 @@ fn checkpoint_fault_fails_the_checkpoint_but_not_the_ingest() {
     assert_eq!(*store.live().refreeze().frozen().as_ref(), rebuild(g, &log));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn interrupted_seeding_leaves_an_empty_store_then_reseeds_completely() {
+    let dir = temp_dir("seed-fault");
+    let g = grid(11, 7);
+    let objects: Vec<SnappedRect> = write_log(&g, 50, 45)
+        .into_iter()
+        .filter(|op| op.sign > 0)
+        .map(|op| op.rect)
+        .collect();
+    let cfg = DurableConfig::default();
+    for kind in [FaultKind::IoError, FaultKind::ShortWrite(40)] {
+        let guard = install(FaultPlan::new().with(FaultSite::WalCheckpoint, 0, kind));
+        assert!(DurableLive::open_seeded(&dir, g, cfg, &objects).is_err());
+        drop(guard);
+        // Nothing was installed: the store recovers empty.
+        let (store, report) = DurableLive::open(&dir, g, cfg).unwrap();
+        assert_eq!(report.version, 0);
+        assert!(store.is_empty());
+    }
+    let (store, report) = DurableLive::open_seeded(&dir, g, cfg, &objects).unwrap();
+    assert_eq!(report.version, objects.len() as u64);
+    assert_eq!(
+        *store.live().refreeze().frozen().as_ref(),
+        EulerHistogram::build(g, &objects).freeze()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -368,3 +368,59 @@ fn delete_from_empty_store_is_rejected_without_a_wal_record() {
     assert_eq!(store.version(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The inserts of a seeded write log, as a preload.
+fn preload(g: &Grid, n: usize, seed: u64) -> Vec<SnappedRect> {
+    write_log(g, n, seed)
+        .into_iter()
+        .filter(|op| op.sign > 0)
+        .map(|op| op.rect)
+        .collect()
+}
+
+#[test]
+fn seeding_is_atomic_and_only_seeds_an_empty_store() {
+    let dir = temp_dir("seed");
+    let g = grid(12, 9);
+    let objects = preload(&g, 60, 71);
+    let n = objects.len();
+    let as_log: Vec<DeltaOp> = objects.iter().map(|o| DeltaOp::insert(*o)).collect();
+    let cfg = DurableConfig::default();
+
+    // A seeding attempt that died before its manifest landed: an
+    // abandoned temp image and a renamed but unnamed one. Recovery
+    // ignores both; the store is empty.
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("checkpoint-{n:06}.euh.tmp")), b"torn").unwrap();
+    let stray = EulerHistogram::build(g, &objects[..n / 2]).to_bytes_compressed();
+    std::fs::write(dir.join(format!("checkpoint-{n:06}.euh")), stray.as_slice()).unwrap();
+    let (store, report) = DurableLive::open(&dir, g, cfg).unwrap();
+    assert_eq!(report.version, 0);
+    assert!(store.is_empty());
+    drop(store);
+
+    // The next seeded boot installs the whole preload at version N.
+    let (store, report) = DurableLive::open_seeded(&dir, g, cfg, &objects).unwrap();
+    assert_eq!(
+        (report.checkpoint_epoch, report.checkpoint_version),
+        (1, n as u64)
+    );
+    assert_eq!(report.replayed, 0);
+    assert_matches_prefix(&store, g, &as_log, n);
+    assert_eq!(list(&dir, "MANIFEST"), vec!["MANIFEST"]);
+
+    // Later writes land in the WAL as versions N+1..; a reboot with a
+    // different preload keeps the store's own history.
+    let extra = write_log(&g, 9, 72);
+    for op in &extra {
+        store.apply(*op).unwrap();
+    }
+    drop(store);
+    let mut full = as_log.clone();
+    full.extend_from_slice(&extra);
+    let (store, report) = DurableLive::open_seeded(&dir, g, cfg, &objects[..3]).unwrap();
+    assert_eq!(report.checkpoint_version, n as u64);
+    assert_eq!(report.replayed, extra.len() as u64);
+    assert_matches_prefix(&store, g, &full, full.len());
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -118,7 +118,8 @@ USAGE:
             [--cache N]            hot-tiling cache capacity (default 256)
             [--data-dir PATH]      durable store directory: replay the WAL +
                                    checkpoint on boot, log every write before
-                                   acking it, drain the WAL on shutdown
+                                   acking it, drain the WAL on shutdown; a
+                                   dataset seeds only an empty store
             [--fsync always|every=N|never]  WAL fsync policy (default always)
             [--checkpoint-every N] auto-checkpoint every N acknowledged writes
 ";
@@ -269,9 +270,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if o.repeat == 0 {
         return Err("--repeat must be at least 1".into());
-    }
-    if o.command == Command::Serve && (o.grid.0 < 2 || o.grid.1 < 2) {
-        return Err("serve needs a --grid of at least 2x2 cells".into());
     }
     if o.data_dir.is_some() && o.profile == "frozen" {
         return Err("--data-dir requires the dynamic profile (durable reads pin current)".into());
@@ -455,7 +453,10 @@ fn run_serve(o: &Options, grid: Grid, space: DataSpace) -> Result<(), String> {
         if o.checkpoint_every.is_some() {
             cfg.checkpoint_every = o.checkpoint_every;
         }
-        let (s, report) = DurableSession::open(std::path::Path::new(dir), grid, cfg)
+        // A fresh store is seeded with the preload as one checkpoint
+        // (versions 1..=N), atomically; a recovered one keeps its own
+        // (durably acknowledged) history.
+        let (s, report) = DurableSession::open_seeded(std::path::Path::new(dir), grid, cfg, &rects)
             .map_err(|e| format!("cannot open durable store {dir:?}: {e}"))?;
         eprintln!(
             "recovered {dir}: checkpoint v{} + {} replayed = v{} ({} segment(s))",
@@ -466,14 +467,6 @@ fn run_serve(o: &Options, grid: Grid, space: DataSpace) -> Result<(), String> {
                 "warning: torn WAL tail truncated in segment {} at offset {} ({})",
                 tear.segment, tear.offset, tear.reason
             );
-        }
-        // Preload only a fresh store: a recovered one already holds its
-        // own (durably acknowledged) history.
-        if report.version == 0 {
-            for r in &rects {
-                s.try_insert(r)
-                    .map_err(|e| format!("preload failed: {e}"))?;
-            }
         }
         profile = "durable".into();
         Arc::new(s)
@@ -660,10 +653,16 @@ mod tests {
         assert!(parse_args(&args(&["--demo"])).is_err());
         assert!(parse_args(&args(&["--bogus"])).is_err());
         assert!(parse_args(&args(&["stats", "--demo", "adl", "--repeat", "0"])).is_err());
-        // Every serve profile keeps a live histogram, which needs 2x2.
-        assert!(parse_args(&args(&["serve", "--grid", "1x5"])).is_err());
-        assert!(parse_args(&args(&["serve", "--grid", "5x1", "--data-dir", "store"])).is_err());
-        assert!(parse_args(&args(&["serve", "--grid", "2x2"])).is_ok());
+    }
+
+    #[test]
+    fn serve_accepts_one_cell_wide_grids() {
+        // The live histogram every serve profile keeps has no minimum
+        // grid size.
+        let o = parse_args(&args(&["serve", "--grid", "1x5"])).unwrap();
+        assert_eq!(o.grid, (1, 5));
+        assert!(parse_args(&args(&["serve", "--grid", "5x1", "--data-dir", "store"])).is_ok());
+        assert!(parse_args(&args(&["serve", "--grid", "1x1", "--profile", "frozen"])).is_ok());
     }
 
     #[test]
