@@ -54,7 +54,8 @@ impl<const REFREEZE_ON_READ: bool> BrowsingService<REFREEZE_ON_READ> {
         Self::from_live(Arc::new(LiveEulerHistogram::new(grid)))
     }
 
-    /// Bulk-loads a service from raw MBRs (epoch 1 holds them all frozen).
+    /// Bulk-loads a service from raw MBRs: epoch 1 holds them all frozen
+    /// at version `rects.len()`, the state `rects.len()` inserts reach.
     pub fn with_objects(grid: Grid, rects: &[Rect]) -> Self {
         let snapper = Snapper::new(grid);
         let snapped: Vec<SnappedRect> = rects.iter().map(|r| snapper.snap(r)).collect();

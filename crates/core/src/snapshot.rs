@@ -382,12 +382,16 @@ impl LiveEulerHistogram {
         LiveEulerHistogram::from_base(EulerHistogram::new(grid), seal_every, refreeze_every)
     }
 
-    /// Bulk-builds from snapped objects (epoch 1 holds them all frozen).
+    /// Bulk-builds from snapped objects: epoch 1 holds them all frozen,
+    /// stamped version `objects.len()` — as if they were writes
+    /// `1..=N`, the way a durable store seeds its preload.
     pub fn with_objects(grid: Grid, objects: &[SnappedRect]) -> LiveEulerHistogram {
-        LiveEulerHistogram::from_base(
+        LiveEulerHistogram::restore(
             EulerHistogram::build(grid, objects),
             DEFAULT_SEAL_EVERY,
             Some(DEFAULT_REFREEZE_EVERY),
+            1,
+            objects.len() as u64,
         )
     }
 

@@ -7,7 +7,9 @@
 //! invalidates every cached tiling *for free* — stale entries are simply
 //! never looked up again, and the LRU sweep reclaims them. This is the
 //! rectangle-algebra reuse trade: pay the engine once per
-//! `(version, tiling)`, answer repeat browses in `O(1)`.
+//! `(version, tiling)`, answer repeat browses in `O(1)`. Each slot also
+//! keeps the answer's encoded `counts` array, so a hit writes only the
+//! reply's short header and copies the stored bytes.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -62,6 +64,7 @@ impl CacheKey {
 
 struct Slot {
     result: Arc<BrowseResult>,
+    counts_json: Arc<str>,
     last_used: u64,
 }
 
@@ -120,8 +123,9 @@ impl TilingCache {
         self.capacity
     }
 
-    /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<BrowseResult>> {
+    /// Looks `key` up, refreshing its recency on a hit: the result and
+    /// its encoded `counts` array.
+    pub fn get(&self, key: &CacheKey) -> Option<(Arc<BrowseResult>, Arc<str>)> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
@@ -129,7 +133,7 @@ impl TilingCache {
             Some(slot) => {
                 slot.last_used = tick;
                 self.hits.incr();
-                Some(slot.result.clone())
+                Some((slot.result.clone(), slot.counts_json.clone()))
             }
             None => {
                 self.misses.incr();
@@ -138,10 +142,11 @@ impl TilingCache {
         }
     }
 
-    /// Stores a complete result, evicting the least-recently-used entry
-    /// when at capacity. Partial results must not be cached — the caller
-    /// guards on `BrowseResult::is_complete`.
-    pub fn insert(&self, key: CacheKey, result: Arc<BrowseResult>) {
+    /// Stores a complete result with its encoded `counts` array, evicting
+    /// the least-recently-used entry when at capacity. Partial results
+    /// must not be cached — the caller guards on
+    /// `BrowseResult::is_complete`.
+    pub fn insert(&self, key: CacheKey, result: Arc<BrowseResult>, counts_json: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
@@ -164,6 +169,7 @@ impl TilingCache {
             key,
             Slot {
                 result,
+                counts_json,
                 last_used: tick,
             },
         );
@@ -195,11 +201,9 @@ mod tests {
         Tiling::new(grid.full(), cols, rows).unwrap()
     }
 
-    fn result(t: &Tiling) -> Arc<BrowseResult> {
-        Arc::new(BrowseResult::new(
-            *t,
-            vec![RelationCounts::default(); t.len()],
-        ))
+    fn result(t: &Tiling) -> (Arc<BrowseResult>, Arc<str>) {
+        let counts = vec![RelationCounts::default(); t.len()];
+        (Arc::new(BrowseResult::new(*t, counts)), Arc::from("[]"))
     }
 
     #[test]
@@ -227,11 +231,12 @@ mod tests {
             CacheKey::new(1, &t3),
             CacheKey::new(1, &t4),
         );
-        cache.insert(k2, result(&t2));
-        cache.insert(k3, result(&t3));
+        let ((r2, c2), (r3, c3), (r4, c4)) = (result(&t2), result(&t3), result(&t4));
+        cache.insert(k2, r2, c2);
+        cache.insert(k3, r3, c3);
         // Touch k2 so k3 is the LRU, then overflow.
         assert!(cache.get(&k2).is_some());
-        cache.insert(k4, result(&t4));
+        cache.insert(k4, r4, c4);
         assert!(cache.get(&k2).is_some(), "recently used survives");
         assert!(cache.get(&k3).is_none(), "LRU entry evicted");
         assert!(cache.get(&k4).is_some());
@@ -245,7 +250,8 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = TilingCache::new(0);
         let t = tiling(2, 2);
-        cache.insert(CacheKey::new(1, &t), result(&t));
+        let (r, c) = result(&t);
+        cache.insert(CacheKey::new(1, &t), r, c);
         assert!(cache.get(&CacheKey::new(1, &t)).is_none());
         assert_eq!(cache.stats().len, 0);
     }

@@ -11,8 +11,8 @@ use crate::json::Json;
 use crate::proto::{Request, Response};
 
 /// In-process client: the same requests and responses as the wire, with
-/// no sockets or serialization in between. Conformance tests run the same
-/// script against this and [`TcpClient`].
+/// no sockets in between. Conformance tests run the same script against
+/// this and [`TcpClient`].
 pub struct LocalClient {
     core: Arc<ServeCore>,
 }
@@ -29,9 +29,12 @@ impl LocalClient {
     }
 
     /// Serves one protocol line, returning the response JSON — exactly
-    /// what a TCP peer would read back.
+    /// what a TCP peer would read back: the reply goes through the wire
+    /// encoder and the parser.
     pub fn request_line(&self, line: &str) -> Json {
-        self.core.handle_line(line).to_json()
+        let mut out = String::new();
+        self.core.handle_line(line).write_line(&mut out);
+        crate::json::parse(&out).expect("the wire encoder writes valid JSON")
     }
 
     /// The underlying core.

@@ -10,8 +10,9 @@
 //!    `queue_full` rejection. Nothing ever waits in an unbounded queue.
 //! 2. **Cache** — the request pins a snapshot and looks
 //!    `(version, tiling)` up in the hot-tiling cache; a hit bypasses the
-//!    engine entirely. Any write advances the version, so epoch/version
-//!    advance *is* the invalidation.
+//!    engine entirely and returns the stored reply bytes. Any write
+//!    advances the version, so epoch/version advance *is* the
+//!    invalidation.
 //! 3. **Engine** — on a miss, whatever remains of the request's deadline
 //!    budget is handed to the engine as a `BrowseRequest` deadline; the
 //!    PR 5 degradation ladder turns overload into per-tile partial
@@ -199,7 +200,7 @@ impl ServeCore {
         let pinned = self.session.pin_session();
         let level = self.session.resolution_level(&tiling);
         let key = CacheKey::at_level(pinned.version(), level, &tiling);
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some((result, counts_json)) = self.cache.get(&key) {
             tenant.record_admitted();
             tenant.record_cache_hit();
             tenant.record_latency(admitted_at.elapsed());
@@ -207,7 +208,8 @@ impl ServeCore {
                 epoch: pinned.epoch(),
                 version: pinned.version(),
                 cache_hit: true,
-                result: hit,
+                result,
+                counts_json,
             });
         }
 
@@ -240,18 +242,16 @@ impl ServeCore {
             &breq,
         ));
         tenant.record_admitted();
-        if result.is_complete() {
-            self.cache.insert(key, result.clone());
+        // Encode once, here: a later hit on this key reuses the bytes.
+        let reply = BrowseReply::new(pinned.epoch(), pinned.version(), false, result);
+        if reply.result.is_complete() {
+            self.cache
+                .insert(key, reply.result.clone(), reply.counts_json.clone());
         } else {
             tenant.record_degraded();
         }
         tenant.record_latency(admitted_at.elapsed());
-        Response::Browse(BrowseReply {
-            epoch: pinned.epoch(),
-            version: pinned.version(),
-            cache_hit: false,
-            result,
-        })
+        Response::Browse(reply)
     }
 
     fn build_tiling(&self, params: &BrowseParams) -> Result<Tiling, ProtoError> {

@@ -421,22 +421,56 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One number by the RFC 8259 grammar
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, finite as an
+    /// `f64`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
+        let int_start = self.pos;
+        if self.digits() == 0 || (self.bytes[int_start] == b'0' && self.pos > int_start + 1) {
+            return Err(self.err("invalid number"));
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("invalid number"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("invalid number"));
+            }
+        }
+        // A number runs to a delimiter: `1.2.3` and `1e5e` are not two
+        // values.
+        if matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
-            self.pos += 1;
+            return Err(self.err("invalid number"));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(self.err("invalid number")),
+        }
+    }
+
+    /// Skips a run of ASCII digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -530,6 +564,39 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("-2.5", -2.5),
+            ("0.5", 0.5),
+            ("1e3", 1000.0),
+            ("1E+2", 100.0),
+            ("25e-1", 2.5),
+            ("-0.0e0", 0.0),
+        ] {
+            assert_eq!(parse(text).unwrap().as_f64(), Some(value), "{text}");
+        }
+        for text in [
+            "01", "1.", "-.5", "00.5", "1e999", "-1e999", "-", "1e", "1e+", "1.e3", "-01", "1.2.3",
+            "1e5e",
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.message, "invalid number", "{text}: {err}");
+        }
+        // No sign but `-`, and no bare fraction.
+        assert!(parse("+1").is_err());
+        assert!(parse(".5").is_err());
+        // Inside an array too: the leading zero is no separator.
+        assert_eq!(parse("[01]").unwrap_err().message, "invalid number");
+        assert_eq!(
+            parse(r#"{"cols":01}"#).unwrap_err().message,
+            "invalid number"
+        );
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! they were computed at, and `cache` says whether the engine was
 //! bypassed.
 
+use std::fmt::Write as _;
+use std::sync::Arc;
+
 use euler_browse::BrowseResult;
 use euler_core::RelationCounts;
 use euler_geom::Rect;
@@ -313,7 +316,112 @@ pub struct BrowseReply {
     /// True when the answer came from the hot-tiling cache.
     pub cache_hit: bool,
     /// The answer grid.
-    pub result: std::sync::Arc<BrowseResult>,
+    pub result: Arc<BrowseResult>,
+    /// `result`'s counts as the wire's `counts` array, encoded once when
+    /// the answer was computed and shared with its cache slot.
+    pub(crate) counts_json: Arc<str>,
+}
+
+impl BrowseReply {
+    /// A reply for `result`, encoding its counts for the wire.
+    pub fn new(
+        epoch: u64,
+        version: u64,
+        cache_hit: bool,
+        result: Arc<BrowseResult>,
+    ) -> BrowseReply {
+        let counts_json = encode_counts(result.counts());
+        BrowseReply {
+            epoch,
+            version,
+            cache_hit,
+            result,
+            counts_json,
+        }
+    }
+
+    /// Appends the reply line: the short header, then the stored
+    /// `counts` array, then `unavailable` when the answer is partial.
+    fn write_line(&self, out: &mut String) {
+        let complete = self.result.is_complete();
+        out.push_str(if complete {
+            r#"{"status":"ok","op":"browse","epoch":"#
+        } else {
+            r#"{"status":"degraded","op":"browse","epoch":"#
+        });
+        push_u64(out, self.epoch);
+        out.push_str(r#","version":"#);
+        push_u64(out, self.version);
+        out.push_str(if self.cache_hit {
+            r#","cache":"hit","cols":"#
+        } else {
+            r#","cache":"miss","cols":"#
+        });
+        push_u64(out, self.result.tiling().cols() as u64);
+        out.push_str(r#","rows":"#);
+        push_u64(out, self.result.tiling().rows() as u64);
+        out.push_str(r#","counts":"#);
+        out.push_str(&self.counts_json);
+        if !complete {
+            out.push_str(r#","unavailable":["#);
+            for (i, &tile) in self.result.unavailable().iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_u64(out, tile as u64);
+            }
+            out.push(']');
+        }
+        out.push('}');
+    }
+}
+
+/// The `counts` array: one `[disjoint,contains,contained,overlaps]` per
+/// tile, in row-major order.
+fn encode_counts(counts: &[RelationCounts]) -> Arc<str> {
+    // Small counts take ~12 bytes a tile; the guess only saves regrowth.
+    let mut out = String::with_capacity(2 + counts.len() * 12);
+    out.push('[');
+    for (i, c) in counts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        push_i64(&mut out, c.disjoint);
+        out.push(',');
+        push_i64(&mut out, c.contains);
+        out.push(',');
+        push_i64(&mut out, c.contained);
+        out.push(',');
+        push_i64(&mut out, c.overlaps);
+        out.push(']');
+    }
+    out.push(']');
+    out.into()
+}
+
+/// Appends `v` in decimal. Below 2^53 in magnitude this is exactly what
+/// the `Json` tree prints; beyond, the tree rounds through `f64` and this
+/// writes every digit, which parses to the same `f64`.
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// A server response.
@@ -341,7 +449,26 @@ pub enum Response {
 }
 
 impl Response {
-    /// Renders the response as a protocol line (no trailing newline).
+    /// Appends the response as one protocol line (no trailing newline).
+    /// A browse reply is written field by field around its stored
+    /// `counts` array; the other responses are small and go through the
+    /// `Json` tree. The bytes are those of `to_json().to_string()`, except
+    /// that a count of magnitude 2^53 or more keeps all its digits (the
+    /// tree rounds it through `f64`; both parse to the same value).
+    pub fn write_line(&self, out: &mut String) {
+        match self {
+            Response::Browse(reply) => reply.write_line(out),
+            Response::Stats(payload) => {
+                let _ = write!(out, "{payload}");
+            }
+            other => {
+                let _ = write!(out, "{}", other.to_json());
+            }
+        }
+    }
+
+    /// Renders the response as a `Json` tree: the encoder
+    /// [`Response::write_line`] is tested against.
     pub fn to_json(&self) -> Json {
         match self {
             Response::Browse(reply) => {

@@ -158,14 +158,17 @@ fn refuse(mut stream: TcpStream) {
     let shed = Response::Shed {
         reason: ShedReason::QueueFull,
     };
-    let _ = write_response(&mut stream, &shed);
+    let _ = write_response(&mut stream, &shed, &mut String::new());
     let _ = stream.shutdown(Shutdown::Write);
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    let mut payload = response.to_json().to_string();
-    payload.push('\n');
-    stream.write_all(payload.as_bytes())
+/// Writes `response` as one line, encoded into `buf` (the connection's
+/// reusable buffer).
+fn write_response(stream: &mut TcpStream, response: &Response, buf: &mut String) -> io::Result<()> {
+    buf.clear();
+    response.write_line(buf);
+    buf.push('\n');
+    stream.write_all(buf.as_bytes())
 }
 
 /// A socket whose reads all share one deadline: before every read the
@@ -199,6 +202,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         deadline: Instant::now(),
     });
     let mut line = Vec::new();
+    let mut out = String::new();
     loop {
         line.clear();
         reader.get_mut().deadline = Instant::now() + idle;
@@ -226,12 +230,12 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             let err = Response::Error(ProtoError(format!(
                 "request line exceeds max_line_bytes={max_line}"
             )));
-            return write_response(stream, &err);
+            return write_response(stream, &err, &mut out);
         }
         let Ok(text) = std::str::from_utf8(&line) else {
             // The line is delimited, so the stream stays in sync.
             let err = Response::Error(ProtoError("request line is not valid UTF-8".into()));
-            write_response(stream, &err)?;
+            write_response(stream, &err, &mut out)?;
             continue;
         };
         let trimmed = text.trim();
@@ -249,7 +253,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             Err(e) => Response::Error(e),
         };
         let shutting_down = core.is_shutdown();
-        write_response(stream, &response)?;
+        write_response(stream, &response, &mut out)?;
         if shutting_down {
             wake(shared.addr);
             return Ok(()); // acknowledge shutdown, then close

@@ -470,16 +470,12 @@ fn run_serve(o: &Options, grid: Grid, space: DataSpace) -> Result<(), String> {
         }
         profile = "durable".into();
         Arc::new(s)
+    } else if o.profile == "frozen" {
+        // One bulk build at epoch 1 / version N, seeded like the durable
+        // store's checkpoint.
+        Arc::new(GeoBrowsingService::with_objects(grid, &rects))
     } else {
-        let s: Arc<dyn BrowseSession> = if o.profile == "frozen" {
-            Arc::new(GeoBrowsingService::new(grid))
-        } else {
-            Arc::new(DynamicGeoBrowsingService::new(grid))
-        };
-        for r in &rects {
-            s.insert(r);
-        }
-        s
+        Arc::new(DynamicGeoBrowsingService::with_objects(grid, &rects))
     };
 
     let config = ServeConfig {

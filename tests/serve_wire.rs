@@ -120,6 +120,18 @@ fn duplicate_keys_are_an_error_not_first_wins() {
 }
 
 #[test]
+fn a_number_outside_the_json_grammar_is_one_error() {
+    let server = start(ServeConfig::default());
+    let mut raw = Raw::connect(server.addr());
+    let reply = raw.send(b"{\"tenant\":\"t\",\"op\":\"browse\",\"cols\":01,\"rows\":1}\n");
+    assert_eq!(status(&reply), "error");
+    assert!(error_text(&reply).contains("invalid number"), "{reply}");
+    assert_eq!(status(&raw.send(PING)), "ok");
+    server.core().begin_shutdown();
+    server.join().expect("clean shutdown");
+}
+
+#[test]
 fn connections_past_the_cap_are_shed_with_queue_full() {
     let server = start(ServeConfig::default());
     let addr = server.addr();
