@@ -13,7 +13,7 @@ use euler_browse::{
 };
 use euler_core::model::count_by_classification;
 use euler_core::{
-    DynamicEulerHistogram, EulerApprox, EulerHistogram, ExactContains2D, Level2Estimator,
+    EulerApprox, EulerHistogram, ExactContains2D, Level2Estimator, LiveEulerHistogram, LiveSEuler,
     MEulerApprox, RelationCounts, SEulerApprox,
 };
 use euler_engine::{EstimatorEngine, QueryBatch, SharedEstimator};
@@ -423,10 +423,17 @@ fn check_parallel_sweep(grid: &Grid, objects: &[SnappedRect], out: &mut Vec<Viol
     }
 }
 
-/// Dynamic insert/delete replay must agree with a frozen rebuild: insert
-/// all objects, remove every third, re-insert them, and compare the
-/// dynamic S-Euler estimates against a freshly built frozen histogram on
-/// every query.
+/// Seal cadence of the replay law's live histogram: small enough that
+/// even a few objects' churn crosses several seals.
+const REPLAY_SEAL_EVERY: usize = 7;
+/// Refreeze cadence of the replay law: not a multiple of
+/// [`REPLAY_SEAL_EVERY`], so folds land mid-run as well as on seals.
+const REPLAY_REFREEZE_EVERY: usize = 13;
+
+/// Live insert/delete replay must agree with a frozen rebuild: insert
+/// all objects, remove every third, re-insert them — crossing seals and
+/// refreezes on the way — and compare the live S-Euler estimates
+/// against a freshly built frozen histogram on every query.
 fn check_dynamic_replay(
     spec: &CaseSpec,
     grid: &Grid,
@@ -437,26 +444,28 @@ fn check_dynamic_replay(
     if objects.is_empty() {
         return;
     }
-    let mut dynamic = DynamicEulerHistogram::new(*grid);
+    let live =
+        LiveEulerHistogram::with_config(*grid, REPLAY_SEAL_EVERY, Some(REPLAY_REFREEZE_EVERY));
     for o in objects {
-        dynamic.insert(o);
+        live.insert(o);
     }
     // Churn: remove every third object, then put it back. The end state
     // must be indistinguishable from a cold build.
     for o in objects.iter().step_by(3) {
-        dynamic.remove(o);
+        live.remove(o);
     }
     for o in objects.iter().step_by(3) {
-        dynamic.insert(o);
+        live.insert(o);
     }
+    let dynamic = LiveSEuler::new(live.pin());
     let frozen = SEulerApprox::new(EulerHistogram::build(*grid, objects).freeze());
     for q in queries {
-        let got = dynamic.s_euler_estimate(q);
+        let got = dynamic.estimate(q);
         let want = frozen.estimate(q);
         if got != want {
             out.push(Violation {
                 estimator: format!("dynamic-replay[{}]", spec.to_line()),
-                law: "dynamic insert/delete replay = frozen rebuild",
+                law: "live insert/delete replay = frozen rebuild",
                 query: *q,
                 got,
                 oracle: want,
@@ -480,7 +489,7 @@ fn check_persist_round_trip(
         ("persist-raw", hist.to_bytes()),
         ("persist-compressed", hist.to_bytes_compressed()),
     ] {
-        let revived = match EulerHistogram::from_bytes(bytes) {
+        let revived = match EulerHistogram::from_bytes(&bytes) {
             Ok(h) => h,
             Err(e) => {
                 out.push(Violation {

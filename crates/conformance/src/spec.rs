@@ -72,7 +72,7 @@ pub struct CaseSpec {
     pub seed: u64,
     /// Object distribution.
     pub dist: Distribution,
-    /// Grid columns (≥ 2 so the dynamic histogram applies).
+    /// Grid columns (≥ 2).
     pub nx: usize,
     /// Grid rows (≥ 2).
     pub ny: usize,

@@ -27,7 +27,7 @@
 use euler_grid::{GridRect, Tiling};
 
 use crate::sweep::{sweep_euler_approx, TilingPlan};
-use crate::{EulerSource, FrozenEulerHistogram, Level2Estimator, RelationCounts};
+use crate::{FrozenEulerHistogram, Level2Estimator, RelationCounts};
 
 /// Orientation of the Region A/B split of Figure 11.
 ///
@@ -48,30 +48,30 @@ pub enum RegionSplit {
     Average,
 }
 
-/// The EulerApprox estimator: Equations 18–22 on any Euler-histogram
-/// backend (static frozen by default).
+/// The EulerApprox estimator: Equations 18–22 over a frozen Euler
+/// histogram.
 #[derive(Debug, Clone)]
-pub struct EulerApprox<H: EulerSource = FrozenEulerHistogram> {
-    hist: H,
+pub struct EulerApprox {
+    hist: FrozenEulerHistogram,
     split: RegionSplit,
 }
 
-impl<H: EulerSource> EulerApprox<H> {
-    /// Wraps a histogram backend with the default (paper) region split.
-    pub fn new(hist: H) -> EulerApprox<H> {
+impl EulerApprox {
+    /// Wraps a frozen histogram with the default (paper) region split.
+    pub fn new(hist: FrozenEulerHistogram) -> EulerApprox {
         EulerApprox {
             hist,
             split: RegionSplit::default(),
         }
     }
 
-    /// Wraps a histogram backend with an explicit region split.
-    pub fn with_split(hist: H, split: RegionSplit) -> EulerApprox<H> {
+    /// Wraps a frozen histogram with an explicit region split.
+    pub fn with_split(hist: FrozenEulerHistogram, split: RegionSplit) -> EulerApprox {
         EulerApprox { hist, split }
     }
 
-    /// The underlying histogram backend.
-    pub fn histogram(&self) -> &H {
+    /// The underlying histogram.
+    pub fn histogram(&self) -> &FrozenEulerHistogram {
         &self.hist
     }
 
@@ -83,37 +83,26 @@ impl<H: EulerSource> EulerApprox<H> {
 
 /// `N_i(A) + N_cs(B)` — the Figure 11 proxy for the true `n_ei`, doubled
 /// to stay integral when averaging both orientations. Shared by
-/// EulerApprox and M-EulerApprox's per-group dispatch.
-pub(crate) fn n_ei_proxy_x2<H: EulerSource + ?Sized>(
-    hist: &H,
-    q: &GridRect,
-    split: RegionSplit,
-) -> i64 {
-    // A frozen backend evaluates each orientation's four windows in one
-    // `signed_sum4` call; the dynamic backend keeps the guarded
-    // per-window path.
-    if let Some(f) = hist.as_frozen() {
-        return match split {
-            RegionSplit::YBandSides => 2 * proxy_y_band_frozen(f, q),
-            RegionSplit::XBandSides => 2 * proxy_x_band_frozen(f, q),
-            RegionSplit::Average => proxy_y_band_frozen(f, q) + proxy_x_band_frozen(f, q),
-        };
-    }
+/// EulerApprox and M-EulerApprox's per-group dispatch. Each orientation
+/// evaluates its four windows in one `signed_sum4` call.
+pub(crate) fn n_ei_proxy_x2(f: &FrozenEulerHistogram, q: &GridRect, split: RegionSplit) -> i64 {
     match split {
-        RegionSplit::YBandSides => 2 * proxy_y_band(hist, q),
-        RegionSplit::XBandSides => 2 * proxy_x_band(hist, q),
-        RegionSplit::Average => proxy_y_band(hist, q) + proxy_x_band(hist, q),
+        RegionSplit::YBandSides => 2 * proxy_y_band(f, q),
+        RegionSplit::XBandSides => 2 * proxy_x_band(f, q),
+        RegionSplit::Average => proxy_y_band(f, q) + proxy_x_band(f, q),
     }
 }
 
-/// [`proxy_y_band`] with all four windows in one `signed_sum4` call.
+/// A = side slabs in the y-band, B = full-width top/bottom slabs, with
+/// all four windows in one `signed_sum4` call.
 ///
-/// The `q.x0 > 0`-style guards vanish: a window that the guarded path
-/// skips is empty after Euler-index clipping, and its lane's four-corner
-/// combination collapses onto shared clamped planes summing to exactly 0
-/// (guard column for a left/bottom edge, repeated last plane for a
-/// right/top edge).
-fn proxy_y_band_frozen(f: &FrozenEulerHistogram, q: &GridRect) -> i64 {
+/// The guarded formula (`guarded_proxy_y_band` in the tests) skips a
+/// window whose query edge lies on the data-space border; here no guard
+/// is needed: such a window is empty after Euler-index clipping, and its
+/// lane's four-corner combination collapses onto shared clamped planes
+/// summing to exactly 0 (guard column for a left/bottom edge, repeated
+/// last plane for a right/top edge).
+fn proxy_y_band(f: &FrozenEulerHistogram, q: &GridRect) -> i64 {
     let nx = f.grid().nx() as i64;
     let ny = f.grid().ny() as i64;
     let (x0, y0) = (q.x0 as i64, q.y0 as i64);
@@ -128,8 +117,8 @@ fn proxy_y_band_frozen(f: &FrozenEulerHistogram, q: &GridRect) -> i64 {
     s[0] + s[1] + s[2] + s[3]
 }
 
-/// The transposed split, batched like [`proxy_y_band_frozen`].
-fn proxy_x_band_frozen(f: &FrozenEulerHistogram, q: &GridRect) -> i64 {
+/// The transposed split, batched like [`proxy_y_band`].
+fn proxy_x_band(f: &FrozenEulerHistogram, q: &GridRect) -> i64 {
     let nx = f.grid().nx() as i64;
     let ny = f.grid().ny() as i64;
     let (x0, y0) = (q.x0 as i64, q.y0 as i64);
@@ -144,61 +133,16 @@ fn proxy_x_band_frozen(f: &FrozenEulerHistogram, q: &GridRect) -> i64 {
     s[0] + s[1] + s[2] + s[3]
 }
 
-/// A = side slabs in the y-band, B = full-width top/bottom slabs.
-fn proxy_y_band<H: EulerSource + ?Sized>(h: &H, q: &GridRect) -> i64 {
-    let nx = h.grid().nx();
-    let ny = h.grid().ny();
-    let mut n = 0;
-    if q.x0 > 0 {
-        n += h.inside_sum(0, q.y0, q.x0, q.y1); // A left
-    }
-    if q.x1 < nx {
-        n += h.inside_sum(q.x1, q.y0, nx, q.y1); // A right
-    }
-    if q.y1 < ny {
-        n += h.closed_sum(0, q.y1, nx, ny); // B top (contained count)
-    }
-    if q.y0 > 0 {
-        n += h.closed_sum(0, 0, nx, q.y0); // B bottom
-    }
-    n
-}
-
-/// The transposed split.
-fn proxy_x_band<H: EulerSource + ?Sized>(h: &H, q: &GridRect) -> i64 {
-    let nx = h.grid().nx();
-    let ny = h.grid().ny();
-    let mut n = 0;
-    if q.y0 > 0 {
-        n += h.inside_sum(q.x0, 0, q.x1, q.y0); // A bottom
-    }
-    if q.y1 < ny {
-        n += h.inside_sum(q.x0, q.y1, q.x1, ny); // A top
-    }
-    if q.x0 > 0 {
-        n += h.closed_sum(0, 0, q.x0, ny); // B left
-    }
-    if q.x1 < nx {
-        n += h.closed_sum(q.x1, 0, nx, ny); // B right
-    }
-    n
-}
-
-impl<H: EulerSource> Level2Estimator for EulerApprox<H> {
+impl Level2Estimator for EulerApprox {
     fn name(&self) -> &'static str {
         "EulerApprox"
     }
 
     fn estimate(&self, q: &GridRect) -> RelationCounts {
         let size = self.hist.object_count() as i64;
-        // Eq. 18/19, through the batched kernel lane when frozen.
-        let (n_ii, n_ei_prime) = match self.hist.as_frozen() {
-            Some(f) => {
-                let (n_ii, closed) = f.inside_closed_sums(q);
-                (n_ii, f.total() - closed)
-            }
-            None => (self.hist.intersect_count(q), self.hist.outside_sum(q)),
-        };
+        // Eq. 18/19, both windows through one batched kernel call.
+        let (n_ii, closed) = self.hist.inside_closed_sums(q);
+        let n_ei_prime = self.hist.total() - closed;
         let disjoint = size - n_ii;
         let overlaps = n_ei_prime - disjoint; // Eq. 20
                                               // Eq. 21, rounding the (possibly half-integral under Average)
@@ -223,14 +167,11 @@ impl<H: EulerSource> Level2Estimator for EulerApprox<H> {
     }
 
     fn estimate_tiling(&self, t: &Tiling) -> Vec<RelationCounts> {
-        match self.hist.as_frozen() {
-            Some(frozen) => sweep_euler_approx(frozen, &TilingPlan::new(t), self.split),
-            None => t.iter().map(|(_, tile)| self.estimate(&tile)).collect(),
-        }
+        sweep_euler_approx(&self.hist, &TilingPlan::new(t), self.split)
     }
 
     fn supports_sweep(&self) -> bool {
-        self.hist.as_frozen().is_some()
+        true
     }
 }
 
@@ -258,6 +199,47 @@ mod tests {
 
     fn estimator(g: Grid, objs: &[SnappedRect]) -> EulerApprox {
         EulerApprox::new(EulerHistogram::build(g, objs).freeze())
+    }
+
+    /// The Figure 11 y-band proxy as the paper states it, one guarded
+    /// window at a time: the oracle for the batched [`proxy_y_band`].
+    fn guarded_proxy_y_band(h: &FrozenEulerHistogram, q: &GridRect) -> i64 {
+        let nx = h.grid().nx();
+        let ny = h.grid().ny();
+        let mut n = 0;
+        if q.x0 > 0 {
+            n += h.inside_sum(0, q.y0, q.x0, q.y1); // A left
+        }
+        if q.x1 < nx {
+            n += h.inside_sum(q.x1, q.y0, nx, q.y1); // A right
+        }
+        if q.y1 < ny {
+            n += h.closed_sum(0, q.y1, nx, ny); // B top (contained count)
+        }
+        if q.y0 > 0 {
+            n += h.closed_sum(0, 0, nx, q.y0); // B bottom
+        }
+        n
+    }
+
+    /// The transposed guarded oracle, for [`proxy_x_band`].
+    fn guarded_proxy_x_band(h: &FrozenEulerHistogram, q: &GridRect) -> i64 {
+        let nx = h.grid().nx();
+        let ny = h.grid().ny();
+        let mut n = 0;
+        if q.y0 > 0 {
+            n += h.inside_sum(q.x0, 0, q.x1, q.y0); // A bottom
+        }
+        if q.y1 < ny {
+            n += h.inside_sum(q.x0, q.y1, q.x1, ny); // A top
+        }
+        if q.x0 > 0 {
+            n += h.closed_sum(0, 0, q.x0, ny); // B left
+        }
+        if q.x1 < nx {
+            n += h.closed_sum(q.x1, 0, nx, ny); // B right
+        }
+        n
     }
 
     #[test]
@@ -352,6 +334,36 @@ mod tests {
     }
 
     proptest! {
+        /// The batched `signed_sum4` proxy equals the guarded per-window
+        /// formula for every region split, on both cube tiers — including
+        /// queries on the data-space border, where the guards skip a
+        /// window and the batched lanes must sum to exactly 0.
+        #[test]
+        fn batched_proxy_equals_guarded_formula(
+            objs in prop::collection::vec(
+                (0.0..15.0f64, 0.0..11.0f64, 0.05..14.0f64, 0.05..10.0f64), 0..60),
+            qx in 0usize..15, qy in 0usize..11,
+            qw in 1usize..16, qh in 1usize..12,
+        ) {
+            let g = grid(16, 12);
+            let snapped: Vec<SnappedRect> = objs
+                .iter()
+                .map(|&(x, y, w, h)| snap(&g, (x, y, (x + w).min(16.0), (y + h).min(12.0))))
+                .collect();
+            let q = GridRect::unchecked(qx, qy, (qx + qw).min(16), (qy + qh).min(12));
+            let hist = EulerHistogram::build(g, &snapped);
+            for f in [hist.freeze_dense(), hist.freeze_compressed()] {
+                let (y, x) = (guarded_proxy_y_band(&f, &q), guarded_proxy_x_band(&f, &q));
+                for (split, want) in [
+                    (RegionSplit::YBandSides, 2 * y),
+                    (RegionSplit::XBandSides, 2 * x),
+                    (RegionSplit::Average, y + x),
+                ] {
+                    prop_assert_eq!(n_ei_proxy_x2(&f, &q, split), want, "{:?} {}", split, q);
+                }
+            }
+        }
+
         /// The error-decomposition theorem behind EXPERIMENTS.md's sz_skew
         /// analysis: for the y-band split, the Region A/B proxy equals the
         /// true n_ei plus #O1 (objects containing a horizontal query edge,

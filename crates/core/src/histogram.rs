@@ -468,8 +468,8 @@ impl EulerSource for FrozenEulerHistogram {
     fn outside_sum(&self, q: &GridRect) -> i64 {
         FrozenEulerHistogram::outside_sum(self, q)
     }
-    fn as_frozen(&self) -> Option<&FrozenEulerHistogram> {
-        Some(self)
+    fn inside_closed_sums(&self, q: &GridRect) -> (i64, i64) {
+        FrozenEulerHistogram::inside_closed_sums(self, q)
     }
 }
 

@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod dynamic;
 mod estimator;
 mod euler_approx;
 mod exact_contains;
@@ -68,7 +67,6 @@ mod source;
 pub mod storage;
 pub mod sweep;
 
-pub use dynamic::DynamicEulerHistogram;
 pub use estimator::{Level2Estimator, RelationCounts};
 pub use euler_approx::{EulerApprox, RegionSplit};
 pub use exact_contains::{invert_contains_oracle, ExactContains1D, ExactContains2D};

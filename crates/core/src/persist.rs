@@ -25,7 +25,6 @@
 //! can never force an over-allocation or a panic: `from_bytes` on
 //! arbitrary bytes always returns `Ok` or a [`PersistError`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use euler_cube::Dense2D;
 use euler_geom::Rect;
 use euler_grid::{DataSpace, Grid};
@@ -96,26 +95,23 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
-fn get_varint(data: &mut Bytes) -> Result<u64, PersistError> {
+fn get_varint(data: &mut Reader<'_>) -> Result<u64, PersistError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        if data.remaining() == 0 {
-            return Err(PersistError::Truncated);
-        }
-        let byte = data.get_u8();
+        let [byte] = data.take()?;
         if shift >= 64 {
             return Err(PersistError::Corrupt("varint overflow"));
         }
@@ -156,39 +152,66 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+/// A little-endian read cursor over an encoded image. Every read past the
+/// end is [`PersistError::Truncated`], never a panic.
+struct Reader<'a> {
+    data: &'a [u8],
+}
+
+impl Reader<'_> {
+    fn remaining(&self) -> usize {
+        self.data.len()
+    }
+
+    /// The next `N` bytes, for `from_le_bytes`.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        let (head, rest) = self
+            .data
+            .split_first_chunk()
+            .ok_or(PersistError::Truncated)?;
+        self.data = rest;
+        Ok(*head)
+    }
+}
+
+/// Byte length of the header shared by both format versions.
+const HEADER_LEN: usize = 4 + 4 + 32 + 8 * 4;
+
 impl EulerHistogram {
-    /// Encodes the histogram (buckets + grid) into a portable byte buffer.
-    pub fn to_bytes(&self) -> Bytes {
+    /// Appends the header for format `version` to `buf` and returns the
+    /// checksum seed it implies.
+    fn put_header(&self, buf: &mut Vec<u8>, version: u32) -> u64 {
         let grid = self.grid();
         let (ew, eh) = grid.euler_dims();
-        let mut buf = BytesMut::with_capacity(4 + 4 + 32 + 8 * 4 + 8 * ew * eh + 8);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
         let b = grid.space().bounds();
-        buf.put_f64_le(b.xlo());
-        buf.put_f64_le(b.ylo());
-        buf.put_f64_le(b.xhi());
-        buf.put_f64_le(b.yhi());
-        buf.put_u64_le(grid.nx() as u64);
-        buf.put_u64_le(grid.ny() as u64);
-        buf.put_u64_le(self.object_count());
-        buf.put_u64_le((ew * eh) as u64);
-        let mut checksum = header_checksum(
-            [b.xlo(), b.ylo(), b.xhi(), b.yhi()],
-            grid.nx() as u64,
-            grid.ny() as u64,
-            self.object_count(),
-            (ew * eh) as u64,
-        );
+        let bounds = [b.xlo(), b.ylo(), b.xhi(), b.yhi()];
+        let (nx, ny) = (grid.nx() as u64, grid.ny() as u64);
+        let (object_count, bucket_count) = (self.object_count(), (ew * eh) as u64);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&version.to_le_bytes());
+        for v in bounds {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        for w in [nx, ny, object_count, bucket_count] {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        header_checksum(bounds, nx, ny, object_count, bucket_count)
+    }
+
+    /// Encodes the histogram (buckets + grid) into a portable byte buffer.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let (ew, eh) = self.grid().euler_dims();
+        let mut buf = Vec::with_capacity(HEADER_LEN + 8 * ew * eh + 8);
+        let mut checksum = self.put_header(&mut buf, VERSION);
         for ey in 0..eh {
             for ex in 0..ew {
                 let v = self.bucket(ex, ey);
                 checksum = checksum_step(checksum, v);
-                buf.put_i64_le(v);
+                buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        buf.put_u64_le(checksum);
-        buf.freeze()
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf
     }
 
     /// Encodes the histogram with zero-run + zigzag-varint compression
@@ -196,28 +219,10 @@ impl EulerHistogram {
     /// collections are at fine resolutions — shrink dramatically; the
     /// tests measure a ≥ 4× reduction on a clustered example. Decode with
     /// the same [`EulerHistogram::from_bytes`].
-    pub fn to_bytes_compressed(&self) -> Bytes {
-        let grid = self.grid();
-        let (ew, eh) = grid.euler_dims();
-        let mut buf = BytesMut::with_capacity(4 + 4 + 32 + 8 * 4);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_COMPRESSED);
-        let b = grid.space().bounds();
-        buf.put_f64_le(b.xlo());
-        buf.put_f64_le(b.ylo());
-        buf.put_f64_le(b.xhi());
-        buf.put_f64_le(b.yhi());
-        buf.put_u64_le(grid.nx() as u64);
-        buf.put_u64_le(grid.ny() as u64);
-        buf.put_u64_le(self.object_count());
-        buf.put_u64_le((ew * eh) as u64);
-        let mut checksum = header_checksum(
-            [b.xlo(), b.ylo(), b.xhi(), b.yhi()],
-            grid.nx() as u64,
-            grid.ny() as u64,
-            self.object_count(),
-            (ew * eh) as u64,
-        );
+    pub fn to_bytes_compressed(&self) -> Vec<u8> {
+        let (ew, eh) = self.grid().euler_dims();
+        let mut buf = Vec::with_capacity(HEADER_LEN);
+        let mut checksum = self.put_header(&mut buf, VERSION_COMPRESSED);
         let mut zero_run = 0u64;
         for ey in 0..eh {
             for ex in 0..ew {
@@ -228,7 +233,7 @@ impl EulerHistogram {
                     continue;
                 }
                 if zero_run > 0 {
-                    buf.put_u8(0); // zero-run marker (zigzag(v) = 0 ⇔ v = 0)
+                    buf.push(0); // zero-run marker (zigzag(v) = 0 ⇔ v = 0)
                     put_varint(&mut buf, zero_run);
                     zero_run = 0;
                 }
@@ -236,40 +241,33 @@ impl EulerHistogram {
             }
         }
         if zero_run > 0 {
-            buf.put_u8(0);
+            buf.push(0);
             put_varint(&mut buf, zero_run);
         }
-        buf.put_u64_le(checksum);
-        buf.freeze()
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf
     }
 
     /// Decodes a histogram previously produced by
     /// [`EulerHistogram::to_bytes`] or
     /// [`EulerHistogram::to_bytes_compressed`].
-    pub fn from_bytes(mut data: Bytes) -> Result<EulerHistogram, PersistError> {
-        if data.remaining() < 8 {
-            return Err(PersistError::Truncated);
-        }
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+    pub fn from_bytes(data: &[u8]) -> Result<EulerHistogram, PersistError> {
+        let mut data = Reader { data };
+        if &data.take::<4>()? != MAGIC {
             return Err(PersistError::BadMagic);
         }
-        let version = data.get_u32_le();
+        let version = u32::from_le_bytes(data.take()?);
         if version != VERSION && version != VERSION_COMPRESSED {
             return Err(PersistError::UnsupportedVersion(version));
         }
-        if data.remaining() < 32 + 8 * 4 {
-            return Err(PersistError::Truncated);
-        }
-        let xlo = data.get_f64_le();
-        let ylo = data.get_f64_le();
-        let xhi = data.get_f64_le();
-        let yhi = data.get_f64_le();
-        let nx64 = data.get_u64_le();
-        let ny64 = data.get_u64_le();
-        let object_count = data.get_u64_le();
-        let bucket_count64 = data.get_u64_le();
+        let xlo = f64::from_le_bytes(data.take()?);
+        let ylo = f64::from_le_bytes(data.take()?);
+        let xhi = f64::from_le_bytes(data.take()?);
+        let yhi = f64::from_le_bytes(data.take()?);
+        let nx64 = u64::from_le_bytes(data.take()?);
+        let ny64 = u64::from_le_bytes(data.take()?);
+        let object_count = u64::from_le_bytes(data.take()?);
+        let bucket_count64 = u64::from_le_bytes(data.take()?);
         // Cap the attacker-controlled dimension fields *before* any
         // arithmetic on them (2·nx−1 would overflow for huge nx) and
         // before any allocation sized from them.
@@ -306,7 +304,7 @@ impl EulerHistogram {
             }
             raw = Vec::with_capacity(bucket_count);
             for _ in 0..bucket_count {
-                let v = data.get_i64_le();
+                let v = i64::from_le_bytes(data.take()?);
                 checksum = checksum_step(checksum, v);
                 raw.push(v);
             }
@@ -319,12 +317,14 @@ impl EulerHistogram {
             while raw.len() < bucket_count {
                 let token = get_varint(&mut data)?;
                 if token == 0 {
-                    let run = get_varint(&mut data)? as usize;
-                    if run == 0 || raw.len() + run > bucket_count {
+                    // `run` is untrusted: compare against the room left
+                    // so a huge varint cannot overflow the addition.
+                    let run = get_varint(&mut data)?;
+                    if run == 0 || run > (bucket_count - raw.len()) as u64 {
                         return Err(PersistError::Corrupt("zero run length"));
                     }
-                    raw.resize(raw.len() + run, 0);
-                    checksum = zero_run_checksum(checksum, run as u64);
+                    raw.resize(raw.len() + run as usize, 0);
+                    checksum = zero_run_checksum(checksum, run);
                 } else {
                     let v = unzigzag(token);
                     checksum = checksum_step(checksum, v);
@@ -335,7 +335,7 @@ impl EulerHistogram {
                 return Err(PersistError::Truncated);
             }
         }
-        if data.get_u64_le() != checksum {
+        if u64::from_le_bytes(data.take()?) != checksum {
             return Err(PersistError::ChecksumMismatch);
         }
         Ok(EulerHistogram::from_parts(
@@ -374,8 +374,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_everything() {
         let h = sample();
-        let bytes = h.to_bytes();
-        let back = EulerHistogram::from_bytes(bytes).unwrap();
+        let back = EulerHistogram::from_bytes(&h.to_bytes()).unwrap();
         assert_eq!(h, back);
         // And the frozen queries agree.
         let q = euler_grid::GridRect::unchecked(5, 5, 20, 15);
@@ -387,16 +386,16 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_version() {
-        let mut raw = sample().to_bytes().to_vec();
+        let mut raw = sample().to_bytes();
         raw[0] = b'X';
         assert_eq!(
-            EulerHistogram::from_bytes(Bytes::from(raw.clone())),
+            EulerHistogram::from_bytes(&raw),
             Err(PersistError::BadMagic)
         );
-        let mut raw = sample().to_bytes().to_vec();
+        let mut raw = sample().to_bytes();
         raw[4] = 99;
         assert_eq!(
-            EulerHistogram::from_bytes(Bytes::from(raw)),
+            EulerHistogram::from_bytes(&raw),
             Err(PersistError::UnsupportedVersion(99))
         );
     }
@@ -404,17 +403,16 @@ mod tests {
     #[test]
     fn rejects_truncation_and_corruption() {
         let raw = sample().to_bytes();
-        let truncated = raw.slice(0..raw.len() - 5);
         assert_eq!(
-            EulerHistogram::from_bytes(truncated),
+            EulerHistogram::from_bytes(&raw[..raw.len() - 5]),
             Err(PersistError::Truncated)
         );
         // Flip one bucket word: checksum must catch it.
-        let mut v = raw.to_vec();
-        let idx = 4 + 4 + 32 + 32 + 16; // somewhere inside the buckets
+        let mut v = raw;
+        let idx = HEADER_LEN + 16; // somewhere inside the buckets
         v[idx] ^= 0xFF;
         assert_eq!(
-            EulerHistogram::from_bytes(Bytes::from(v)),
+            EulerHistogram::from_bytes(&v),
             Err(PersistError::ChecksumMismatch)
         );
     }
@@ -424,7 +422,7 @@ mod tests {
         let h = sample();
         let plain = h.to_bytes();
         let packed = h.to_bytes_compressed();
-        let back = EulerHistogram::from_bytes(packed.clone()).unwrap();
+        let back = EulerHistogram::from_bytes(&packed).unwrap();
         assert_eq!(h, back);
         // The 40x30 sample is sparse-ish; compression must win clearly.
         assert!(
@@ -440,14 +438,13 @@ mod tests {
         let h = sample();
         let packed = h.to_bytes_compressed();
         // Truncate inside the varint stream.
-        let truncated = packed.slice(0..packed.len() - 12);
-        assert!(EulerHistogram::from_bytes(truncated).is_err());
+        assert!(EulerHistogram::from_bytes(&packed[..packed.len() - 12]).is_err());
         // Flip a payload byte: either the varint structure breaks or the
         // checksum catches it.
-        let mut v = packed.to_vec();
+        let mut v = packed;
         let idx = v.len() / 2;
         v[idx] ^= 0x2A;
-        assert!(EulerHistogram::from_bytes(Bytes::from(v)).is_err());
+        assert!(EulerHistogram::from_bytes(&v).is_err());
     }
 
     /// A small seeded histogram for the exhaustive-mutation test: both
@@ -478,21 +475,20 @@ mod tests {
         // checksum means no field is silently mutable. (A panic or an
         // over-allocation would fail/kill this test.)
         let h = small_sample();
-        for original in [h.to_bytes(), h.to_bytes_compressed()] {
-            let bytes = original.to_vec();
+        for bytes in [h.to_bytes(), h.to_bytes_compressed()] {
             for i in 0..bytes.len() {
                 for pat in [0xFFu8, 0x01] {
                     let mut m = bytes.clone();
                     m[i] ^= pat;
                     assert!(
-                        EulerHistogram::from_bytes(Bytes::from(m)).is_err(),
+                        EulerHistogram::from_bytes(&m).is_err(),
                         "flip {pat:#04x} at offset {i} decoded successfully"
                     );
                 }
             }
             for len in 0..bytes.len() {
                 assert!(
-                    EulerHistogram::from_bytes(Bytes::from(bytes[..len].to_vec())).is_err(),
+                    EulerHistogram::from_bytes(&bytes[..len]).is_err(),
                     "truncation to {len} bytes decoded successfully"
                 );
             }
@@ -500,7 +496,7 @@ mod tests {
                 let mut m = bytes.clone();
                 m.extend((0..extra).map(|k| (k * 37 + 11) as u8));
                 assert!(
-                    EulerHistogram::from_bytes(Bytes::from(m)).is_err(),
+                    EulerHistogram::from_bytes(&m).is_err(),
                     "extension by {extra} bytes decoded successfully"
                 );
             }
@@ -511,35 +507,67 @@ mod tests {
     fn adversarial_headers_are_capped_before_allocation() {
         // A handcrafted header declaring absurd dims must be rejected up
         // front — no multi-GiB reservation, no arithmetic overflow.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        for b in [0.0f64, 0.0, 360.0, 180.0] {
-            buf.put_f64_le(b);
-        }
-        buf.put_u64_le(u64::MAX); // nx
-        buf.put_u64_le(u64::MAX); // ny
-        buf.put_u64_le(0); // object_count
-        buf.put_u64_le(u64::MAX); // bucket_count
+        // nx, ny, object_count, bucket_count.
+        let buf = header(VERSION, [u64::MAX, u64::MAX, 0, u64::MAX]);
         assert_eq!(
-            EulerHistogram::from_bytes(buf.freeze()),
+            EulerHistogram::from_bytes(&buf),
             Err(PersistError::Corrupt("grid dims"))
         );
         // Dims just over the cap (but individually plausible) also fail.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_COMPRESSED);
-        for b in [0.0f64, 0.0, 360.0, 180.0] {
-            buf.put_f64_le(b);
-        }
-        buf.put_u64_le(1 << 20);
-        buf.put_u64_le(1 << 20);
-        buf.put_u64_le(0);
-        buf.put_u64_le((1 << 20) * (1 << 20));
+        let buf = header(
+            VERSION_COMPRESSED,
+            [1 << 20, 1 << 20, 0, (1 << 20) * (1 << 20)],
+        );
         assert_eq!(
-            EulerHistogram::from_bytes(buf.freeze()),
+            EulerHistogram::from_bytes(&buf),
             Err(PersistError::Corrupt("grid exceeds decode cap"))
         );
+    }
+
+    /// A hand-built header: magic, `version`, the paper-world bounds and
+    /// the four u64 words `nx, ny, object_count, bucket_count`.
+    fn header(version: u32, words: [u64; 4]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&version.to_le_bytes());
+        for b in [0.0f64, 0.0, 360.0, 180.0] {
+            buf.extend_from_slice(&b.to_le_bytes());
+        }
+        for w in words {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn a_huge_zero_run_is_corrupt_not_an_overflow() {
+        // A 4×4 v2 image (7×7 = 49 buckets): one non-zero token, then a
+        // zero-run marker whose length is u64::MAX. `raw.len() + run`
+        // would overflow; the decoder must reject the run instead.
+        let grid = Grid::new(DataSpace::new(Rect::new(0.0, 0.0, 4.0, 4.0).unwrap()), 4, 4).unwrap();
+        let mut v = EulerHistogram::new(grid).to_bytes_compressed();
+        v.truncate(HEADER_LEN);
+        put_varint(&mut v, zigzag(1));
+        v.push(0);
+        put_varint(&mut v, u64::MAX);
+        v.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            EulerHistogram::from_bytes(&v),
+            Err(PersistError::Corrupt("zero run length"))
+        );
+    }
+
+    #[test]
+    fn golden_images_are_byte_identical() {
+        // Both encodings of `small_sample`, as committed in `testdata/`:
+        // the encoder must keep producing them byte for byte, and they
+        // must decode back to the same histogram.
+        let h = small_sample();
+        let plain: &[u8] = include_bytes!("../testdata/small_sample.v1.euh");
+        let packed: &[u8] = include_bytes!("../testdata/small_sample.v2.euh");
+        assert_eq!(h.to_bytes(), plain);
+        assert_eq!(h.to_bytes_compressed(), packed);
+        assert_eq!(EulerHistogram::from_bytes(plain).unwrap(), h);
+        assert_eq!(EulerHistogram::from_bytes(packed).unwrap(), h);
     }
 
     #[test]
@@ -547,11 +575,11 @@ mod tests {
         for v in [0i64, 1, -1, 2, -2, 1000, -1000, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for v in [0u64, 1, 127, 128, 300, u64::MAX] {
             put_varint(&mut buf, v);
         }
-        let mut data = buf.freeze();
+        let mut data = Reader { data: &buf };
         for v in [0u64, 1, 127, 128, 300, u64::MAX] {
             assert_eq!(get_varint(&mut data).unwrap(), v);
         }
@@ -564,7 +592,7 @@ mod tests {
         // and answer identically — as the original.
         let h = sample();
         for bytes in [h.to_bytes(), h.to_bytes_compressed()] {
-            let back = EulerHistogram::from_bytes(bytes).unwrap();
+            let back = EulerHistogram::from_bytes(&bytes).unwrap();
             let fa = h.freeze_compressed();
             let fb = back.freeze_compressed();
             assert_eq!(fa, fb);
@@ -581,7 +609,7 @@ mod tests {
     fn empty_histogram_round_trips() {
         let grid = Grid::new(DataSpace::new(Rect::new(0.0, 0.0, 4.0, 4.0).unwrap()), 4, 4).unwrap();
         let h = EulerHistogram::new(grid);
-        let back = EulerHistogram::from_bytes(h.to_bytes()).unwrap();
+        let back = EulerHistogram::from_bytes(&h.to_bytes()).unwrap();
         assert_eq!(h, back);
     }
 }

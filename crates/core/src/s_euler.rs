@@ -12,13 +12,14 @@ use std::sync::{Arc, Mutex};
 use euler_grid::{GridRect, Tiling};
 
 use crate::sweep::{sweep_s_euler, TilingPlan};
-use crate::{s_euler_counts, EulerSource, FrozenEulerHistogram, Level2Estimator, RelationCounts};
+use crate::{s_euler_counts, FrozenEulerHistogram, Level2Estimator, RelationCounts};
 
-/// The S-EulerApprox estimator: Equations 14–17 on any Euler-histogram
-/// backend (static frozen by default; the dynamic histogram also works).
+/// The S-EulerApprox estimator: Equations 14–17 over a frozen Euler
+/// histogram. (Live reads use [`crate::LiveSEuler`], the same algebra
+/// over a pinned snapshot.)
 #[derive(Debug)]
-pub struct SEulerApprox<H: EulerSource = FrozenEulerHistogram> {
-    hist: H,
+pub struct SEulerApprox {
+    hist: FrozenEulerHistogram,
     /// Most recent [`TilingPlan`], keyed by its [`Tiling`]. Browsing
     /// workloads re-answer the same tiling against evolving data, so the
     /// plan build would otherwise recur on every call; the lock is held
@@ -26,8 +27,8 @@ pub struct SEulerApprox<H: EulerSource = FrozenEulerHistogram> {
     plan_cache: Mutex<Option<Arc<TilingPlan>>>,
 }
 
-impl<H: EulerSource + Clone> Clone for SEulerApprox<H> {
-    fn clone(&self) -> SEulerApprox<H> {
+impl Clone for SEulerApprox {
+    fn clone(&self) -> SEulerApprox {
         SEulerApprox {
             hist: self.hist.clone(),
             plan_cache: Mutex::new(self.plan_cache.lock().unwrap().clone()),
@@ -35,17 +36,17 @@ impl<H: EulerSource + Clone> Clone for SEulerApprox<H> {
     }
 }
 
-impl<H: EulerSource> SEulerApprox<H> {
-    /// Wraps a histogram backend.
-    pub fn new(hist: H) -> SEulerApprox<H> {
+impl SEulerApprox {
+    /// Wraps a frozen histogram.
+    pub fn new(hist: FrozenEulerHistogram) -> SEulerApprox {
         SEulerApprox {
             hist,
             plan_cache: Mutex::new(None),
         }
     }
 
-    /// The underlying histogram backend.
-    pub fn histogram(&self) -> &H {
+    /// The underlying histogram.
+    pub fn histogram(&self) -> &FrozenEulerHistogram {
         &self.hist
     }
 
@@ -63,7 +64,7 @@ impl<H: EulerSource> SEulerApprox<H> {
     }
 }
 
-impl<H: EulerSource> Level2Estimator for SEulerApprox<H> {
+impl Level2Estimator for SEulerApprox {
     fn name(&self) -> &'static str {
         "S-EulerApprox"
     }
@@ -83,30 +84,17 @@ impl<H: EulerSource> Level2Estimator for SEulerApprox<H> {
     }
 
     fn estimate_tiling(&self, t: &Tiling) -> Vec<RelationCounts> {
-        match self.hist.as_frozen() {
-            Some(frozen) => sweep_s_euler(frozen, &self.plan_for(t)).0,
-            None => t.iter().map(|(_, tile)| self.estimate(&tile)).collect(),
-        }
+        sweep_s_euler(&self.hist, &self.plan_for(t)).0
     }
 
     fn estimate_tiling_total(&self, t: &Tiling) -> (Vec<RelationCounts>, RelationCounts) {
-        match self.hist.as_frozen() {
-            // The sweep core accumulates the total during emission — no
-            // second pass over the per-tile output.
-            Some(frozen) => sweep_s_euler(frozen, &self.plan_for(t)),
-            None => {
-                let counts = self.estimate_tiling(t);
-                let mut total = RelationCounts::default();
-                for c in &counts {
-                    total = total.add(c);
-                }
-                (counts, total)
-            }
-        }
+        // The sweep core accumulates the total during emission — no
+        // second pass over the per-tile output.
+        sweep_s_euler(&self.hist, &self.plan_for(t))
     }
 
     fn supports_sweep(&self) -> bool {
-        self.hist.as_frozen().is_some()
+        true
     }
 }
 

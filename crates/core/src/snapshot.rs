@@ -1,17 +1,17 @@
 //! The epoch-snapshot ingest substrate: an LSM-style two-tier live Euler
-//! histogram unifying the frozen and dynamic read paths.
+//! histogram — the workspace's one update path.
 //!
 //! ## Why
 //!
-//! The workspace has two write paths with opposite trade-offs: the static
-//! pipeline ([`crate::EulerHistogram`] → [`crate::EulerHistogram::freeze`])
-//! pays `O(buckets)` per snapshot but answers in O(1), while
-//! [`crate::DynamicEulerHistogram`] absorbs updates in `O(log² n)` but must
-//! be guarded by a lock whenever it is shared — and a lock held across a
-//! whole tiling stalls writers on every browse. This module keeps both
-//! strengths: reads are served from an immutable [`LiveSnapshot`] (no lock
-//! held while answering), writes go to a short list of signed ops, and a
-//! periodic **refreeze** folds that delta back into a fresh frozen cube.
+//! The static pipeline ([`crate::EulerHistogram`] →
+//! [`crate::EulerHistogram::freeze`]) answers in O(1) but pays
+//! `O(buckets)` per snapshot, and a mutable structure shared between
+//! writers and readers needs a lock — one held across a whole tiling
+//! stalls writers on every browse. This module keeps O(1)-style reads
+//! without that lock: reads are served from an immutable [`LiveSnapshot`]
+//! (no lock held while answering), writes go to a short list of signed
+//! ops, and a periodic **refreeze** folds that delta back into a fresh
+//! frozen cube.
 //!
 //! ## Structure
 //!
@@ -83,7 +83,7 @@ pub struct CheckpointImage {
     /// Write-log prefix length the image covers.
     pub version: u64,
     /// The compressed persist-codec encoding of the frozen base.
-    pub bytes: bytes::Bytes,
+    pub bytes: Vec<u8>,
 }
 
 /// One write-log entry: a snapped footprint with its sign (`+1` insert,
@@ -265,16 +265,6 @@ impl EulerSource for LiveSnapshot {
 
     fn total(&self) -> i64 {
         self.frozen.total() + self.delta_count
-    }
-
-    fn as_frozen(&self) -> Option<&FrozenEulerHistogram> {
-        // With an empty delta the snapshot *is* its frozen cube, so the
-        // uninterruptible sweep kernels may run directly on it.
-        if self.delta_ops == 0 {
-            Some(&self.frozen)
-        } else {
-            None
-        }
     }
 
     fn inside_closed_sums(&self, q: &GridRect) -> (i64, i64) {
@@ -1041,7 +1031,7 @@ mod tests {
         assert_eq!(again.version, image.version);
         assert_eq!(again.bytes, image.bytes);
 
-        let base = EulerHistogram::from_bytes(image.bytes.clone()).unwrap();
+        let base = EulerHistogram::from_bytes(&image.bytes).unwrap();
         let restored = LiveEulerHistogram::restore(base, 5, None, image.epoch, image.version);
         assert_eq!(restored.epoch(), image.epoch);
         assert_eq!(restored.version(), image.version);

@@ -1,13 +1,13 @@
 //! The query interface shared by Euler-histogram backends.
 //!
-//! Estimators only need four signed-sum primitives; abstracting them lets
-//! the same S-EulerApprox / EulerApprox algebra run on either the static
-//! O(1)-query [`crate::FrozenEulerHistogram`] or the dynamic
-//! O(log²n)-query [`crate::DynamicEulerHistogram`].
+//! The S-EulerApprox algebra only needs a few signed-sum primitives;
+//! abstracting them lets [`s_euler_counts`] run on both the static
+//! [`crate::FrozenEulerHistogram`] and a pinned [`crate::LiveSnapshot`]
+//! (a frozen cube plus a delta of signed ops).
 
 use euler_grid::{Grid, GridRect};
 
-use crate::{FrozenEulerHistogram, RelationCounts};
+use crate::RelationCounts;
 
 /// A queryable Euler histogram backend.
 pub trait EulerSource {
@@ -41,39 +41,19 @@ pub trait EulerSource {
         self.total() - self.closed_sum(q.x0, q.y0, q.x1, q.y1)
     }
 
-    /// The static prefix-sum backend, when this source is one.
-    ///
-    /// The sweep kernels in [`crate::sweep`] need direct access to the
-    /// cumulative bucket array to materialize corner strips; backends
-    /// without one (e.g. the dynamic Fenwick-tree histogram) return
-    /// `None` and estimators fall back to the per-tile loop.
-    fn as_frozen(&self) -> Option<&FrozenEulerHistogram> {
-        None
-    }
-
     /// `(n_ii, closed_sum)` of one aligned region: both estimator windows
     /// in a single call so backends can batch the corner lookups. A
     /// frozen backend resolves all eight corners through one
-    /// [`FrozenEulerHistogram::inside_closed_sums`] gather; composite
-    /// backends (e.g. [`crate::LiveSnapshot`]) override this to also
-    /// share one delta walk between the two windows.
-    fn inside_closed_sums(&self, q: &GridRect) -> (i64, i64) {
-        match self.as_frozen() {
-            Some(f) => f.inside_closed_sums(q),
-            None => (
-                self.inside_sum(q.x0, q.y0, q.x1, q.y1),
-                self.closed_sum(q.x0, q.y0, q.x1, q.y1),
-            ),
-        }
-    }
+    /// [`crate::FrozenEulerHistogram::inside_closed_sums`] gather; a
+    /// [`crate::LiveSnapshot`] adds one delta walk shared by both windows.
+    fn inside_closed_sums(&self, q: &GridRect) -> (i64, i64);
 }
 
 /// The S-EulerApprox algebra (Equations 14–17) on any backend.
 ///
-/// A frozen backend takes the batched-kernel lane: both estimator
-/// windows resolve through one
-/// [`FrozenEulerHistogram::inside_closed_sums`] call instead of two
-/// independent four-corner lookups.
+/// Both estimator windows resolve through one
+/// [`EulerSource::inside_closed_sums`] call instead of two independent
+/// four-corner lookups.
 pub fn s_euler_counts<H: EulerSource + ?Sized>(h: &H, q: &GridRect) -> RelationCounts {
     let size = h.object_count() as i64;
     let (n_ii, closed) = h.inside_closed_sums(q);

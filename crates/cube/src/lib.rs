@@ -19,9 +19,6 @@
 //!   bit-identically;
 //! * [`DenseNd`] / [`PrefixSumNd`] — the d-dimensional generalization
 //!   (the paper states its results for d dimensions in Theorem 3.1);
-//! * [`RangeFenwick2D`] — a dynamic cube (O(log² n) rectangle update and
-//!   rectangle sum), in the update-efficient-cube direction the paper
-//!   cites as \[GRAE99\]/\[RAE00\];
 //! * [`kernels`] — the dense loops behind [`PrefixSum2D`]'s batched
 //!   clipped lookups and `euler-core`'s sweep strips.
 
@@ -31,7 +28,6 @@
 mod compressed2d;
 mod dense2d;
 mod diff2d;
-mod fenwick2d;
 pub mod kernels;
 mod ndim;
 mod prefix2d;
@@ -39,6 +35,5 @@ mod prefix2d;
 pub use compressed2d::{CompressedPrefix2D, CubeTier};
 pub use dense2d::Dense2D;
 pub use diff2d::Diff2D;
-pub use fenwick2d::RangeFenwick2D;
 pub use ndim::{DenseNd, PrefixSumNd};
 pub use prefix2d::PrefixSum2D;

@@ -146,7 +146,7 @@ impl DurableLive {
             Some(m) => {
                 let bytes = std::fs::read(dir.join(&m.checkpoint))
                     .map_err(|e| WalError::BadCheckpoint(format!("{}: {e}", m.checkpoint)))?;
-                let hist = EulerHistogram::from_bytes(bytes::Bytes::from(bytes))
+                let hist = EulerHistogram::from_bytes(&bytes)
                     .map_err(|e| WalError::BadCheckpoint(format!("{}: {e}", m.checkpoint)))?;
                 if *hist.grid() != grid {
                     return Err(WalError::GridMismatch);
@@ -409,14 +409,14 @@ impl DurableLive {
 /// anything is written. An injected short write also leaves a torn temp
 /// image behind: harmless on recovery (the rename never happens), but the
 /// install fails.
-fn checkpoint_fault(dir: &Path, image: impl FnOnce() -> bytes::Bytes) -> io::Result<()> {
+fn checkpoint_fault(dir: &Path, image: impl FnOnce() -> Vec<u8>) -> io::Result<()> {
     match wal_fault(FaultSite::WalCheckpoint) {
         Some(FaultKind::IoError) => {}
         Some(FaultKind::ShortWrite(n)) => {
             let bytes = image();
             if let Ok(mut f) = std::fs::File::create(dir.join("checkpoint.tmp")) {
                 let keep = (n as usize).min(bytes.len());
-                let _ = f.write_all(&bytes.as_slice()[..keep]);
+                let _ = f.write_all(&bytes[..keep]);
                 let _ = f.sync_data();
             }
         }
@@ -428,11 +428,11 @@ fn checkpoint_fault(dir: &Path, image: impl FnOnce() -> bytes::Bytes) -> io::Res
 /// Writes a checkpoint image for write-log `version` durably under its
 /// final name (temp file → fsync → rename → directory fsync) and returns
 /// that name. Until a manifest names it, recovery ignores the file.
-fn write_image(dir: &Path, version: u64, bytes: &bytes::Bytes) -> io::Result<String> {
+fn write_image(dir: &Path, version: u64, bytes: &[u8]) -> io::Result<String> {
     let name = format!("checkpoint-{version:06}.euh");
     let tmp = dir.join(format!("{name}.tmp"));
     let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(bytes.as_slice())?;
+    f.write_all(bytes)?;
     f.sync_data()?;
     drop(f);
     std::fs::rename(&tmp, dir.join(&name))?;

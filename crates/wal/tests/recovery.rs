@@ -393,7 +393,7 @@ fn seeding_is_atomic_and_only_seeds_an_empty_store() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join(format!("checkpoint-{n:06}.euh.tmp")), b"torn").unwrap();
     let stray = EulerHistogram::build(g, &objects[..n / 2]).to_bytes_compressed();
-    std::fs::write(dir.join(format!("checkpoint-{n:06}.euh")), stray.as_slice()).unwrap();
+    std::fs::write(dir.join(format!("checkpoint-{n:06}.euh")), &stray).unwrap();
     let (store, report) = DurableLive::open(&dir, g, cfg).unwrap();
     assert_eq!(report.version, 0);
     assert!(store.is_empty());
@@ -422,5 +422,72 @@ fn seeding_is_atomic_and_only_seeds_an_empty_store() {
     assert_eq!(report.checkpoint_version, n as u64);
     assert_eq!(report.replayed, extra.len() as u64);
     assert_matches_prefix(&store, g, &full, full.len());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A 4×4 compressed checkpoint image (format v2) whose payload is one
+/// non-zero token, a zero-run marker and a run length of `u64::MAX` —
+/// the run would overflow the decoder's bucket arithmetic.
+fn zero_run_overflow_image() -> Vec<u8> {
+    let mut image = EulerHistogram::new(grid(4, 4)).to_bytes_compressed();
+    image.truncate(4 + 4 + 32 + 8 * 4); // keep the header only
+    image.extend_from_slice(&[0x02, 0x00]); // zigzag(1), then the marker
+    image.extend_from_slice(&[0xFF; 9]);
+    image.push(0x01); // varint(u64::MAX)
+    image.extend_from_slice(&0u64.to_le_bytes()); // checksum
+    image
+}
+
+#[test]
+fn damaged_manifest_or_checkpoint_is_a_bad_checkpoint_error() {
+    let dir = temp_dir("damaged-meta");
+    let g = grid(12, 9);
+    let log = write_log(&g, 40, 47);
+    let cfg = DurableConfig {
+        checkpoint_every: None,
+        ..DurableConfig::default()
+    };
+    {
+        let (store, _) = DurableLive::open(&dir, g, cfg).unwrap();
+        for op in &log {
+            store.apply(*op).unwrap();
+        }
+        assert_eq!(store.checkpoint().unwrap().1, 40);
+    }
+    let images = list(&dir, ".euh");
+    assert_eq!(images.len(), 1);
+    let reopen_is_bad_checkpoint = |what: &str| match DurableLive::open(&dir, g, cfg) {
+        Err(WalError::BadCheckpoint(_)) => {}
+        Err(e) => panic!("{what}: expected BadCheckpoint, got {e:?}"),
+        Ok(_) => panic!("{what}: reopened a damaged store"),
+    };
+
+    // Every single-byte flip of either file is caught (manifest CRC,
+    // image checksum) and reported as a structured error.
+    for name in ["MANIFEST", images[0].as_str()] {
+        let path = dir.join(name);
+        let original = std::fs::read(&path).unwrap();
+        for i in 0..original.len() {
+            for pat in [0x01u8, 0xFF] {
+                let mut damaged = original.clone();
+                damaged[i] ^= pat;
+                std::fs::write(&path, &damaged).unwrap();
+                reopen_is_bad_checkpoint(&format!("{name} byte {i} ^ {pat:#04x}"));
+            }
+        }
+        std::fs::write(&path, &original).unwrap();
+    }
+
+    // A crafted image is an error too, not a panic in the decoder.
+    let path = dir.join(&images[0]);
+    let original = std::fs::read(&path).unwrap();
+    std::fs::write(&path, zero_run_overflow_image()).unwrap();
+    reopen_is_bad_checkpoint("zero-run image");
+
+    // With both files intact again, the store recovers in full.
+    std::fs::write(&path, &original).unwrap();
+    let (store, _) = DurableLive::open(&dir, g, cfg).unwrap();
+    assert_matches_prefix(&store, g, &log, log.len());
+    drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -137,7 +137,7 @@ fn main() -> Result<(), PersistError> {
         hist.insert(&snapper.snap(rect));
     }
     let bytes = hist.to_bytes();
-    let restored = EulerHistogram::from_bytes(bytes.clone())?;
+    let restored = EulerHistogram::from_bytes(&bytes)?;
     assert_eq!(hist, restored);
     println!(
         "persisted {} buckets into {} bytes and restored them intact",

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use spatial_histograms::baselines::CdHistogram;
 use spatial_histograms::core::model::count_by_classification;
 use spatial_histograms::core::{
-    DynamicEulerHistogram, EulerHistogram, ExactContains2D, Level2Estimator,
+    EulerHistogram, ExactContains2D, Level2Estimator, LiveEulerHistogram, LiveSEuler,
 };
 use spatial_histograms::datagen::exact::ground_truth;
 use spatial_histograms::prelude::*;
@@ -118,19 +118,20 @@ proptest! {
         prop_assert_eq!(incremental, EulerHistogram::build(g, &kept));
     }
 
-    /// A dynamically maintained histogram (random inserts, then removing
-    /// a random subset) answers every tile of a tiling exactly like a
-    /// histogram freshly built-and-frozen from the surviving objects —
-    /// the update path and the bulk path agree through the estimator.
+    /// A live histogram (random inserts, then removing a random subset,
+    /// crossing seals and refreezes) answers every tile of a tiling —
+    /// one tile at a time and as one swept tiling — exactly like a
+    /// histogram freshly built-and-frozen from the surviving objects: the
+    /// update path and the bulk path agree through the estimator.
     #[test]
     fn dynamic_agrees_with_fresh_freeze(raw in arb_objects(),
                                         keep_mask in prop::collection::vec(prop::bool::ANY, 80),
                                         cols in 1usize..6, rows in 1usize..5) {
         let g = grid();
         let objects = snap_objects(&raw);
-        let mut dynamic = DynamicEulerHistogram::new(g);
+        let live = LiveEulerHistogram::with_config(g, 7, Some(13));
         for o in &objects {
-            dynamic.insert(o);
+            live.insert(o);
         }
         let kept: Vec<SnappedRect> = objects
             .iter()
@@ -139,14 +140,16 @@ proptest! {
             .collect();
         for (o, &k) in objects.iter().zip(&keep_mask) {
             if !k {
-                dynamic.remove(o);
+                live.remove(o);
             }
         }
+        let dynamic = LiveSEuler::new(live.pin());
         let fresh = SEulerApprox::new(EulerHistogram::build(g, &kept).freeze());
         let tiling = Tiling::new(g.full(), cols, rows).unwrap();
         for (_, tile) in tiling.iter() {
-            prop_assert_eq!(dynamic.s_euler_estimate(&tile), fresh.estimate(&tile));
+            prop_assert_eq!(dynamic.estimate(&tile), fresh.estimate(&tile));
         }
+        prop_assert_eq!(dynamic.estimate_tiling(&tiling), fresh.estimate_tiling(&tiling));
     }
 
     /// Estimators are exact whenever the dataset admits no containing or
