@@ -67,11 +67,11 @@ fn bench_batch_throughput(c: &mut Criterion) {
                 &batch,
                 |b, batch| b.iter(|| recorded.run_batch(batch)),
             );
-            // Controls armed but never tripping: the cost of the
-            // per-query cancellation countdown and deadline clock reads
-            // on an otherwise clean run (tiling dispatch falls back to
-            // the cancellable per-tile loop, so this also prices the
-            // deadline-pressure degradation rung).
+            // Controls armed but never tripping. The exact scan has no
+            // sweep, so this is the per-tile loop reading the cancel flag
+            // and the deadline clock before every query: the price of
+            // that poll on an otherwise clean run. (A sweep-capable
+            // estimator checks the controls once, then sweeps.)
             let opts = BatchOptions::new()
                 .deadline(Duration::from_secs(3600))
                 .cancel_token(CancelToken::new());

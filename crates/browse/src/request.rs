@@ -73,13 +73,6 @@ impl BrowseRequest {
         self
     }
 
-    /// Sets how many queries a worker runs between deadline/cancellation
-    /// polls (see [`BatchOptions::check_every`]).
-    pub fn check_every(mut self, queries: usize) -> BrowseRequest {
-        self.controls = self.controls.check_every(queries);
-        self
-    }
-
     /// Attaches a cancellation token; flip it with [`CancelToken::cancel`]
     /// and the browse stops with partial delivery.
     pub fn cancel_token(mut self, token: CancelToken) -> BrowseRequest {
@@ -107,10 +100,9 @@ impl BrowseRequest {
         self.mega_threshold.unwrap_or(Self::DEFAULT_MEGA_THRESHOLD)
     }
 
-    /// The engine-level controls this request carries: deadline,
-    /// polling stride and cancel token. With a deadline or cancel token
-    /// set, the engine takes the cancellable per-tile path of the
-    /// degradation ladder.
+    /// The engine-level controls this request carries: deadline and
+    /// cancel token (see [`BatchOptions`] for when the engine checks
+    /// them).
     pub fn batch_options(&self) -> &BatchOptions {
         &self.controls
     }
@@ -140,7 +132,6 @@ mod tests {
             .telemetry(false)
             .mega_threshold(7)
             .deadline(Duration::from_millis(9))
-            .check_every(3)
             .cancel_token(token.clone());
         assert!(req.effective_threads() >= 1);
         assert!(!req.telemetry_enabled());
@@ -148,7 +139,6 @@ mod tests {
         let batch = req.batch_options();
         assert!(batch.has_controls());
         assert_eq!(batch.deadline_budget(), Some(Duration::from_millis(9)));
-        assert_eq!(batch.check_interval(), Some(3));
         token.cancel();
         assert!(batch.cancel().expect("token attached").is_cancelled());
     }

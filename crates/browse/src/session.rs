@@ -157,12 +157,15 @@ pub trait BrowseSession: Send + Sync {
     /// multi-tile entry point. The request carries every knob: worker
     /// count, telemetry, mega-hit threshold, deadline, cancel token.
     ///
-    /// Without a deadline or cancel token the engine answers the tiling
-    /// with one amortized sweep (counted in the telemetry's
-    /// `sweep_hits`). With one, it takes the cancellable per-tile path,
-    /// and tiles left unanswered when the budget runs out are listed in
-    /// [`BrowseResult::unavailable`] instead of failing the whole
-    /// tiling.
+    /// On a sweep-capable estimator the engine answers the tiling with
+    /// one amortized sweep (counted in the telemetry's `sweep_hits`),
+    /// with or without a deadline or cancel token: the controls are
+    /// checked once before it starts, and a started sweep delivers every
+    /// tile. Otherwise the per-tile loop polls the controls before every
+    /// tile. Tiles left unanswered — all of them when the controls had
+    /// tripped before the start, the loop's tail when they trip during
+    /// it — are listed in [`BrowseResult::unavailable`] instead of
+    /// failing the whole tiling.
     fn browse(&self, tiling: &Tiling, req: &BrowseRequest) -> BrowseResult {
         run_browse(self.pin_session().estimator(), self.recorder(), tiling, req)
     }

@@ -6,6 +6,7 @@
 //! round-trips, and the browse API — are checked per case as well.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use euler_baselines::{BtHistogram, CdHistogram, MinSkew, NaiveScan, RTreeOracle};
 use euler_browse::{
@@ -16,7 +17,7 @@ use euler_core::{
     EulerApprox, EulerHistogram, ExactContains2D, Level2Estimator, LiveEulerHistogram, LiveSEuler,
     MEulerApprox, RelationCounts, SEulerApprox,
 };
-use euler_engine::{EstimatorEngine, QueryBatch, SharedEstimator};
+use euler_engine::{BatchOptions, CancelToken, EstimatorEngine, QueryBatch, SharedEstimator};
 use euler_grid::{Grid, GridRect, SnappedRect, Tiling};
 
 use crate::fault::{PanickingEstimator, SweepPanickingEstimator};
@@ -248,6 +249,11 @@ pub fn differential_matrix(
 ///    batch must come back [`Degraded`] — not failed — and equal the
 ///    per-tile loop bit-for-bit (the sweep-equivalence law is exactly
 ///    what licenses this fallback).
+/// 3. **Armed controls change nothing.** Under a far-off deadline and an
+///    unflipped cancel token, a tiling batch at one and two threads must
+///    come back all [`Complete`] and equal the per-tile loop
+///    bit-for-bit — controls are checked before the batch starts, not
+///    by taking a different path.
 ///
 /// [`Complete`]: euler_engine::BatchOutcome::Complete
 /// [`Degraded`]: euler_engine::BatchOutcome::Degraded
@@ -316,6 +322,29 @@ pub fn check_fault_resilience(
                 got: *got,
                 oracle: want,
             });
+        }
+    }
+
+    // Law 3: armed, untripped controls; the batch must match the loop.
+    let opts = BatchOptions::new()
+        .deadline(Duration::from_secs(3600))
+        .cancel_token(CancelToken::new());
+    for threads in [1, 2] {
+        let engine = EstimatorEngine::builder(Arc::clone(est))
+            .threads(threads)
+            .build();
+        let result = engine.run_batch_with(&QueryBatch::from(tiling), &opts);
+        for (((_, tile), got), o) in tiling.iter().zip(&result.counts).zip(&result.outcomes) {
+            let want = est.estimate(&tile);
+            if !o.is_complete() || *got != want {
+                out.push(Violation {
+                    estimator: format!("{name} (armed-controls, threads={threads})"),
+                    law: "armed controls: Complete and = per-tile loop, bit-identical",
+                    query: tile,
+                    got: *got,
+                    oracle: want,
+                });
+            }
         }
     }
 }

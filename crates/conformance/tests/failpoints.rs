@@ -154,9 +154,7 @@ fn stall_failpoint_forces_a_deadline_overrun_with_a_clean_prefix() {
     let (est, queries, _) = fixture(16);
     let engine = EstimatorEngine::builder(est).threads(2).build();
     let baseline = engine.run_batch(&QueryBatch::new(&queries));
-    let opts = BatchOptions::new()
-        .deadline(Duration::from_millis(25))
-        .check_every(1);
+    let opts = BatchOptions::new().deadline(Duration::from_millis(25));
 
     let _guard = faults::install(plan);
     let result = engine.run_batch_with(&QueryBatch::new(&queries), &opts);

@@ -142,10 +142,10 @@ pub trait Level2Estimator {
     /// Whether [`estimate_tiling`] is backed by a tiling-aware sweep
     /// kernel (rather than the default per-tile loop). Batch machinery
     /// uses this to decide when dispatching a whole tiling to the
-    /// estimator beats fanning tiles across workers — and, because the
-    /// kernel is a single uninterruptible pass, to skip it for the
-    /// cancellable per-tile loop when a deadline or cancellation token
-    /// is in play.
+    /// estimator beats fanning tiles across workers. The kernel is one
+    /// uninterruptible pass: `euler-engine` checks a batch's deadline
+    /// and cancellation token before dispatching it, then lets it run to
+    /// completion.
     ///
     /// [`estimate_tiling`]: Level2Estimator::estimate_tiling
     fn supports_sweep(&self) -> bool {

@@ -92,8 +92,8 @@ pub type SharedEstimator = Arc<dyn Level2Estimator + Send + Sync>;
 
 /// A shareable cooperative-cancellation flag: clone it, hand one clone to
 /// [`BatchOptions::cancel_token`], and flip it from any thread with
-/// [`CancelToken::cancel`] — workers poll it every
-/// [`BatchOptions::check_every`] queries and stop with partial results.
+/// [`CancelToken::cancel`] — the per-tile loop polls it before every
+/// query and stops with partial results.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -114,22 +114,19 @@ impl CancelToken {
     }
 }
 
-/// Per-batch execution controls: an optional wall-clock deadline, an
-/// optional [`CancelToken`], and the polling granularity. The default
-/// options carry no controls, and the engine's fault-free hot loop then
-/// pays nothing for them; see [`EstimatorEngine::run_batch_with`].
+/// Per-batch execution controls: an optional wall-clock deadline and an
+/// optional [`CancelToken`]. Both are checked once when the batch
+/// starts; after that a sweep runs to completion, while the per-tile
+/// loop polls them before every query. The default options carry no
+/// controls, and the loop then skips the poll; see
+/// [`EstimatorEngine::run_batch_with`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
     deadline: Option<Duration>,
-    check_every: Option<usize>,
     cancel: Option<CancelToken>,
 }
 
 impl BatchOptions {
-    /// How many queries a worker runs between control polls when
-    /// [`Self::check_every`] is not set.
-    pub const DEFAULT_CHECK_EVERY: usize = 64;
-
     /// Options with no controls (the [`EstimatorEngine::run_batch`]
     /// behaviour).
     pub fn new() -> BatchOptions {
@@ -137,26 +134,17 @@ impl BatchOptions {
     }
 
     /// Sets a wall-clock budget for the batch, measured from the moment
-    /// the batch starts executing. Workers that notice the budget is
-    /// spent stop within [`Self::check_every`] queries, and the
-    /// unanswered tail is reported [`BatchOutcome::Failed`] with
+    /// the batch starts executing. A per-tile worker that finds the
+    /// budget spent stops before its next query, and the unanswered
+    /// tail is reported [`BatchOutcome::Failed`] with
     /// [`FailReason::DeadlineExceeded`].
     pub fn deadline(mut self, budget: Duration) -> BatchOptions {
         self.deadline = Some(budget);
         self
     }
 
-    /// Sets how many queries a worker runs between deadline/cancellation
-    /// polls (clamped to at least 1). Smaller values tighten the
-    /// partial-result granularity; larger values shrink the (already
-    /// small) polling overhead.
-    pub fn check_every(mut self, queries: usize) -> BatchOptions {
-        self.check_every = Some(queries.max(1));
-        self
-    }
-
     /// Attaches a cancellation token; flip it with [`CancelToken::cancel`]
-    /// and workers stop within [`Self::check_every`] queries.
+    /// and per-tile workers stop before their next query.
     pub fn cancel_token(mut self, token: CancelToken) -> BatchOptions {
         self.cancel = Some(token);
         self
@@ -176,15 +164,6 @@ impl BatchOptions {
     pub fn cancel(&self) -> Option<&CancelToken> {
         self.cancel.as_ref()
     }
-
-    /// The configured polling stride, if any (see [`Self::check_every`]).
-    pub fn check_interval(&self) -> Option<usize> {
-        self.check_every
-    }
-
-    fn effective_check_every(&self) -> usize {
-        self.check_every.unwrap_or(Self::DEFAULT_CHECK_EVERY).max(1)
-    }
 }
 
 /// Why delivered results took a fallback path instead of the intended one.
@@ -193,10 +172,6 @@ pub enum DegradeReason {
     /// The sweep evaluator panicked; the per-tile loop answered instead
     /// (bit-identical results, by the sweep-equivalence law).
     SweepPanic,
-    /// Controls (deadline or cancel token) were set, so the
-    /// uninterruptible sweep pass was skipped in favour of the
-    /// cancellable per-tile loop.
-    DeadlinePressure,
 }
 
 /// Why a query produced no result.
@@ -463,47 +438,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one contiguous chunk of queries, writing per-query results into
-/// `out` and returning the chunk's running total. With a shard, each
-/// query is individually timed and recorded — worker-locally, so the
-/// instrumentation adds no cross-thread traffic (the shard folds into
-/// the shared [`Recorder`] once, at join).
-fn estimate_chunk(
-    est: &SharedEstimator,
-    queries: &[GridRect],
-    out: &mut [RelationCounts],
-    shard: Option<&mut TelemetryShard>,
-) -> RelationCounts {
-    let mut total = RelationCounts::default();
-    match shard {
-        None => {
-            for (q, slot) in queries.iter().zip(out.iter_mut()) {
-                *slot = est.estimate(q);
-                total = total.add(slot);
-            }
-        }
-        Some(shard) => {
-            for (q, slot) in queries.iter().zip(out.iter_mut()) {
-                let start = Instant::now();
-                *slot = est.estimate(q);
-                let latency = start.elapsed();
-                total = total.add(slot);
-                let c = slot.clamped();
-                shard.record_query(
-                    latency,
-                    RelationTally::new(
-                        c.disjoint as u64,
-                        c.contains as u64,
-                        c.contained as u64,
-                        c.overlaps as u64,
-                    ),
-                );
-            }
-        }
-    }
-    total
-}
-
 /// How a chunk's execution ended (internal; maps onto [`BatchOutcome`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ChunkEnd {
@@ -532,13 +466,12 @@ struct ChunkOutput {
     message: Option<String>,
 }
 
-/// The resolved per-batch controls a worker polls: an absolute deadline,
-/// a cancel flag, and the polling stride.
+/// The resolved per-batch controls a worker polls: an absolute deadline
+/// and a cancel flag.
 #[derive(Clone, Copy)]
 struct Controls<'a> {
     deadline: Option<Instant>,
     cancel: Option<&'a AtomicBool>,
-    check_every: usize,
 }
 
 impl Controls<'_> {
@@ -555,37 +488,41 @@ impl Controls<'_> {
     }
 }
 
-/// Like [`estimate_chunk`], but polling `controls` every `check_every`
-/// queries; stops early (keeping the results produced so far) when a
-/// control trips.
+/// Runs one contiguous chunk of queries, writing per-query results into
+/// `out` and keeping the chunk's running total. With controls, polls
+/// them before every query and stops early (keeping the results produced
+/// so far) when one trips. With a shard, each query is individually
+/// timed and recorded — worker-locally, so the instrumentation adds no
+/// cross-thread traffic (the shard folds into the shared [`Recorder`]
+/// once, at join).
 fn controlled_chunk(
     est: &SharedEstimator,
     queries: &[GridRect],
     out: &mut [RelationCounts],
     mut shard: Option<&mut TelemetryShard>,
-    controls: &Controls<'_>,
-    total: &mut RelationCounts,
-    completed: &mut usize,
-) -> ChunkEnd {
-    let mut until_check = controls.check_every;
+    controls: Option<&Controls<'_>>,
+) -> ChunkOutput {
+    let mut total = RelationCounts::default();
+    let mut completed = 0;
     for (q, slot) in queries.iter().zip(out.iter_mut()) {
-        until_check -= 1;
-        if until_check == 0 {
-            until_check = controls.check_every;
-            if let Some(end) = controls.interrupted() {
-                return end;
-            }
+        if let Some(end) = controls.and_then(Controls::interrupted) {
+            return ChunkOutput {
+                total,
+                completed,
+                end,
+                message: None,
+            };
         }
         match shard.as_deref_mut() {
             None => {
                 *slot = est.estimate(q);
-                *total = total.add(slot);
+                total = total.add(slot);
             }
             Some(shard) => {
                 let start = Instant::now();
                 *slot = est.estimate(q);
                 let latency = start.elapsed();
-                *total = total.add(slot);
+                total = total.add(slot);
                 let c = slot.clamped();
                 shard.record_query(
                     latency,
@@ -598,9 +535,14 @@ fn controlled_chunk(
                 );
             }
         }
-        *completed += 1;
+        completed += 1;
     }
-    ChunkEnd::Done
+    ChunkOutput {
+        total,
+        completed,
+        end: ChunkEnd::Done,
+        message: None,
+    }
 }
 
 /// Runs one chunk under panic isolation: the fail-point site and the
@@ -614,38 +556,16 @@ fn run_chunk(
     est: &SharedEstimator,
     queries: &[GridRect],
     out: &mut [RelationCounts],
-    mut shard: Option<&mut TelemetryShard>,
+    shard: Option<&mut TelemetryShard>,
     controls: Option<&Controls<'_>>,
     chunk_index: usize,
 ) -> ChunkOutput {
-    let mut total = RelationCounts::default();
-    let mut completed = 0usize;
     let caught = catch_unwind(AssertUnwindSafe(|| {
         faults::fire(FaultSite::Chunk, Some(chunk_index));
-        match controls {
-            None => {
-                total = estimate_chunk(est, queries, out, shard.as_deref_mut());
-                completed = queries.len();
-                ChunkEnd::Done
-            }
-            Some(c) => controlled_chunk(
-                est,
-                queries,
-                out,
-                shard.as_deref_mut(),
-                c,
-                &mut total,
-                &mut completed,
-            ),
-        }
+        controlled_chunk(est, queries, out, shard, controls)
     }));
     match caught {
-        Ok(end) => ChunkOutput {
-            total,
-            completed,
-            end,
-            message: None,
-        },
+        Ok(output) => output,
         Err(payload) => {
             for slot in out.iter_mut() {
                 *slot = RelationCounts::default();
@@ -775,21 +695,32 @@ impl EstimatorEngine {
     /// per-query counts in batch order, per-query [`BatchOutcome`]s, any
     /// contained [`ChunkError`]s, and the measured [`BatchReport`].
     ///
+    /// **Controls.** A deadline or cancel token in `opts` is checked
+    /// once, before any work: if it has already tripped (a zero budget, a
+    /// pre-cancelled token) every query is reported
+    /// [`BatchOutcome::Failed`] and nothing runs. Past that check the
+    /// dispatch below is the same with or without controls.
+    ///
     /// **Dispatch.** A batch materialized from a [`Tiling`] (or
     /// [`QuerySet`]) whose estimator supports the sweep evaluator is
-    /// answered by one amortized row-major
-    /// [`Level2Estimator::estimate_tiling`] pass on a single thread —
-    /// per-tile results are identical to the chunked path, the recorder
-    /// still sees one query per tile, and [`Recorder::record_sweep`] logs
-    /// the dispatch. Otherwise the batch is split into `threads`
-    /// contiguous chunks; each worker owns a disjoint `chunks_mut` slice
-    /// of the result vector, a worker-local running total, and (when a
-    /// recorder is attached) a worker-local [`TelemetryShard`], so
-    /// workers never contend — the shards fold into the recorder at
-    /// join, after the batch clock stops. All result and shard storage
-    /// is allocated before the batch clock starts, so the timed hot loop
-    /// is allocation-free, and with one thread no threads are spawned at
-    /// all.
+    /// answered by amortized row-major
+    /// [`Level2Estimator::estimate_tiling`] passes, one per band of
+    /// whole tile rows — per-tile results are identical to the chunked
+    /// path, the recorder still sees one query per tile, and
+    /// [`Recorder::record_sweep`] logs the dispatch. A sweep is not
+    /// interruptible: it runs to completion and is delivered `Complete`
+    /// even if the deadline passes meanwhile. Otherwise the batch is
+    /// split into `threads` contiguous chunks; each worker owns a
+    /// disjoint `chunks_mut` slice of the result vector, a worker-local
+    /// running total, and (when a recorder is attached) a worker-local
+    /// [`TelemetryShard`], so workers never contend — the shards fold
+    /// into the recorder at join, after the batch clock stops. All
+    /// result and shard storage is allocated before the batch clock
+    /// starts, so the timed hot loop is allocation-free, and with one
+    /// thread no threads are spawned at all. With controls, each worker
+    /// polls them before every query and stops with partial results —
+    /// the answered prefix keeps its outcomes, the unanswered tail is
+    /// `Failed`.
     ///
     /// **Degradation ladder.** Each worker chunk runs under
     /// `catch_unwind`: a panicking estimator fails its chunk
@@ -798,36 +729,23 @@ impl EstimatorEngine {
     /// chunk's results are kept bit-identical to a fault-free run. A
     /// panicking *sweep* falls back to the per-tile loop
     /// ([`BatchOutcome::Degraded`] with [`DegradeReason::SweepPanic`] —
-    /// same counts, by the sweep-equivalence law). When `opts` carries a
-    /// deadline or cancel token, the uninterruptible sweep pass is
-    /// skipped in favour of the cancellable per-tile loop
-    /// ([`DegradeReason::DeadlinePressure`]), and workers poll the
-    /// controls every [`BatchOptions::check_every`] queries, stopping
-    /// with partial results — answered prefixes keep their outcomes, the
-    /// unanswered tail is `Failed`. Without controls the fault-free hot
-    /// loop is the same tight loop as always (one `catch_unwind` frame
-    /// per chunk; measured ≤ 2 % in EXPERIMENTS.md).
+    /// same counts, by the sweep-equivalence law), which still honours
+    /// the controls.
     pub fn run_batch_with(&self, batch: &QueryBatch<'_>, opts: &BatchOptions) -> BatchResult {
         let queries = batch.as_slice();
         let n = queries.len();
         let est = &self.estimator;
 
+        let controls = opts.has_controls().then(|| Controls {
+            deadline: opts.deadline.map(|budget| Instant::now() + budget),
+            cancel: opts.cancel.as_ref().map(|t| t.0.as_ref()),
+        });
+        if let Some(end) = controls.as_ref().and_then(Controls::interrupted) {
+            return self.fail_up_front(n, end);
+        }
+
         if n > 0 && est.supports_sweep() {
             if let Some(tiling) = batch.tiling() {
-                if opts.has_controls() {
-                    // The sweep pass cannot be interrupted mid-flight;
-                    // under deadline pressure take the cancellable
-                    // per-tile rung of the ladder (same counts).
-                    if let Some(rec) = &self.recorder {
-                        rec.record_degraded_sweep();
-                    }
-                    return self.run_chunked(
-                        queries,
-                        opts,
-                        Some(DegradeReason::DeadlinePressure),
-                        Vec::new(),
-                    );
-                }
                 match self.try_sweep(tiling) {
                     Ok(result) => return result,
                     Err(error) => {
@@ -837,7 +755,7 @@ impl EstimatorEngine {
                         }
                         return self.run_chunked(
                             queries,
-                            opts,
+                            controls.as_ref(),
                             Some(DegradeReason::SweepPanic),
                             vec![error],
                         );
@@ -845,7 +763,42 @@ impl EstimatorEngine {
                 }
             }
         }
-        self.run_chunked(queries, opts, None, Vec::new())
+        self.run_chunked(queries, controls.as_ref(), None, Vec::new())
+    }
+
+    /// Controls already tripped (zero deadline, pre-cancelled token):
+    /// fails every query without starting workers.
+    fn fail_up_front(&self, n: usize, end: ChunkEnd) -> BatchResult {
+        let est = &self.estimator;
+        let reason = end.fail_reason().unwrap_or(FailReason::DeadlineExceeded);
+        let outcomes = vec![BatchOutcome::Failed(reason); n];
+        let epoch = est.epoch();
+        if let Some(rec) = &self.recorder {
+            rec.record_batch(Duration::ZERO);
+            rec.record_deadline_exceeded();
+            rec.record_batch_outcome(overall_label(&outcomes), Duration::ZERO);
+            if let Some(e) = epoch {
+                rec.record_epoch(e);
+            }
+        }
+        BatchResult {
+            counts: vec![RelationCounts::default(); n],
+            outcomes,
+            errors: vec![ChunkError {
+                chunk: 0,
+                queries: 0..n,
+                reason,
+                message: "controls tripped before the batch started".to_string(),
+            }],
+            report: BatchReport {
+                estimator: est.name(),
+                queries: n,
+                threads: self.threads.min(n).max(1),
+                elapsed: Duration::ZERO,
+                total: RelationCounts::default(),
+                epoch,
+            },
+        }
     }
 
     /// The chunked path: fans the queries across workers under panic
@@ -855,7 +808,7 @@ impl EstimatorEngine {
     fn run_chunked(
         &self,
         queries: &[GridRect],
-        opts: &BatchOptions,
+        controls: Option<&Controls<'_>>,
         degrade: Option<DegradeReason>,
         mut errors: Vec<ChunkError>,
     ) -> BatchResult {
@@ -867,52 +820,6 @@ impl EstimatorEngine {
             None => BatchOutcome::Complete,
             Some(reason) => BatchOutcome::Degraded(reason),
         };
-
-        let started = Instant::now();
-        let controls_val = if opts.has_controls() {
-            Some(Controls {
-                deadline: opts.deadline.map(|budget| started + budget),
-                cancel: opts.cancel.as_ref().map(|t| t.0.as_ref()),
-                check_every: opts.effective_check_every(),
-            })
-        } else {
-            None
-        };
-
-        // Controls already tripped (zero deadline, pre-cancelled token):
-        // fail every query up front instead of starting workers.
-        if let Some(end) = controls_val.as_ref().and_then(|c| c.interrupted()) {
-            let reason = end.fail_reason().unwrap_or(FailReason::DeadlineExceeded);
-            errors.push(ChunkError {
-                chunk: 0,
-                queries: 0..n,
-                reason,
-                message: "controls tripped before the batch started".to_string(),
-            });
-            let outcomes = vec![BatchOutcome::Failed(reason); n];
-            let epoch = est.epoch();
-            if let Some(rec) = &self.recorder {
-                rec.record_batch(Duration::ZERO);
-                rec.record_deadline_exceeded();
-                rec.record_batch_outcome(overall_label(&outcomes), Duration::ZERO);
-                if let Some(e) = epoch {
-                    rec.record_epoch(e);
-                }
-            }
-            return BatchResult {
-                counts: vec![RelationCounts::default(); n],
-                outcomes,
-                errors,
-                report: BatchReport {
-                    estimator: est.name(),
-                    queries: n,
-                    threads,
-                    elapsed: Duration::ZERO,
-                    total: RelationCounts::default(),
-                    epoch,
-                },
-            };
-        }
 
         let mut counts = vec![RelationCounts::default(); n];
         // Pre-size worker scratch outside the timed region: the hot loop
@@ -927,7 +834,6 @@ impl EstimatorEngine {
 
         let chunk = n.div_ceil(threads).max(1);
         let (chunk_outputs, elapsed) = time_it(|| {
-            let controls = controls_val.as_ref();
             if threads == 1 {
                 vec![run_chunk(
                     est,
@@ -1789,11 +1695,11 @@ mod tests {
         assert_eq!(stats.batch_degraded_latency.count(), 1);
     }
 
-    /// With a deadline or cancel token in play the uninterruptible sweep
-    /// is skipped: results come from the per-tile loop (bit-identical)
-    /// and are labelled `Degraded(DeadlinePressure)`.
+    /// An armed deadline plus an unflipped cancel token keep the sweep:
+    /// the batch is swept once, delivered `Complete`, and matches the
+    /// uncontrolled sweep's counts.
     #[test]
-    fn controls_skip_sweep_but_match_its_counts() {
+    fn armed_controls_keep_the_sweep() {
         let (grid, est) = setup(200);
         assert!(est.supports_sweep());
         let tiling = Tiling::new(grid.full(), 6, 5).unwrap();
@@ -1805,24 +1711,23 @@ mod tests {
             .threads(2)
             .recorder(recorder.clone())
             .build();
-        let opts = BatchOptions::new().deadline(Duration::from_secs(3600));
+        let opts = BatchOptions::new()
+            .deadline(Duration::from_secs(3600))
+            .cancel_token(CancelToken::new());
         let r = engine.run_batch_with(&QueryBatch::from(&tiling), &opts);
 
-        assert_eq!(r.counts, swept.counts, "ladder rung must be lossless");
-        assert_eq!(
-            r.outcomes,
-            vec![BatchOutcome::Degraded(DegradeReason::DeadlinePressure); 30]
-        );
-        assert!(r.errors.is_empty(), "nothing failed, only degraded");
+        assert_eq!(r.counts, swept.counts, "controls must not change counts");
+        assert_eq!(r.outcomes, vec![BatchOutcome::Complete; 30]);
+        assert!(r.errors.is_empty());
         let stats = recorder.snapshot();
-        assert_eq!(stats.degraded_sweeps, 1);
-        assert_eq!(stats.sweep_hits, 0);
+        assert_eq!(stats.sweep_hits, 1);
+        assert_eq!(stats.degraded_sweeps, 0);
         assert_eq!(stats.panics_caught, 0);
     }
 
     /// An expired deadline yields partial results: an answered prefix
-    /// (bit-identical to the fault-free run) and a `Failed` tail, at
-    /// `check_every` granularity.
+    /// (bit-identical to the fault-free run) and a `Failed` tail, cut
+    /// before the first query that starts past the deadline.
     #[test]
     fn deadline_returns_partial_results() {
         let (grid, est) = setup(50);
@@ -1844,9 +1749,7 @@ mod tests {
             .threads(1)
             .recorder(recorder.clone())
             .build();
-        let opts = BatchOptions::new()
-            .deadline(Duration::from_millis(10))
-            .check_every(1);
+        let opts = BatchOptions::new().deadline(Duration::from_millis(10));
         let r = engine.run_batch_with(&QueryBatch::new(&queries), &opts);
 
         assert!(r.completed() >= 1, "deadline allows at least one query");
@@ -2019,9 +1922,7 @@ mod tests {
             let _guard =
                 faults::install(FaultPlan::new().with(FaultSite::Chunk, 0, FaultKind::StallMs(50)));
             let queries: Vec<GridRect> = tiling.iter().map(|(_, t)| t).collect();
-            let opts = BatchOptions::new()
-                .deadline(Duration::from_millis(5))
-                .check_every(1);
+            let opts = BatchOptions::new().deadline(Duration::from_millis(5));
             let r = EstimatorEngine::new(est.clone())
                 .with_threads(1)
                 .run_batch_with(&QueryBatch::new(&queries), &opts);

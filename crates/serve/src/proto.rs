@@ -85,7 +85,8 @@ pub struct BrowseParams {
     /// Region as grid-line indexes `[x0,y0,x1,y1]` (`x1`/`y1` exclusive
     /// as a cell range); `None` browses the full grid.
     pub region: Option<(usize, usize, usize, usize)>,
-    /// Engine worker count override.
+    /// Engine worker count override (capped at the server's core
+    /// count; `0` means one worker per core).
     pub threads: Option<usize>,
     /// Budget override in milliseconds (clamped to the server max).
     pub deadline_ms: Option<u64>,
