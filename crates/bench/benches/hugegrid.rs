@@ -120,7 +120,7 @@ fn main() {
     };
     for &n in sizes {
         let grid = square_grid(n);
-        let hist = EulerHistogram::build(grid, &sparse.snap(&grid));
+        let hist = EulerHistogram::build(grid, sparse.snap(&grid));
         let projected = dense_projection(&grid);
         let comp = hist.freeze_compressed();
         assert!(comp.is_compressed());
@@ -175,7 +175,7 @@ fn main() {
     let road_sizes: &[usize] = if quick { &[1024] } else { &[1024, 4096] };
     for &n in road_sizes {
         let grid = square_grid(n);
-        let hist = EulerHistogram::build(grid, &road.snap(&grid));
+        let hist = EulerHistogram::build(grid, road.snap(&grid));
         let projected = dense_projection(&grid);
         let forced = hist.freeze_compressed();
         let heuristic = hist.freeze();
@@ -201,7 +201,7 @@ fn main() {
     // shows up with ≥4 physical cores (the note records the host).
     {
         let paper = Grid::paper_default();
-        let paper_hist = EulerHistogram::build(paper, &sparse.snap(&paper));
+        let paper_hist = EulerHistogram::build(paper, sparse.snap(&paper));
         let paper_est: SharedEstimator = Arc::new(SEulerApprox::new(paper_hist.freeze()));
         let q2 = Tiling::new(paper.full(), 180, 90).expect("Q2 tiling");
         let q2_batch = QueryBatch::from(&q2);
@@ -214,7 +214,7 @@ fn main() {
         );
 
         let grid = square_grid(2048);
-        let hist = EulerHistogram::build(grid, &sparse.snap(&grid));
+        let hist = EulerHistogram::build(grid, sparse.snap(&grid));
         let est: SharedEstimator = Arc::new(SEulerApprox::new(hist.freeze()));
         let tiling = Tiling::new(grid.full(), 512, 512).expect("heavy tiling");
         let batch = QueryBatch::from(&tiling);

@@ -177,8 +177,7 @@ impl WalEntry {
 /// histogram — the durable rates' common denominator. Both sides start
 /// empty so the ratio prices exactly the append path, not state size.
 fn memory_ingest_rate(grid: Grid, feed: &[SnappedRect]) -> u64 {
-    let live =
-        LiveEulerHistogram::from_base(EulerHistogram::build(grid, &[]), 64, Some(REFREEZE_EVERY));
+    let live = LiveEulerHistogram::from_base(EulerHistogram::new(grid), 64, Some(REFREEZE_EVERY));
     let t0 = Instant::now();
     for o in feed {
         live.insert(o);

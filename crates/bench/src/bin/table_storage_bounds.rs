@@ -102,7 +102,7 @@ fn main() {
     for (name, ds) in [("clustered", &sparse), ("road_like", &road)] {
         for n in [512usize, 1024, 2048] {
             let grid = Grid::new(DataSpace::paper_world(), n, n).expect("grid dims");
-            let hist = EulerHistogram::build(grid, &ds.snap(&grid));
+            let hist = EulerHistogram::build(grid, ds.snap(&grid));
             let (ew, eh) = grid.euler_dims();
             let dense = PrefixSum2D::projected_bytes(ew, eh);
             let comp = hist.freeze_compressed().storage_bytes();

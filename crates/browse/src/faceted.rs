@@ -214,7 +214,7 @@ mod tests {
 
         let union = crate::GeoBrowsingService::with_objects(
             grid(),
-            &[
+            [
                 Rect::new(1.2, 1.2, 2.8, 2.8).unwrap(),
                 Rect::new(7.2, 7.2, 8.8, 8.8).unwrap(),
                 Rect::new(1.4, 1.4, 2.6, 2.6).unwrap(),

@@ -1,8 +1,9 @@
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-use euler_core::{LiveEulerHistogram, LiveSEuler};
+use euler_core::{EulerHistogram, LiveEulerHistogram, LiveSEuler};
 use euler_geom::Rect;
-use euler_grid::{Grid, SnappedRect, Snapper};
+use euler_grid::{Grid, Snapper};
 use euler_metrics::Recorder;
 
 use crate::session::{BrowseSession, PinnedSession};
@@ -54,12 +55,23 @@ impl<const REFREEZE_ON_READ: bool> BrowsingService<REFREEZE_ON_READ> {
         Self::from_live(Arc::new(LiveEulerHistogram::new(grid)))
     }
 
-    /// Bulk-loads a service from raw MBRs: epoch 1 holds them all frozen
-    /// at version `rects.len()`, the state `rects.len()` inserts reach.
-    pub fn with_objects(grid: Grid, rects: &[Rect]) -> Self {
+    /// Bulk-loads a service from raw MBRs (a slice or a stream), each
+    /// snapped as it is folded into the build: epoch 1 holds them all
+    /// frozen at version `N`, the state `N` inserts reach.
+    pub fn with_objects<I>(grid: Grid, rects: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Rect>,
+    {
         let snapper = Snapper::new(grid);
-        let snapped: Vec<SnappedRect> = rects.iter().map(|r| snapper.snap(r)).collect();
-        Self::from_live(Arc::new(LiveEulerHistogram::with_objects(grid, &snapped)))
+        let snapped = rects.into_iter().map(|r| snapper.snap(r.borrow()));
+        Self::preloaded(EulerHistogram::build(grid, snapped))
+    }
+
+    /// A service over a bulk-built preload, wrapped at epoch 1 / version
+    /// `N` ([`LiveEulerHistogram::preloaded`]).
+    pub fn preloaded(base: EulerHistogram) -> Self {
+        Self::from_live(Arc::new(LiveEulerHistogram::preloaded(base)))
     }
 
     /// A service over an existing shared substrate — how a durable store

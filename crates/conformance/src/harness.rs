@@ -579,7 +579,7 @@ fn check_browse_api(
         pin_current.insert(r);
     }
     let sessions: Vec<Box<dyn BrowseSession>> = vec![
-        Box::new(GeoBrowsingService::with_objects(*grid, &spec.rects())),
+        Box::new(GeoBrowsingService::with_objects(*grid, spec.rects())),
         Box::new(pin_current),
     ];
     let tiling = Tiling::new(grid.full(), spec.nx.min(4), spec.ny.min(3))

@@ -28,6 +28,8 @@
 //!   which misses query-containing objects (the *loophole effect*,
 //!   Corollary 4.2 with `k = 2` exterior faces).
 
+use std::borrow::Borrow;
+
 use euler_cube::{CompressedPrefix2D, CubeTier, Dense2D, Diff2D, PrefixSum2D};
 use euler_grid::{Grid, GridRect, SnappedRect};
 
@@ -117,14 +119,24 @@ impl EulerHistogram {
     }
 
     /// Bulk-builds the histogram from snapped objects using a difference
-    /// array: `O(|S| + buckets)` regardless of object sizes.
-    pub fn build(grid: Grid, objects: &[SnappedRect]) -> EulerHistogram {
+    /// array: `O(|S| + buckets)` regardless of object sizes. Takes any
+    /// iterable (a slice, or a stream snapped as it is read) and counts
+    /// the objects as it folds them in, so a streamed build holds only
+    /// the grid's arrays, never the objects.
+    pub fn build<I>(grid: Grid, objects: I) -> EulerHistogram
+    where
+        I: IntoIterator,
+        I::Item: Borrow<SnappedRect>,
+    {
         let (ew, eh) = grid.euler_dims();
         let mut diff = Diff2D::zeros(ew, eh);
+        let mut object_count = 0u64;
         for o in objects {
+            let o = o.borrow();
             let (ex0, ex1) = (2 * o.cx0(), 2 * o.cx1());
             let (ey0, ey1) = (2 * o.cy0(), 2 * o.cy1());
             diff.add_rect(ex0, ey0, ex1, ey1, 1);
+            object_count += 1;
         }
         let mut buckets = diff.build();
         // Apply the §5.1 edge negation (and vertex/face signs) once.
@@ -132,7 +144,7 @@ impl EulerHistogram {
         EulerHistogram {
             grid,
             buckets,
-            object_count: objects.len() as u64,
+            object_count,
         }
     }
 
@@ -592,7 +604,7 @@ mod tests {
         // query's right column.
         let o1 = snap(&g, 0.5, 1.5, 1.5, 2.5);
         let o2 = snap(&g, 2.3, 0.5, 2.7, 2.5);
-        let h = EulerHistogram::build(g, &[o1, o2]).freeze();
+        let h = EulerHistogram::build(g, [o1, o2]).freeze();
         let query = q(0, 0, 3, 3);
         assert_eq!(h.intersect_count(&query), 2);
         // And a query that misses both.
@@ -623,12 +635,12 @@ mod tests {
         // contributes 1 to the outside sum.
         let g = grid(4, 4);
         let o = snap(&g, 0.5, 0.5, 2.5, 2.5);
-        let h = EulerHistogram::build(g, &[o]).freeze();
+        let h = EulerHistogram::build(g, [o]).freeze();
         let query = q(0, 0, 2, 2);
         assert_eq!(h.outside_sum(&query), 1);
         // Fully contained object: invisible outside.
         let inner = snap(&g, 0.3, 0.3, 1.7, 1.7);
-        let h2 = EulerHistogram::build(g, &[inner]).freeze();
+        let h2 = EulerHistogram::build(g, [inner]).freeze();
         assert_eq!(h2.outside_sum(&query), 0);
     }
 
@@ -639,7 +651,7 @@ mod tests {
         // Euler characteristic is 0 (Corollary 4.2, k = 2).
         let g = grid(6, 6);
         let big = snap(&g, 0.5, 0.5, 5.5, 5.5);
-        let h = EulerHistogram::build(g, &[big]).freeze();
+        let h = EulerHistogram::build(g, [big]).freeze();
         let query = q(2, 2, 4, 4);
         assert!(big.contains_query(&query));
         assert_eq!(h.intersect_count(&query), 1);
@@ -656,7 +668,7 @@ mod tests {
         // components and is counted twice by the outside sum.
         let g = grid(6, 6);
         let bar = snap(&g, 0.5, 2.3, 5.5, 3.7); // crosses the middle
-        let h = EulerHistogram::build(g, &[bar]).freeze();
+        let h = EulerHistogram::build(g, [bar]).freeze();
         let query = q(2, 0, 4, 6); // vertical slab query
         assert!(bar.crosses(&query));
         assert_eq!(h.outside_sum(&query), 2);
@@ -744,7 +756,7 @@ mod tests {
     #[test]
     fn compressed_tier_answers_bit_identically() {
         let g = grid(10, 8);
-        let hist = EulerHistogram::build(g, &dataset(&g, 40));
+        let hist = EulerHistogram::build(g, dataset(&g, 40));
         let dense = hist.freeze_dense();
         let comp = hist.freeze_compressed();
         assert!(!dense.is_compressed());
@@ -780,7 +792,7 @@ mod tests {
     fn freeze_heuristic_stays_dense_on_small_grids() {
         // The paper grid's cube is well under the compression floor.
         let g = grid(10, 8);
-        assert!(!EulerHistogram::build(g, &dataset(&g, 40))
+        assert!(!EulerHistogram::build(g, dataset(&g, 40))
             .freeze()
             .is_compressed());
     }
@@ -804,7 +816,7 @@ mod tests {
         let folded2 = folded.fold2x2().expect("still even");
         let direct2 = EulerHistogram::build(
             Grid::new(*g.space(), 3, 2).unwrap(),
-            &objs.iter().map(|o| o.coarsen(4)).collect::<Vec<_>>(),
+            objs.iter().map(|o| o.coarsen(4)).collect::<Vec<_>>(),
         );
         assert_eq!(folded2, direct2);
         // Odd dimensions refuse to fold.
@@ -815,7 +827,7 @@ mod tests {
     fn boundary_touching_queries_clip_safely() {
         let g = grid(5, 5);
         let o = snap(&g, 1.2, 1.2, 3.8, 3.8);
-        let h = EulerHistogram::build(g, &[o]).freeze();
+        let h = EulerHistogram::build(g, [o]).freeze();
         for query in [q(0, 0, 5, 5), q(0, 0, 1, 1), q(4, 4, 5, 5), q(0, 2, 5, 3)] {
             let n_ii = h.intersect_count(&query);
             let expect = i64::from(o.intersects(&query));

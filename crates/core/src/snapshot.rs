@@ -51,6 +51,7 @@
 //! first `version` write-log entries — the concurrent-interleaving law
 //! the conformance suite enforces at several thread counts. Epoch bumps
 //! (refreezes) change the representation, never the answer.
+use std::borrow::Borrow;
 use std::sync::{Arc, Mutex, RwLock};
 
 use euler_cube::Diff2D;
@@ -372,16 +373,28 @@ impl LiveEulerHistogram {
         LiveEulerHistogram::from_base(EulerHistogram::new(grid), seal_every, refreeze_every)
     }
 
-    /// Bulk-builds from snapped objects: epoch 1 holds them all frozen,
-    /// stamped version `objects.len()` — as if they were writes
-    /// `1..=N`, the way a durable store seeds its preload.
-    pub fn with_objects(grid: Grid, objects: &[SnappedRect]) -> LiveEulerHistogram {
+    /// Bulk-builds from snapped objects (a slice or a stream; see
+    /// [`EulerHistogram::build`]) and wraps the result as
+    /// [`LiveEulerHistogram::preloaded`] does.
+    pub fn with_objects<I>(grid: Grid, objects: I) -> LiveEulerHistogram
+    where
+        I: IntoIterator,
+        I::Item: Borrow<SnappedRect>,
+    {
+        LiveEulerHistogram::preloaded(EulerHistogram::build(grid, objects))
+    }
+
+    /// Wraps a bulk-built preload: epoch 1 holds its `N` objects frozen,
+    /// stamped version `N` — as if they were writes `1..=N`, the way a
+    /// durable store seeds its preload — with the default thresholds.
+    pub fn preloaded(base: EulerHistogram) -> LiveEulerHistogram {
+        let version = base.object_count();
         LiveEulerHistogram::restore(
-            EulerHistogram::build(grid, objects),
+            base,
             DEFAULT_SEAL_EVERY,
             Some(DEFAULT_REFREEZE_EVERY),
             1,
-            objects.len() as u64,
+            version,
         )
     }
 

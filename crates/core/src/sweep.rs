@@ -734,7 +734,7 @@ mod tests {
     #[test]
     fn tile_sums_match_direct_prefix_queries() {
         let g = grid(16, 12);
-        let hist = EulerHistogram::build(g, &random_objects(&g, 120, 7)).freeze();
+        let hist = EulerHistogram::build(g, random_objects(&g, 120, 7)).freeze();
         for t in tilings(&g) {
             let plan = TilingPlan::new(&t);
             for proxy in [
@@ -774,7 +774,7 @@ mod tests {
     #[test]
     fn compressed_tier_sweeps_bit_identically() {
         let g = grid(16, 12);
-        let built = EulerHistogram::build(g, &random_objects(&g, 140, 23));
+        let built = EulerHistogram::build(g, random_objects(&g, 140, 23));
         let dense = built.freeze_dense();
         let comp = built.freeze_compressed();
         assert!(comp.is_compressed());
@@ -869,7 +869,7 @@ mod tests {
     #[test]
     fn empty_dataset_sweeps_to_zero_counts() {
         let g = grid(10, 8);
-        let hist = EulerHistogram::build(g, &[]).freeze();
+        let hist = EulerHistogram::new(g).freeze();
         let t = Tiling::new(g.full(), 5, 4).unwrap();
         for c in SEulerApprox::new(hist).estimate_tiling(&t) {
             assert_eq!(c, RelationCounts::default());

@@ -28,7 +28,7 @@ fn grid(nx: usize, ny: usize) -> Grid {
 /// Builds a one-object histogram from a raw rect (snapped per §4.2).
 fn single(g: &Grid, r: Rect) -> euler_core::FrozenEulerHistogram {
     let o = Snapper::new(*g).snap(&r);
-    EulerHistogram::build(*g, &[o]).freeze()
+    EulerHistogram::build(*g, [o]).freeze()
 }
 
 fn q(x0: usize, y0: usize, x1: usize, y1: usize) -> GridRect {

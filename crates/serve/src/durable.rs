@@ -13,6 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use euler_browse::{BrowseSession, DynamicGeoBrowsingService, PinnedSession};
+use euler_core::EulerHistogram;
 use euler_geom::Rect;
 use euler_grid::{Grid, Snapper};
 use euler_metrics::Recorder;
@@ -36,22 +37,20 @@ impl DurableSession {
         grid: Grid,
         cfg: DurableConfig,
     ) -> Result<(DurableSession, RecoveryReport), euler_wal::WalError> {
-        DurableSession::open_seeded(dir, grid, cfg, &[])
+        DurableSession::open_preloaded(dir, cfg, EulerHistogram::new(grid))
     }
 
-    /// Like [`DurableSession::open`], but an empty store is first seeded
-    /// atomically with `preload` as write-log versions `1..=preload.len()`
-    /// (see [`DurableLive::open_seeded`]); a store holding writes keeps
-    /// its own history.
-    pub fn open_seeded(
+    /// Like [`DurableSession::open`] over `preload`'s grid, but an empty
+    /// store is first seeded atomically with the bulk-built `preload` as
+    /// write-log versions `1..=N` (see [`DurableLive::open_preloaded`]);
+    /// a store holding writes keeps its own history.
+    pub fn open_preloaded(
         dir: &Path,
-        grid: Grid,
         cfg: DurableConfig,
-        preload: &[Rect],
+        preload: EulerHistogram,
     ) -> Result<(DurableSession, RecoveryReport), euler_wal::WalError> {
-        let snapper = Snapper::new(grid);
-        let seed: Vec<_> = preload.iter().map(|r| snapper.snap(r)).collect();
-        let (store, report) = DurableLive::open_seeded(dir, grid, cfg, &seed)?;
+        let snapper = Snapper::new(*preload.grid());
+        let (store, report) = DurableLive::open_preloaded(dir, cfg, preload)?;
         let reads = DynamicGeoBrowsingService::from_live(store.live().clone());
         Ok((
             DurableSession {

@@ -58,7 +58,7 @@ fn sessions() -> Vec<Arc<dyn BrowseSession>> {
     let snapper = Snapper::new(grid);
     let preload: Vec<SnappedRect> = rects(400, 0).iter().map(|r| snapper.snap(r)).collect();
 
-    let refreeze = GeoBrowsingService::with_objects(grid, &rects(400, 0));
+    let refreeze = GeoBrowsingService::with_objects(grid, rects(400, 0));
     for r in rects(50, 1) {
         refreeze.insert(&r);
     }
@@ -189,7 +189,7 @@ impl BrowseSession for SpySession {
 fn a_huge_threads_request_is_capped_at_the_core_count() {
     let seen = Arc::new(Mutex::new(HashSet::new()));
     let session = Arc::new(SpySession {
-        inner: DynamicGeoBrowsingService::with_objects(grid(), &rects(400, 0)),
+        inner: DynamicGeoBrowsingService::with_objects(grid(), rects(400, 0)),
         seen: seen.clone(),
     });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -3,6 +3,7 @@
 //! acknowledge second — plus the recovery path that rebuilds exactly
 //! the acknowledged prefix on boot.
 
+use std::borrow::Borrow;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -121,28 +122,44 @@ impl DurableLive {
         grid: Grid,
         cfg: DurableConfig,
     ) -> Result<(DurableLive, RecoveryReport), WalError> {
-        DurableLive::open_seeded(dir, grid, cfg, &[])
+        DurableLive::open_preloaded(dir, cfg, EulerHistogram::new(grid))
     }
 
-    /// Like [`DurableLive::open`], but an empty store (no checkpoint
-    /// beyond version 0, no records) is first seeded with `seed`: one
-    /// checkpoint image of `EulerHistogram::build(grid, seed)` at epoch 1,
-    /// version `seed.len()`, installed through the same
-    /// temp → fsync → rename → manifest path as every checkpoint. Seeding
-    /// is atomic: a crash before the manifest lands leaves the store at
-    /// version 0, and the next `open_seeded` seeds it again. A store that
-    /// already holds writes ignores `seed`.
-    pub fn open_seeded(
+    /// Like [`DurableLive::open`], but an empty store is first seeded
+    /// with `seed` (a slice or a stream), folded straight into one bulk
+    /// build; see [`DurableLive::open_preloaded`].
+    pub fn open_seeded<I>(
         dir: &Path,
         grid: Grid,
         cfg: DurableConfig,
-        seed: &[SnappedRect],
+        seed: I,
+    ) -> Result<(DurableLive, RecoveryReport), WalError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<SnappedRect>,
+    {
+        DurableLive::open_preloaded(dir, cfg, EulerHistogram::build(grid, seed))
+    }
+
+    /// Like [`DurableLive::open`] over `preload`'s grid, but an empty
+    /// store (no checkpoint beyond version 0, no records) is first seeded
+    /// with the bulk-built `preload`: one checkpoint image of it at
+    /// epoch 1, version `preload.object_count()`, installed through the
+    /// same temp → fsync → rename → manifest path as every checkpoint.
+    /// Seeding is atomic: a crash before the manifest lands leaves the
+    /// store at version 0, and the next open seeds it again. A store that
+    /// already holds writes ignores `preload`.
+    pub fn open_preloaded(
+        dir: &Path,
+        cfg: DurableConfig,
+        preload: EulerHistogram,
     ) -> Result<(DurableLive, RecoveryReport), WalError> {
+        let grid = *preload.grid();
         std::fs::create_dir_all(dir)?;
 
-        // 1. Manifest → checkpoint image (or a fresh empty base).
+        // 1. Manifest → checkpoint image (if any).
         let manifest = Manifest::load(dir)?;
-        let (mut base, mut ckpt_epoch, mut ckpt_version, replay_from_seq) = match &manifest {
+        let (checkpoint, mut ckpt_epoch, mut ckpt_version, replay_from_seq) = match &manifest {
             Some(m) => {
                 let bytes = std::fs::read(dir.join(&m.checkpoint))
                     .map_err(|e| WalError::BadCheckpoint(format!("{}: {e}", m.checkpoint)))?;
@@ -151,9 +168,9 @@ impl DurableLive {
                 if *hist.grid() != grid {
                     return Err(WalError::GridMismatch);
                 }
-                (hist, m.epoch, m.version, m.wal_seq)
+                (Some(hist), m.epoch, m.version, m.wal_seq)
             }
-            None => (EulerHistogram::new(grid), 1, 0, 0),
+            None => (None, 1, 0, 0),
         };
 
         // 2. Scan segments and collect the replay suffix.
@@ -198,13 +215,13 @@ impl DurableLive {
             }
         }
 
-        // 3. Seed an empty store. The manifest names the segment step 5
-        // creates as the replay start, as a checkpoint's rotation does.
-        if ckpt_version == 0 && replay.is_empty() && !seed.is_empty() {
-            let hist = EulerHistogram::build(grid, seed);
-            let bytes = hist.to_bytes_compressed();
+        // 3. Seed an empty store with the preload; otherwise drop it. The
+        // manifest names the segment step 5 creates as the replay start,
+        // as a checkpoint's rotation does.
+        let base = if ckpt_version == 0 && replay.is_empty() && preload.object_count() > 0 {
+            let bytes = preload.to_bytes_compressed();
             checkpoint_fault(dir, || bytes.clone())?;
-            let version = seed.len() as u64;
+            let version = preload.object_count();
             let manifest = Manifest {
                 epoch: 1,
                 version,
@@ -213,8 +230,12 @@ impl DurableLive {
                 checkpoint: write_image(dir, version, &bytes)?,
             };
             manifest.install(dir)?;
-            (base, ckpt_epoch, ckpt_version) = (hist, manifest.epoch, version);
-        }
+            (ckpt_epoch, ckpt_version) = (manifest.epoch, version);
+            preload
+        } else {
+            drop(preload);
+            checkpoint.unwrap_or_else(|| EulerHistogram::new(grid))
+        };
 
         // 4. Rebuild the live histogram and replay the suffix.
         let live = LiveEulerHistogram::restore(

@@ -32,8 +32,8 @@ fn main() {
         ..SpSkewConfig::default()
     });
 
-    let maps_est = SEulerApprox::new(EulerHistogram::build(grid, &maps.snap(&grid)).freeze());
-    let sensors_est = SEulerApprox::new(EulerHistogram::build(grid, &sensors.snap(&grid)).freeze());
+    let maps_est = SEulerApprox::new(EulerHistogram::build(grid, maps.snap(&grid)).freeze());
+    let sensors_est = SEulerApprox::new(EulerHistogram::build(grid, sensors.snap(&grid)).freeze());
     // A Level 1 baseline the optimizer would have used before this paper.
     let maps_l1 = MinSkew::build(&grid, &maps.snap(&grid), 64);
 

@@ -25,6 +25,7 @@ use std::time::Duration;
 use spatial_histograms::browse::{advise, render_heatmap, EulerBrowser, Relation};
 use spatial_histograms::core::EulerApprox;
 use spatial_histograms::core::{EulerHistogram, MEulerApprox, SEulerApprox};
+use spatial_histograms::datagen::io::load_csv_histogram;
 use spatial_histograms::datagen::{paper_dataset, Dataset};
 use spatial_histograms::metrics::time_it;
 use spatial_histograms::prelude::*;
@@ -320,7 +321,7 @@ fn run(o: &Options) -> Result<(), String> {
     let grid = Grid::new(space, o.grid.0, o.grid.1).map_err(|e| e.to_string())?;
 
     if o.command == Command::Serve {
-        return run_serve(o, grid, space);
+        return run_serve(o, grid);
     }
 
     let dataset: Dataset = if let Some(path) = &o.data {
@@ -426,21 +427,24 @@ fn run_stats(
 /// `serve` subcommand: preload a browse session with the dataset (if
 /// any) and run the multi-tenant TCP admission layer until a tenant
 /// sends `{"op":"shutdown"}`.
-fn run_serve(o: &Options, grid: Grid, space: DataSpace) -> Result<(), String> {
+///
+/// The preload is one bulk-built histogram, made before any session or
+/// store is touched: a `--data` CSV streams line by line into it (so a
+/// bad line fails boot before a store exists), and it is served at
+/// epoch 1 / version N, or seeds an empty `--data-dir` store as its
+/// version-N checkpoint.
+fn run_serve(o: &Options, grid: Grid) -> Result<(), String> {
     use spatial_histograms::serve::{ServeConfig, ServeCore, Server};
 
-    let rects: Vec<Rect> = if let Some(path) = &o.data {
-        Dataset::load_csv(path, path, space)
-            .map_err(|e| e.to_string())?
-            .rects()
-            .to_vec()
+    let preload = if let Some(path) = &o.data {
+        load_csv_histogram(std::path::Path::new(path), grid).map_err(|e| e.to_string())?
     } else if let Some(name) = &o.demo {
-        paper_dataset(name, o.scale.max(1))
-            .ok_or_else(|| format!("unknown demo dataset {name:?}"))?
-            .rects()
-            .to_vec()
+        let dataset = paper_dataset(name, o.scale.max(1))
+            .ok_or_else(|| format!("unknown demo dataset {name:?}"))?;
+        let snapper = Snapper::new(grid);
+        EulerHistogram::build(grid, dataset.rects().iter().map(|r| snapper.snap(r)))
     } else {
-        Vec::new()
+        EulerHistogram::new(grid)
     };
 
     let mut profile = o.profile.clone();
@@ -456,7 +460,7 @@ fn run_serve(o: &Options, grid: Grid, space: DataSpace) -> Result<(), String> {
         // A fresh store is seeded with the preload as one checkpoint
         // (versions 1..=N), atomically; a recovered one keeps its own
         // (durably acknowledged) history.
-        let (s, report) = DurableSession::open_seeded(std::path::Path::new(dir), grid, cfg, &rects)
+        let (s, report) = DurableSession::open_preloaded(std::path::Path::new(dir), cfg, preload)
             .map_err(|e| format!("cannot open durable store {dir:?}: {e}"))?;
         eprintln!(
             "recovered {dir}: checkpoint v{} + {} replayed = v{} ({} segment(s))",
@@ -471,11 +475,9 @@ fn run_serve(o: &Options, grid: Grid, space: DataSpace) -> Result<(), String> {
         profile = "durable".into();
         Arc::new(s)
     } else if o.profile == "frozen" {
-        // One bulk build at epoch 1 / version N, seeded like the durable
-        // store's checkpoint.
-        Arc::new(GeoBrowsingService::with_objects(grid, &rects))
+        Arc::new(GeoBrowsingService::preloaded(preload))
     } else {
-        Arc::new(DynamicGeoBrowsingService::with_objects(grid, &rects))
+        Arc::new(DynamicGeoBrowsingService::preloaded(preload))
     };
 
     let config = ServeConfig {

@@ -72,7 +72,7 @@ fn loophole_effect_is_real() {
     let grid = Grid::new(DataSpace::paper_world(), 36, 18).unwrap();
     let snapper = Snapper::new(grid);
     let big = snapper.snap(&Rect::new(20.0, 20.0, 340.0, 160.0).unwrap());
-    let hist = EulerHistogram::build(grid, &[big]).freeze();
+    let hist = EulerHistogram::build(grid, [big]).freeze();
     let q = GridRect::unchecked(10, 5, 20, 10);
     assert_eq!(hist.intersect_count(&q), 1);
     assert_eq!(
