@@ -18,20 +18,19 @@
 //! in EXPERIMENTS.md).
 //!
 //! Set `EULER_BENCH_QUICK=1` for a seconds-long smoke run (small dataset,
-//! one query set, two thread counts) — used by CI, since the vendored
-//! criterion stub has no CLI test mode.
+//! one query set, two thread counts) — used by CI.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use euler_baselines::NaiveScan;
 use euler_bench::engine;
+use euler_bench::timing::Group;
 use euler_datagen::{adl_like, AdlConfig};
 use euler_engine::{BatchOptions, CancelToken, QueryBatch};
 use euler_grid::{Grid, QuerySet};
 use euler_metrics::Recorder;
 
-fn bench_batch_throughput(c: &mut Criterion) {
+fn main() {
     let quick = std::env::var_os("EULER_BENCH_QUICK").is_some();
     let grid = Grid::paper_default();
     let d = adl_like(&AdlConfig {
@@ -41,8 +40,7 @@ fn bench_batch_throughput(c: &mut Criterion) {
     let objects = d.snap(&grid);
     let eng = engine(NaiveScan::new(objects));
 
-    let mut group = c.benchmark_group("batch_throughput");
-    group.sample_size(10);
+    let mut group = Group::new("batch_throughput");
     // A spread of the paper's eleven sets: largest tiles, the acceptance
     // Q10 point, and the densest sets. Quick mode keeps only Q10.
     let tile_sizes: &[usize] = if quick { &[10] } else { &[20, 10, 5, 2] };
@@ -52,21 +50,19 @@ fn bench_batch_throughput(c: &mut Criterion) {
         .filter(|qs| tile_sizes.contains(&qs.tile_size()))
     {
         let batch = QueryBatch::from(&qs);
-        group.throughput(Throughput::Elements(batch.len() as u64));
+        group.throughput(batch.len() as u64);
         for &threads in thread_counts {
             let bare = eng.clone().with_threads(threads);
-            group.bench_with_input(BenchmarkId::new(qs.label(), threads), &batch, |b, batch| {
-                b.iter(|| bare.run_batch(batch))
+            group.bench(format_args!("{}/{threads}", qs.label()), || {
+                bare.run_batch(&batch)
             });
             let recorded = eng
                 .clone()
                 .with_threads(threads)
                 .with_recorder(Recorder::shared());
-            group.bench_with_input(
-                BenchmarkId::new(format!("{}-recorded", qs.label()), threads),
-                &batch,
-                |b, batch| b.iter(|| recorded.run_batch(batch)),
-            );
+            group.bench(format_args!("{}-recorded/{threads}", qs.label()), || {
+                recorded.run_batch(&batch)
+            });
             // Controls armed but never tripping. The exact scan has no
             // sweep, so this is the per-tile loop reading the cancel flag
             // and the deadline clock before every query: the price of
@@ -75,15 +71,10 @@ fn bench_batch_throughput(c: &mut Criterion) {
             let opts = BatchOptions::new()
                 .deadline(Duration::from_secs(3600))
                 .cancel_token(CancelToken::new());
-            group.bench_with_input(
-                BenchmarkId::new(format!("{}-deadline", qs.label()), threads),
-                &batch,
-                |b, batch| b.iter(|| bare.run_batch_with(batch, &opts)),
-            );
+            group.bench(format_args!("{}-deadline/{threads}", qs.label()), || {
+                bare.run_batch_with(&batch, &opts)
+            });
         }
     }
     group.finish();
 }
-
-criterion_group!(benches, bench_batch_throughput);
-criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! each materialized corner strip for the tile row above and below).
 //! The two are asserted bit-identical before any timing starts.
 //!
-//! Besides the criterion-style samples, the bench takes its own
+//! Besides the `timing` samples, the bench takes its own
 //! minimum-of-N wall-clock measurement per configuration and writes the
 //! machine-readable summary `results/BENCH_browse.json` (quick mode:
 //! `results/BENCH_browse.quick.json`, a subset with overlapping ids so
@@ -18,12 +18,12 @@
 //!
 //! Set `EULER_BENCH_QUICK=1` for the seconds-long CI smoke run.
 
-use std::io::Write as _;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use euler_bench::results_dir;
+use euler_bench::timing::Group;
+use euler_bench::write_bench_json;
 use euler_core::{EulerHistogram, SEulerApprox};
 use euler_datagen::{adl_like, AdlConfig};
 use euler_engine::{EstimatorEngine, QueryBatch};
@@ -86,7 +86,7 @@ fn measure_pair(
     (best_l, best_s)
 }
 
-fn bench_browse_sweep(c: &mut Criterion) {
+fn main() {
     let quick = std::env::var_os("EULER_BENCH_QUICK").is_some();
     let d = adl_like(&AdlConfig {
         count: if quick { 1_000 } else { 10_000 },
@@ -105,8 +105,7 @@ fn bench_browse_sweep(c: &mut Criterion) {
     let samples = if quick { 25 } else { 60 };
 
     let mut entries: Vec<Entry> = Vec::new();
-    let mut group = c.benchmark_group("browse_sweep");
-    group.sample_size(10);
+    let mut group = Group::new("browse_sweep");
     for &(nx, ny) in grids {
         let grid = Grid::new(DataSpace::paper_world(), nx, ny).unwrap();
         let objects = d.snap(&grid);
@@ -157,17 +156,13 @@ fn bench_browse_sweep(c: &mut Criterion) {
                 sweep_ns,
             });
 
-            group.throughput(Throughput::Elements(tiling.len() as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("{id}-loop"), tiling.len()),
-                &loop_batch,
-                |b, batch| b.iter(|| engine.run_batch(batch)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{id}-sweep"), tiling.len()),
-                &sweep_batch,
-                |b, batch| b.iter(|| engine.run_batch(batch)),
-            );
+            group.throughput(tiling.len() as u64);
+            group.bench(format_args!("{id}-loop/{}", tiling.len()), || {
+                engine.run_batch(&loop_batch)
+            });
+            group.bench(format_args!("{id}-sweep/{}", tiling.len()), || {
+                engine.run_batch(&sweep_batch)
+            });
         }
     }
     group.finish();
@@ -190,9 +185,8 @@ fn bench_browse_sweep(c: &mut Criterion) {
     write_json(&entries, quick);
 }
 
-/// Hand-rolled JSON (the vendored criterion stub has no machine output
-/// and the workspace has no JSON serializer): one entry object per line,
-/// the exact shape `bench_diff` string-parses.
+/// Hand-rolled JSON (the workspace has no JSON serializer): one entry
+/// object per line, the exact shape `bench_diff` string-parses.
 fn write_json(entries: &[Entry], quick: bool) {
     let mut body = String::from("{\n  \"bench\": \"browse_sweep\",\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
@@ -204,19 +198,5 @@ fn write_json(entries: &[Entry], quick: bool) {
         ));
     }
     body.push_str("  ]\n}\n");
-
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let name = if quick {
-        "BENCH_browse.quick.json"
-    } else {
-        "BENCH_browse.json"
-    };
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("create bench json");
-    f.write_all(body.as_bytes()).expect("write bench json");
-    eprintln!("[written to {}]", path.display());
+    write_bench_json("browse", quick, &body);
 }
-
-criterion_group!(benches, bench_browse_sweep);
-criterion_main!(benches);

@@ -2,11 +2,12 @@
 //! incremental insertion, Euler vs CD vs Min-skew vs R-tree build — the
 //! preprocessing side of §5's storage/time trade-off.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use euler_baselines::{CdHistogram, MinSkew, RTreeOracle};
+use euler_bench::timing::Group;
 use euler_core::{EulerHistogram, MEulerApprox};
 use euler_datagen::{sz_skew, SzSkewConfig};
 use euler_grid::{Grid, SnappedRect};
+use euler_rtree::{Entry, RTree};
 
 fn dataset(n: usize) -> (Grid, Vec<SnappedRect>) {
     let grid = Grid::paper_default();
@@ -18,68 +19,51 @@ fn dataset(n: usize) -> (Grid, Vec<SnappedRect>) {
     (grid, snapped)
 }
 
-fn bench_construction(c: &mut Criterion) {
+fn main() {
     let (grid, objects) = dataset(100_000);
-    let mut group = c.benchmark_group("construction");
-    group.throughput(Throughput::Elements(objects.len() as u64));
-    group.sample_size(10);
+    let mut group = Group::new("construction");
+    group.throughput(objects.len() as u64);
 
-    group.bench_function("euler_bulk_100k", |b| {
-        b.iter(|| EulerHistogram::build(grid, &objects))
+    group.bench("euler_bulk_100k", || EulerHistogram::build(grid, &objects));
+
+    group.bench("euler_incremental_100k", || {
+        let mut h = EulerHistogram::new(grid);
+        for o in &objects {
+            h.insert(o);
+        }
+        h
     });
 
-    group.bench_function("euler_incremental_100k", |b| {
-        b.iter(|| {
-            let mut h = EulerHistogram::new(grid);
-            for o in &objects {
-                h.insert(o);
-            }
-            h
+    let h = EulerHistogram::build(grid, &objects);
+    group.bench_batched("euler_freeze", || h.clone(), |h| h.freeze());
+
+    group.bench("m_euler_build_3_100k", || {
+        MEulerApprox::build(
+            grid,
+            &objects,
+            &MEulerApprox::boundaries_from_sides(&[3, 10]),
+        )
+    });
+
+    group.bench("cd_build_100k", || CdHistogram::build(&grid, &objects));
+
+    group.bench("minskew_build_64_100k", || {
+        MinSkew::build(&grid, &objects, 64)
+    });
+
+    group.bench("rtree_bulk_load_100k", || RTreeOracle::build(&objects));
+
+    let entries: Vec<Entry> = objects
+        .iter()
+        .enumerate()
+        .map(|(i, o)| Entry {
+            rect: euler_geom::Rect::new(o.a(), o.c(), o.b(), o.d()).unwrap(),
+            id: i as u64,
         })
-    });
-
-    group.bench_function("euler_freeze", |b| {
-        let h = EulerHistogram::build(grid, &objects);
-        b.iter_batched(|| h.clone(), |h| h.freeze(), BatchSize::LargeInput)
-    });
-
-    group.bench_function("m_euler_build_3_100k", |b| {
-        b.iter(|| {
-            MEulerApprox::build(
-                grid,
-                &objects,
-                &MEulerApprox::boundaries_from_sides(&[3, 10]),
-            )
-        })
-    });
-
-    group.bench_function("cd_build_100k", |b| {
-        b.iter(|| CdHistogram::build(&grid, &objects))
-    });
-
-    group.bench_function("minskew_build_64_100k", |b| {
-        b.iter(|| MinSkew::build(&grid, &objects, 64))
-    });
-
-    group.bench_function("rtree_bulk_load_100k", |b| {
-        b.iter(|| RTreeOracle::build(&objects))
-    });
-
-    group.bench_function("rtree_hilbert_load_100k", |b| {
-        use euler_rtree::{Entry, RTree};
-        let entries: Vec<Entry> = objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| Entry {
-                rect: euler_geom::Rect::new(o.a(), o.c(), o.b(), o.d()).unwrap(),
-                id: i as u64,
-            })
-            .collect();
-        b.iter(|| RTree::bulk_load_hilbert(entries.clone()))
+        .collect();
+    group.bench("rtree_hilbert_load_100k", || {
+        RTree::bulk_load_hilbert(entries.clone())
     });
 
     group.finish();
 }
-
-criterion_group!(benches, bench_construction);
-criterion_main!(benches);

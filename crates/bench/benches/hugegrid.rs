@@ -24,11 +24,9 @@
 //! Set `EULER_BENCH_QUICK=1` for the CI smoke subset (grids ≤ 4096²).
 
 use std::hint::black_box;
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use euler_bench::results_dir;
 use euler_browse::PyramidBrowser;
 use euler_core::{EulerHistogram, Level2Estimator, SEulerApprox};
 use euler_cube::PrefixSum2D;
@@ -297,15 +295,5 @@ fn write_json(entries: &[Entry], quick: bool) {
     }
     body.push_str("  ]\n}\n");
 
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let name = if quick {
-        "BENCH_hugegrid.quick.json"
-    } else {
-        "BENCH_hugegrid.json"
-    };
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("create bench json");
-    f.write_all(body.as_bytes()).expect("write bench json");
-    eprintln!("[written to {}]", path.display());
+    euler_bench::write_bench_json("hugegrid", quick, &body);
 }

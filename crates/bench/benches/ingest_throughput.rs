@@ -30,7 +30,6 @@
 //! (quick mode: `results/BENCH_ingest.quick.json`). Set
 //! `EULER_BENCH_QUICK=1` for the seconds-long CI smoke run.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -358,15 +357,5 @@ fn write_json(entries: &[Entry], wal_entries: &[WalEntry], quick: bool) {
     }
     body.push_str("  ]\n}\n");
 
-    let dir = euler_bench::results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let name = if quick {
-        "BENCH_ingest.quick.json"
-    } else {
-        "BENCH_ingest.json"
-    };
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("create bench json");
-    f.write_all(body.as_bytes()).expect("write bench json");
-    eprintln!("[written to {}]", path.display());
+    euler_bench::write_bench_json("ingest", quick, &body);
 }

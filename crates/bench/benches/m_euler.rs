@@ -3,12 +3,12 @@
 //! number of the histograms used", because the per-query index
 //! computation dominates the extra lookups.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use euler_bench::timing::Group;
 use euler_core::{Level2Estimator, MEulerApprox};
 use euler_datagen::{sz_skew, SzSkewConfig};
 use euler_grid::{Grid, GridRect};
 
-fn bench_m_euler(c: &mut Criterion) {
+fn main() {
     let grid = Grid::paper_default();
     let d = sz_skew(&SzSkewConfig {
         count: 100_000,
@@ -30,20 +30,15 @@ fn bench_m_euler(c: &mut Criterion) {
         &[3, 5, 10, 15],
         &[2, 3, 5, 10, 15],
     ];
-    let mut group = c.benchmark_group("m_euler_vs_m");
+    let group = Group::new("m_euler_vs_m");
     for sides in side_sets {
         let m = sides.len() + 1;
         let est = MEulerApprox::build(grid, &objects, &MEulerApprox::boundaries_from_sides(sides));
         let mut i = 0usize;
-        group.bench_with_input(BenchmarkId::from_parameter(m), &est, |b, est| {
-            b.iter(|| {
-                i += 1;
-                est.estimate(&qs[i % qs.len()])
-            })
+        group.bench(m, || {
+            i += 1;
+            est.estimate(&qs[i % qs.len()])
         });
     }
     group.finish();
 }
-
-criterion_group!(benches, bench_m_euler);
-criterion_main!(benches);

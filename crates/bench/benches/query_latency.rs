@@ -3,8 +3,8 @@
 //! 5,000 tiles must finish in 100 ms (§6.5 footnote), i.e. 20 µs/tile;
 //! the Euler family sits in the tens of nanoseconds.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use euler_baselines::{BtHistogram, CdHistogram, MinSkew, NaiveScan, RTreeOracle};
+use euler_bench::timing::Group;
 use euler_core::{EulerApprox, EulerHistogram, Level2Estimator, MEulerApprox, SEulerApprox};
 use euler_datagen::{adl_like, AdlConfig};
 use euler_grid::{Grid, GridRect};
@@ -20,7 +20,7 @@ fn queries(grid: &Grid) -> Vec<GridRect> {
     v
 }
 
-fn bench_query_latency(c: &mut Criterion) {
+fn main() {
     let grid = Grid::paper_default();
     let d = adl_like(&AdlConfig {
         count: 100_000,
@@ -45,26 +45,21 @@ fn bench_query_latency(c: &mut Criterion) {
     // Naive scan gets a smaller dataset or it dominates the run.
     let naive = NaiveScan::new(objects[..10_000].to_vec());
 
-    let mut group = c.benchmark_group("query_latency");
+    let group = Group::new("query_latency");
     let mut i = 0usize;
     let mut next = || {
         i += 1;
         qs[i % qs.len()]
     };
 
-    group.bench_function("s_euler", |b| b.iter(|| s_euler.estimate(&next())));
-    group.bench_function("euler", |b| b.iter(|| euler.estimate(&next())));
-    group.bench_function("m_euler_2", |b| b.iter(|| m2.estimate(&next())));
-    group.bench_function("m_euler_5", |b| b.iter(|| m5.estimate(&next())));
-    group.bench_function("cd_intersect", |b| b.iter(|| cd.intersect_count(&next())));
-    group.bench_function("bt_intersect", |b| b.iter(|| bt.intersect_count(&next())));
-    group.bench_function("minskew_intersect", |b| {
-        b.iter(|| minskew.intersect_estimate(&next()))
-    });
-    group.bench_function("rtree_exact", |b| b.iter(|| rtree.estimate(&next())));
-    group.bench_function("naive_scan_10k", |b| b.iter(|| naive.estimate(&next())));
+    group.bench("s_euler", || s_euler.estimate(&next()));
+    group.bench("euler", || euler.estimate(&next()));
+    group.bench("m_euler_2", || m2.estimate(&next()));
+    group.bench("m_euler_5", || m5.estimate(&next()));
+    group.bench("cd_intersect", || cd.intersect_count(&next()));
+    group.bench("bt_intersect", || bt.intersect_count(&next()));
+    group.bench("minskew_intersect", || minskew.intersect_estimate(&next()));
+    group.bench("rtree_exact", || rtree.estimate(&next()));
+    group.bench("naive_scan_10k", || naive.estimate(&next()));
     group.finish();
 }
-
-criterion_group!(benches, bench_query_latency);
-criterion_main!(benches);

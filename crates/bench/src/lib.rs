@@ -27,6 +27,8 @@ use euler_engine::{BatchReport, EstimatorEngine, QueryBatch};
 use euler_grid::{Grid, QuerySet, SnappedRect};
 use euler_metrics::ErrorAccumulator;
 
+pub mod timing;
+
 /// The experiment environment: the paper grid plus dataset scaling.
 pub struct PaperEnv {
     /// The 360×180 grid at 1°×1°.
@@ -168,15 +170,7 @@ pub fn time_query_set(engine: &EstimatorEngine, qs: &QuerySet) -> BatchReport {
 /// output has already happened either way).
 pub fn try_emit_report(id: &str, body: &str) -> Result<(), String> {
     println!("{body}");
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let path = dir.join(format!("{id}.txt"));
-    let mut f =
-        std::fs::File::create(&path).map_err(|e| format!("create {}: {e}", path.display()))?;
-    f.write_all(body.as_bytes())
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    eprintln!("[written to {}]", path.display());
-    Ok(())
+    write_results_file(&format!("{id}.txt"), body)
 }
 
 /// [`try_emit_report`], with a write failure reported to stderr instead
@@ -188,9 +182,33 @@ pub fn emit_report(id: &str, body: &str) {
     }
 }
 
+/// Writes a bench's JSON summary to `results/BENCH_<stem>.json`, or to
+/// `results/BENCH_<stem>.quick.json` for a quick run, panicking when the
+/// file can't be written: a gate must not read a stale baseline.
+pub fn write_bench_json(stem: &str, quick: bool, body: &str) {
+    let quick = if quick { ".quick" } else { "" };
+    if let Err(e) = write_results_file(&format!("BENCH_{stem}{quick}.json"), body) {
+        panic!("bench json not written: {e}");
+    }
+}
+
+/// Writes `body` to `results/<name>`, creating the directory, and names
+/// the file on stderr.
+fn write_results_file(name: &str, body: &str) -> Result<(), String> {
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let path = dir.join(name);
+    let mut f =
+        std::fs::File::create(&path).map_err(|e| format!("create {}: {e}", path.display()))?;
+    f.write_all(body.as_bytes())
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    eprintln!("[written to {}]", path.display());
+    Ok(())
+}
+
 /// Locates `results/` next to the workspace root (`CARGO_MANIFEST_DIR` is
 /// `crates/bench`).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results")

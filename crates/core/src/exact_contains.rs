@@ -145,8 +145,8 @@ pub fn invert_contains_oracle(
 
 /// Exact Level 2 counts for 2-D rectangles: the 4-index histogram
 /// `H[i][j][k][l]` whose existence (at `O(N²)` storage) Theorem 3.1 proves
-/// necessary. Feasible only for modest grids — `storage_bytes` on the
-/// paper's 360×180 grid is ≈ 4 GB, which is the paper's point.
+/// necessary. Feasible only for modest grids — on the paper's 360×180
+/// grid the array has ≈ 4·10⁹ cells, which is the paper's point.
 #[derive(Debug, Clone)]
 pub struct ExactContains2D {
     nx: usize,

@@ -59,7 +59,6 @@ pub mod formula;
 mod histogram;
 mod m_euler;
 pub mod model;
-mod ndim_hist;
 pub mod persist;
 mod s_euler;
 pub mod snapshot;
@@ -72,7 +71,6 @@ pub use euler_approx::{EulerApprox, RegionSplit};
 pub use exact_contains::{invert_contains_oracle, ExactContains1D, ExactContains2D};
 pub use histogram::{EulerHistogram, FrozenEulerHistogram};
 pub use m_euler::{MEulerApprox, TuneReport};
-pub use ndim_hist::{BoxQuery, EulerHistogramNd, FrozenEulerHistogramNd, SEulerApproxNd};
 pub use s_euler::SEulerApprox;
 pub use snapshot::{CheckpointImage, DeltaOp, LiveEulerHistogram, LiveSEuler, LiveSnapshot};
 pub use source::{s_euler_counts, EulerSource};

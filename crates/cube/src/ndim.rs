@@ -1,10 +1,10 @@
 /// A dense d-dimensional array of `i64` counters with runtime-chosen
 /// dimensionality.
 ///
-/// Theorem 3.1 and Beigel–Tanin's corollary are stated for d dimensions;
-/// this array (plus [`PrefixSumNd`]) is the substrate for the
-/// d-dimensional Euler histogram and the paper's §2 example comparing a
-/// 2-D grid (64,800 cells) against the 4-D point encoding (4·10⁹ cells).
+/// Theorem 3.1 is stated for d dimensions; this array (plus
+/// [`PrefixSumNd`]) holds the 4-index histogram of the exact 2-D
+/// `contains` structure, the paper's "rectangles as 4-d points"
+/// encoding (§2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseNd {
     dims: Vec<usize>,
@@ -43,24 +43,6 @@ impl DenseNd {
         &self.dims
     }
 
-    /// Number of dimensions.
-    #[inline]
-    pub fn ndim(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Total number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the array is empty (never true: dims are validated nonzero).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     fn offset(&self, idx: &[usize]) -> usize {
         debug_assert_eq!(idx.len(), self.dims.len());
         let mut off = 0;
@@ -80,37 +62,6 @@ impl DenseNd {
     pub fn add(&mut self, idx: &[usize], v: i64) {
         let off = self.offset(idx);
         self.data[off] += v;
-    }
-
-    /// Sum of all entries.
-    pub fn total(&self) -> i64 {
-        self.data.iter().sum()
-    }
-
-    /// Naive O(volume) inclusive range sum, the testing reference.
-    pub fn range_sum_naive(&self, lo: &[usize], hi: &[usize]) -> i64 {
-        assert_eq!(lo.len(), self.ndim());
-        assert_eq!(hi.len(), self.ndim());
-        let mut idx = lo.to_vec();
-        let mut sum = 0i64;
-        'outer: loop {
-            sum += self.get(&idx);
-            // Odometer increment.
-            for d in 0..self.ndim() {
-                if idx[d] < hi[d] {
-                    idx[d] += 1;
-                    continue 'outer;
-                }
-                idx[d] = lo[d];
-            }
-            break;
-        }
-        sum
-    }
-
-    /// Bytes of storage held.
-    pub fn storage_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<i64>()
     }
 }
 
@@ -196,12 +147,6 @@ impl PrefixSumNd {
         }
     }
 
-    /// Per-dimension extents of the summarized array.
-    #[inline]
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Sum over the inclusive multi-index range `[lo, hi]`, answered with
     /// `2^d` lookups.
     pub fn range_sum(&self, lo: &[usize], hi: &[usize]) -> i64 {
@@ -229,35 +174,15 @@ impl PrefixSumNd {
         sum
     }
 
-    /// Cumulative sum at *clipped* signed coordinates: the inclusive
-    /// prefix `P(idx)` with each coordinate clamped into the array, and 0
-    /// when any is negative (the zero guard plane).
-    ///
-    /// The d-dimensional sibling of
-    /// [`crate::PrefixSum2D::prefix_clipped`]: the `2^d` signed-corner
-    /// combination of `prefix_clipped` values reproduces
-    /// [`Self::range_sum_clipped`] for any ordered window, which lets
-    /// batched evaluators cache corner planes instead of re-deriving the
-    /// clamp per query.
-    #[inline]
-    pub fn prefix_clipped(&self, idx: &[i64]) -> i64 {
-        debug_assert_eq!(idx.len(), self.dims.len());
-        let mut off = 0usize;
-        for ((&i, &d), &s) in idx.iter().zip(&self.dims).zip(&self.padded_strides) {
-            if i < 0 {
-                return 0;
-            }
-            off += ((i as usize).min(d - 1) + 1) * s;
-        }
-        self.p[off]
-    }
-
-    /// Decomposed per-axis offset for [`Self::prefix_clipped`]: the
-    /// flattened-array contribution of the clamped index `i` on `axis`,
-    /// or `None` when `i < 0` (any negative coordinate zeroes the whole
-    /// prefix read). Sweep kernels precompute these per tile row/column
-    /// and combine them with [`Self::value_at_offset`], hoisting the
-    /// clamp and stride arithmetic out of the per-query hot loop.
+    /// Per-axis offset of a *clipped* prefix read: the flattened-array
+    /// contribution of index `i` on `axis`, clamped into the array, or
+    /// `None` when `i < 0` (any negative coordinate zeroes the whole
+    /// prefix read, the zero guard plane). [`Self::value_at_offset`] at
+    /// the sum of one offset per axis is the inclusive prefix `P(idx)`,
+    /// and the `2^d` signed corners of such reads reproduce
+    /// [`Self::range_sum_clipped`] for any ordered window. Sweep kernels
+    /// precompute these per tile row/column, hoisting the clamp and
+    /// stride arithmetic out of the per-query hot loop.
     #[inline]
     pub fn axis_offset_clipped(&self, axis: usize, i: i64) -> Option<usize> {
         if i < 0 {
@@ -267,8 +192,7 @@ impl PrefixSumNd {
     }
 
     /// Padded-array read at a sum of per-axis offsets, one per axis, each
-    /// produced by [`Self::axis_offset_clipped`]. Equals
-    /// [`Self::prefix_clipped`] at the corresponding multi-index.
+    /// produced by [`Self::axis_offset_clipped`].
     #[inline]
     pub fn value_at_offset(&self, off: usize) -> i64 {
         self.p[off]
@@ -289,12 +213,6 @@ impl PrefixSumNd {
             chi[i] = h as usize;
         }
         self.range_sum(&clo, &chi)
-    }
-
-    /// Sum of the whole array.
-    pub fn total(&self) -> i64 {
-        let hi: Vec<usize> = self.dims.iter().map(|&d| d - 1).collect();
-        self.range_sum(&vec![0; self.dims.len()], &hi)
     }
 }
 
@@ -324,6 +242,39 @@ mod tests {
         }
     }
 
+    /// Naive O(volume) inclusive range sum, the reference.
+    fn naive_range_sum(a: &DenseNd, lo: &[usize], hi: &[usize]) -> i64 {
+        let mut idx = lo.to_vec();
+        let mut sum = 0i64;
+        'outer: loop {
+            sum += a.get(&idx);
+            // Odometer increment.
+            for d in 0..idx.len() {
+                if idx[d] < hi[d] {
+                    idx[d] += 1;
+                    continue 'outer;
+                }
+                idx[d] = lo[d];
+            }
+            break;
+        }
+        sum
+    }
+
+    fn total(a: &DenseNd) -> i64 {
+        let hi: Vec<usize> = a.dims().iter().map(|&d| d - 1).collect();
+        naive_range_sum(a, &vec![0; hi.len()], &hi)
+    }
+
+    /// The clipped inclusive prefix `P(idx)`, read through per-axis offsets.
+    fn prefix_via_offsets(p: &PrefixSumNd, idx: &[i64]) -> i64 {
+        idx.iter()
+            .enumerate()
+            .map(|(d, &i)| p.axis_offset_clipped(d, i))
+            .try_fold(0usize, |acc, o| o.map(|o| acc + o))
+            .map_or(0, |o| p.value_at_offset(o))
+    }
+
     #[test]
     fn one_dimensional_prefix() {
         let mut a = DenseNd::zeros(&[5]);
@@ -333,7 +284,6 @@ mod tests {
         let p = PrefixSumNd::build(&a);
         assert_eq!(p.range_sum(&[0], &[4]), 15);
         assert_eq!(p.range_sum(&[2], &[3]), 7);
-        assert_eq!(p.total(), 15);
     }
 
     #[test]
@@ -346,7 +296,7 @@ mod tests {
                     for y1 in y0..4 {
                         assert_eq!(
                             p.range_sum(&[x0, y0], &[x1, y1]),
-                            a.range_sum_naive(&[x0, y0], &[x1, y1])
+                            naive_range_sum(&a, &[x0, y0], &[x1, y1])
                         );
                     }
                 }
@@ -365,9 +315,8 @@ mod tests {
             ([2, 1, 0], [2, 1, 0]),
         ];
         for (lo, hi) in cases {
-            assert_eq!(p.range_sum(&lo, &hi), a.range_sum_naive(&lo, &hi));
+            assert_eq!(p.range_sum(&lo, &hi), naive_range_sum(&a, &lo, &hi));
         }
-        assert_eq!(p.total(), a.total());
     }
 
     #[test]
@@ -375,10 +324,10 @@ mod tests {
         // The paper's "rectangles as 4-d points" encoding (§2).
         let a = random_nd(&[3, 4, 3, 4], 13);
         let p = PrefixSumNd::build(&a);
-        assert_eq!(p.total(), a.total());
+        assert_eq!(p.range_sum(&[0, 0, 0, 0], &[2, 3, 2, 3]), total(&a));
         assert_eq!(
             p.range_sum(&[1, 1, 0, 2], &[2, 3, 2, 3]),
-            a.range_sum_naive(&[1, 1, 0, 2], &[2, 3, 2, 3])
+            naive_range_sum(&a, &[1, 1, 0, 2], &[2, 3, 2, 3])
         );
     }
 
@@ -386,16 +335,16 @@ mod tests {
     fn clipped_nd() {
         let a = random_nd(&[4, 4], 17);
         let p = PrefixSumNd::build(&a);
-        assert_eq!(p.range_sum_clipped(&[-5, -5], &[10, 10]), a.total());
+        assert_eq!(p.range_sum_clipped(&[-5, -5], &[10, 10]), total(&a));
         assert_eq!(p.range_sum_clipped(&[4, 0], &[5, 3]), 0);
         assert_eq!(
             p.range_sum_clipped(&[-1, 1], &[2, 5]),
-            a.range_sum_naive(&[0, 1], &[2, 3])
+            naive_range_sum(&a, &[0, 1], &[2, 3])
         );
     }
 
     #[test]
-    fn prefix_clipped_corners_equal_clipped_range_sum() {
+    fn offset_corners_equal_clipped_range_sum() {
         let a = random_nd(&[4, 3, 4], 19);
         let p = PrefixSumNd::build(&a);
         for (lo, hi) in [
@@ -417,7 +366,7 @@ mod tests {
                         idx[i] = hi[i];
                     }
                 }
-                corners += sign * p.prefix_clipped(&idx);
+                corners += sign * prefix_via_offsets(&p, &idx);
             }
             assert_eq!(
                 corners,
@@ -428,8 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn axis_offsets_reassemble_prefix_clipped() {
-        let a = random_nd(&[4, 3, 4], 23);
+    fn axis_offsets_read_the_clipped_prefix() {
+        let dims = [4usize, 3, 4];
+        let a = random_nd(&dims, 23);
         let p = PrefixSumNd::build(&a);
         for idx in [
             [0i64, 0, 0],
@@ -439,18 +389,13 @@ mod tests {
             [2, -3, 1],
             [9, 9, 9],
         ] {
-            let off = (0..3)
-                .map(|d| p.axis_offset_clipped(d, idx[d]))
-                .try_fold(0usize, |acc, o| o.map(|o| acc + o));
-            let via_offsets = off.map_or(0, |o| p.value_at_offset(o));
-            assert_eq!(via_offsets, p.prefix_clipped(&idx), "index {idx:?}");
+            let expected = if idx.iter().any(|&i| i < 0) {
+                0
+            } else {
+                let hi: Vec<usize> = (0..3).map(|d| (idx[d] as usize).min(dims[d] - 1)).collect();
+                naive_range_sum(&a, &[0, 0, 0], &hi)
+            };
+            assert_eq!(prefix_via_offsets(&p, &idx), expected, "index {idx:?}");
         }
-    }
-
-    #[test]
-    fn storage_matches_paper_example() {
-        // §2: 360×180 grid = 64,800 cells.
-        let g = DenseNd::zeros(&[360, 180]);
-        assert_eq!(g.len(), 64_800);
     }
 }

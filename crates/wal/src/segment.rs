@@ -91,18 +91,18 @@ pub enum ScanEnd {
 /// in the last segment a trailing unparseable region with **no** valid
 /// frame after it is a torn tail; anywhere else (or with a valid frame
 /// after it) the same damage is hard corruption, because acknowledged
-/// records demonstrably follow it.
+/// records demonstrably follow it. The first record must carry the
+/// header's `first_version`.
 pub(crate) fn scan_segment(
     bytes: &[u8],
     seq: u64,
     is_last: bool,
-) -> Result<(u64, Vec<ScannedRecord>, ScanEnd), WalError> {
+) -> Result<(Vec<ScannedRecord>, ScanEnd), WalError> {
     if bytes.len() < SEGMENT_HEADER_LEN {
         // A header is written in one syscall at creation; a short one on
         // the last segment is a torn creation (no records can be lost).
         if is_last {
             return Ok((
-                0,
                 Vec::new(),
                 ScanEnd::Torn {
                     offset: 0,
@@ -143,6 +143,7 @@ pub(crate) fn scan_segment(
 
     let mut records = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN;
+    let mut end = ScanEnd::Clean;
     while offset < bytes.len() {
         match decode_frame(&bytes[offset..]) {
             Ok(((version, op), used)) => {
@@ -154,12 +155,25 @@ pub(crate) fn scan_segment(
                 offset += used;
             }
             Err(failure) => {
-                return classify_failure(bytes, seq, is_last, offset, failure)
-                    .map(|end| (first_version, records, end));
+                end = classify_failure(bytes, seq, is_last, offset, failure)?;
+                break;
             }
         }
     }
-    Ok((first_version, records, ScanEnd::Clean))
+    if let Some(first) = records.first() {
+        if first.version != first_version {
+            return Err(WalError::Corrupt {
+                segment: seq,
+                offset: 16,
+                what: format!(
+                    "segment header claims first version {first_version}, \
+                     its first record is version {}",
+                    first.version
+                ),
+            });
+        }
+    }
+    Ok((records, end))
 }
 
 /// An unparseable frame at `offset`: torn tail or hard corruption?
@@ -244,8 +258,7 @@ mod tests {
     fn clean_segments_scan_fully() {
         let recs = ops(5);
         let bytes = segment(3, &recs);
-        let (first, scanned, end) = scan_segment(&bytes, 3, true).unwrap();
-        assert_eq!(first, 1);
+        let (scanned, end) = scan_segment(&bytes, 3, true).unwrap();
         assert_eq!(end, ScanEnd::Clean);
         assert_eq!(scanned.len(), 5);
         assert_eq!(scanned[4].version, 5);
@@ -260,7 +273,7 @@ mod tests {
         // the last boundary — never a hard error, never a wrong prefix.
         for cut in SEGMENT_HEADER_LEN..full.len() {
             let bytes = &full[..cut];
-            let (_, scanned, end) = scan_segment(bytes, 9, true).unwrap();
+            let (scanned, end) = scan_segment(bytes, 9, true).unwrap();
             let whole = (cut - SEGMENT_HEADER_LEN) / FRAME_LEN;
             assert_eq!(scanned.len(), whole, "cut at {cut}");
             if (cut - SEGMENT_HEADER_LEN).is_multiple_of(FRAME_LEN) {
@@ -297,12 +310,28 @@ mod tests {
     }
 
     #[test]
+    fn a_header_first_version_unlike_the_first_record_is_hard() {
+        let mut bytes = segment(4, &ops(3));
+        bytes[16..24].copy_from_slice(&2u64.to_le_bytes());
+        for is_last in [true, false] {
+            match scan_segment(&bytes, 4, is_last) {
+                Err(WalError::Corrupt {
+                    segment, offset, ..
+                }) => {
+                    assert_eq!((segment, offset), (4, 16))
+                }
+                other => panic!("expected hard corruption, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn crc_failing_final_record_is_a_torn_tail() {
         let recs = ops(3);
         let mut bytes = segment(1, &recs);
         let last_payload = bytes.len() - 10;
         bytes[last_payload] ^= 0x55;
-        let (_, scanned, end) = scan_segment(&bytes, 1, true).unwrap();
+        let (scanned, end) = scan_segment(&bytes, 1, true).unwrap();
         assert_eq!(scanned.len(), 2);
         match end {
             ScanEnd::Torn { offset, .. } => {

@@ -3,7 +3,6 @@
 //! acknowledge second — plus the recovery path that rebuilds exactly
 //! the acknowledged prefix on boot.
 
-use std::borrow::Borrow;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -125,22 +124,6 @@ impl DurableLive {
         DurableLive::open_preloaded(dir, cfg, EulerHistogram::new(grid))
     }
 
-    /// Like [`DurableLive::open`], but an empty store is first seeded
-    /// with `seed` (a slice or a stream), folded straight into one bulk
-    /// build; see [`DurableLive::open_preloaded`].
-    pub fn open_seeded<I>(
-        dir: &Path,
-        grid: Grid,
-        cfg: DurableConfig,
-        seed: I,
-    ) -> Result<(DurableLive, RecoveryReport), WalError>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<SnappedRect>,
-    {
-        DurableLive::open_preloaded(dir, cfg, EulerHistogram::build(grid, seed))
-    }
-
     /// Like [`DurableLive::open`] over `preload`'s grid, but an empty
     /// store (no checkpoint beyond version 0, no records) is first seeded
     /// with the bulk-built `preload`: one checkpoint image of it at
@@ -186,7 +169,7 @@ impl DurableLive {
                 continue; // fully covered by the checkpoint; stale.
             }
             let bytes = std::fs::read(path)?;
-            let (_, records, end) = scan_segment(&bytes, *seq, i == last_idx)?;
+            let (records, end) = scan_segment(&bytes, *seq, i == last_idx)?;
             for r in &records {
                 if r.version <= ckpt_version {
                     continue; // covered by the checkpoint; idempotent skip.

@@ -189,14 +189,17 @@ fn interrupted_seeding_leaves_an_empty_store_then_reseeds_completely() {
     let cfg = DurableConfig::default();
     for kind in [FaultKind::IoError, FaultKind::ShortWrite(40)] {
         let guard = install(FaultPlan::new().with(FaultSite::WalCheckpoint, 0, kind));
-        assert!(DurableLive::open_seeded(&dir, g, cfg, &objects).is_err());
+        assert!(
+            DurableLive::open_preloaded(&dir, cfg, EulerHistogram::build(g, &objects)).is_err()
+        );
         drop(guard);
         // Nothing was installed: the store recovers empty.
         let (store, report) = DurableLive::open(&dir, g, cfg).unwrap();
         assert_eq!(report.version, 0);
         assert!(store.is_empty());
     }
-    let (store, report) = DurableLive::open_seeded(&dir, g, cfg, &objects).unwrap();
+    let (store, report) =
+        DurableLive::open_preloaded(&dir, cfg, EulerHistogram::build(g, &objects)).unwrap();
     assert_eq!(report.version, objects.len() as u64);
     assert_eq!(
         *store.live().refreeze().frozen().as_ref(),

@@ -369,6 +369,64 @@ fn delete_from_empty_store_is_rejected_without_a_wal_record() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Copies every file of `from` into a fresh directory `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+#[test]
+fn every_segment_byte_flip_fails_or_recovers_a_torn_prefix() {
+    let dir = temp_dir("flip");
+    let work = temp_dir("flip-work");
+    let g = grid(10, 8);
+    let log = write_log(&g, 30, 83);
+    let mut cfg = DurableConfig {
+        checkpoint_every: None,
+        ..DurableConfig::default()
+    };
+    cfg.wal.segment_bytes = 512;
+    {
+        let (store, _) = DurableLive::open(&dir, g, cfg).unwrap();
+        for op in &log {
+            store.apply(*op).unwrap();
+        }
+    }
+    let segments = list(&dir, ".log");
+    assert!(segments.len() >= 3, "rotation produced {segments:?}");
+    let prefixes: Vec<FrozenEulerHistogram> =
+        (0..=log.len()).map(|v| rebuild(g, &log[..v])).collect();
+
+    // Every single-byte flip of every segment, each on a fresh copy of
+    // the store: recovery either refuses, or reports a torn tail and
+    // serves a strict prefix of the log.
+    for name in &segments {
+        let original = std::fs::read(dir.join(name)).unwrap();
+        for i in 0..original.len() {
+            for pat in [0x01u8, 0xFF] {
+                let what = format!("{name} byte {i} ^ {pat:#04x}");
+                copy_dir(&dir, &work);
+                let mut damaged = original.clone();
+                damaged[i] ^= pat;
+                std::fs::write(work.join(name), &damaged).unwrap();
+                let Ok((store, report)) = DurableLive::open(&work, g, cfg) else {
+                    continue;
+                };
+                assert!(report.torn_tail.is_some(), "{what}: no torn tail");
+                let v = store.version() as usize;
+                assert!(v < log.len(), "{what}: recovered the whole log");
+                assert_eq!(frozen_of(&store), prefixes[v], "{what}: version {v}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&work).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The inserts of a seeded write log, as a preload.
 fn preload(g: &Grid, n: usize, seed: u64) -> Vec<SnappedRect> {
     write_log(g, n, seed)
@@ -400,7 +458,8 @@ fn seeding_is_atomic_and_only_seeds_an_empty_store() {
     drop(store);
 
     // The next seeded boot installs the whole preload at version N.
-    let (store, report) = DurableLive::open_seeded(&dir, g, cfg, &objects).unwrap();
+    let (store, report) =
+        DurableLive::open_preloaded(&dir, cfg, EulerHistogram::build(g, &objects)).unwrap();
     assert_eq!(
         (report.checkpoint_epoch, report.checkpoint_version),
         (1, n as u64)
@@ -418,7 +477,8 @@ fn seeding_is_atomic_and_only_seeds_an_empty_store() {
     drop(store);
     let mut full = as_log.clone();
     full.extend_from_slice(&extra);
-    let (store, report) = DurableLive::open_seeded(&dir, g, cfg, &objects[..3]).unwrap();
+    let (store, report) =
+        DurableLive::open_preloaded(&dir, cfg, EulerHistogram::build(g, &objects[..3])).unwrap();
     assert_eq!(report.checkpoint_version, n as u64);
     assert_eq!(report.replayed, extra.len() as u64);
     assert_matches_prefix(&store, g, &full, full.len());
