@@ -10,10 +10,10 @@
 //!
 //! Every configuration runs three ways: bare; with a telemetry
 //! [`Recorder`] attached (the `-recorded` benchmark ids); and with a
-//! far-future deadline plus a cancellation token armed (`-deadline`).
-//! The recorded variant is the overhead budget check for the always-on
-//! telemetry layer, the deadline variant for the cooperative
-//! cancellation checks on the fault-free hot path — each must stay
+//! far-future deadline armed (`-deadline`). The recorded variant is the
+//! overhead budget check for the always-on telemetry layer, the deadline
+//! variant for the per-query deadline check on the fault-free hot path —
+//! each must stay
 //! within a few percent of bare (≤ 2 % for `-deadline`; the numbers live
 //! in EXPERIMENTS.md).
 //!
@@ -26,7 +26,7 @@ use euler_baselines::NaiveScan;
 use euler_bench::engine;
 use euler_bench::timing::Group;
 use euler_datagen::{adl_like, AdlConfig};
-use euler_engine::{BatchOptions, CancelToken, QueryBatch};
+use euler_engine::{BatchOptions, QueryBatch};
 use euler_grid::{Grid, QuerySet};
 use euler_metrics::Recorder;
 
@@ -63,14 +63,12 @@ fn main() {
             group.bench(format_args!("{}-recorded/{threads}", qs.label()), || {
                 recorded.run_batch(&batch)
             });
-            // Controls armed but never tripping. The exact scan has no
-            // sweep, so this is the per-tile loop reading the cancel flag
-            // and the deadline clock before every query: the price of
-            // that poll on an otherwise clean run. (A sweep-capable
-            // estimator checks the controls once, then sweeps.)
-            let opts = BatchOptions::new()
-                .deadline(Duration::from_secs(3600))
-                .cancel_token(CancelToken::new());
+            // A deadline armed but never tripping. The exact scan has no
+            // sweep, so this is the per-tile loop reading the deadline
+            // clock before every query: the price of that check on an
+            // otherwise clean run. (A sweep-capable estimator checks the
+            // deadline once, then sweeps.)
+            let opts = BatchOptions::new().deadline(Duration::from_secs(3600));
             group.bench(format_args!("{}-deadline/{threads}", qs.label()), || {
                 bare.run_batch_with(&batch, &opts)
             });

@@ -1,4 +1,4 @@
-use euler_core::{Level2Estimator, RelationCounts};
+use euler_core::RelationCounts;
 use euler_grid::{GridRect, Tiling};
 
 /// The relation a browsing user asks about — the query-type selector of
@@ -154,121 +154,11 @@ impl BrowseResult {
     }
 }
 
-/// A browsing backend: answers a whole tiling at once.
-pub trait Browser {
-    /// Backend name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Answers every tile of the tiling.
-    fn browse(&self, tiling: &Tiling) -> BrowseResult;
-}
-
-/// Constant-time browsing over any Level 2 estimator — S-EulerApprox,
-/// EulerApprox, M-EulerApprox, or an exact oracle.
-#[derive(Debug, Clone)]
-pub struct EulerBrowser<E> {
-    estimator: E,
-}
-
-impl<E: Level2Estimator> EulerBrowser<E> {
-    /// Wraps an estimator.
-    pub fn new(estimator: E) -> EulerBrowser<E> {
-        EulerBrowser { estimator }
-    }
-
-    /// The wrapped estimator.
-    pub fn estimator(&self) -> &E {
-        &self.estimator
-    }
-}
-
-impl<E: Level2Estimator> Browser for EulerBrowser<E> {
-    fn name(&self) -> &'static str {
-        self.estimator.name()
-    }
-
-    fn browse(&self, tiling: &Tiling) -> BrowseResult {
-        let counts: Vec<RelationCounts> = tiling
-            .iter()
-            .map(|(_, tile)| self.estimator.estimate(&tile).clamped())
-            .collect();
-        BrowseResult::new(*tiling, counts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use euler_core::{EulerHistogram, SEulerApprox};
     use euler_geom::Rect;
-    use euler_grid::{DataSpace, Grid, Snapper};
-
-    fn browser() -> EulerBrowser<SEulerApprox> {
-        let g = Grid::new(DataSpace::new(Rect::new(0.0, 0.0, 8.0, 8.0).unwrap()), 8, 8).unwrap();
-        let s = Snapper::new(g);
-        let objs = vec![
-            s.snap(&Rect::new(1.2, 1.2, 1.8, 1.8).unwrap()),
-            s.snap(&Rect::new(5.2, 5.2, 5.8, 5.8).unwrap()),
-            s.snap(&Rect::new(5.4, 5.4, 6.4, 6.4).unwrap()),
-        ];
-        EulerBrowser::new(SEulerApprox::new(EulerHistogram::build(g, &objs).freeze()))
-    }
-
-    #[test]
-    fn browse_answers_every_tile() {
-        let b = browser();
-        let g = Grid::new(DataSpace::new(Rect::new(0.0, 0.0, 8.0, 8.0).unwrap()), 8, 8).unwrap();
-        let tiling = Tiling::new(g.full(), 4, 4).unwrap();
-        let res = b.browse(&tiling);
-        assert_eq!(res.counts().len(), 16);
-        // Tile (0,0) covers cells [0,2)x[0,2): contains the first object.
-        assert_eq!(res.get(0, 0).contains, 1);
-        // Tile (2,2) covers [4,6)x[4,6): contains the second object and
-        // overlaps the third.
-        assert_eq!(res.get(2, 2).contains, 1);
-        assert_eq!(res.get(2, 2).overlaps, 1);
-        assert_eq!(res.max_of(Relation::Contains), 1);
-        assert_eq!(res.max_of(Relation::Intersect), 2);
-    }
-
-    /// The engine is the parallel multi-tile path: clamped engine results
-    /// over a tiling match the sequential [`Browser::browse`] loop.
-    #[test]
-    fn engine_browse_matches_sequential() {
-        use euler_engine::{EstimatorEngine, QueryBatch};
-        use std::sync::Arc;
-
-        let g = Grid::new(
-            DataSpace::new(Rect::new(0.0, 0.0, 36.0, 18.0).unwrap()),
-            36,
-            18,
-        )
-        .unwrap();
-        let s = Snapper::new(g);
-        let objs: Vec<_> = (0..500)
-            .map(|i| {
-                let x = (i * 13 % 340) as f64 / 10.0;
-                let y = (i * 7 % 160) as f64 / 10.0;
-                s.snap(&Rect::new(x, y, x + 1.7, y + 1.1).unwrap())
-            })
-            .collect();
-        let est = SEulerApprox::new(EulerHistogram::build(g, &objs).freeze());
-        let b = EulerBrowser::new(est.clone());
-        let tiling = Tiling::new(g.full(), 18, 18).unwrap();
-        let seq = b.browse(&tiling);
-        for threads in [1, 2, 3, 7, 64] {
-            let engine = EstimatorEngine::builder(Arc::new(est.clone()))
-                .threads(threads)
-                .build();
-            let par: Vec<_> = engine
-                .run_batch(&QueryBatch::from(&tiling))
-                .counts
-                .into_iter()
-                .map(|c| c.clamped())
-                .collect();
-            assert_eq!(seq.counts(), &par[..], "{threads} threads");
-        }
-    }
+    use euler_grid::{DataSpace, Grid};
 
     #[test]
     fn relation_selector() {

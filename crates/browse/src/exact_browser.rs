@@ -1,12 +1,12 @@
 use euler_datagen::exact::ground_truth;
 use euler_grid::{SnappedRect, Tiling};
 
-use crate::{BrowseResult, Browser};
+use crate::BrowseResult;
 
 /// The exact browsing backend: difference-array ground truth over the
 /// snapped dataset. O(|S|) per *tiling* (not per tile) — fast enough for
 /// interactive use on whole query sets, and the accuracy reference for
-/// every estimator-backed browser.
+/// every estimator-backed browse.
 #[derive(Debug, Clone)]
 pub struct ExactBrowser {
     objects: Vec<SnappedRect>,
@@ -27,14 +27,9 @@ impl ExactBrowser {
     pub fn is_empty(&self) -> bool {
         self.objects.is_empty()
     }
-}
 
-impl Browser for ExactBrowser {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn browse(&self, tiling: &Tiling) -> BrowseResult {
+    /// Answers every tile of the tiling exactly.
+    pub fn browse(&self, tiling: &Tiling) -> BrowseResult {
         let gt = ground_truth(&self.objects, tiling);
         BrowseResult::new(*tiling, gt.counts().to_vec())
     }
@@ -43,11 +38,14 @@ impl Browser for ExactBrowser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EulerBrowser, Relation};
+    use crate::{run_browse, BrowseRequest, Relation};
     use euler_core::{EulerHistogram, SEulerApprox};
+    use euler_engine::SharedEstimator;
     use euler_geom::Rect;
     use euler_grid::{DataSpace, Grid, Snapper};
+    use euler_metrics::Recorder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Arc;
 
     #[test]
     fn exact_and_euler_browsers_agree_on_small_objects() {
@@ -67,10 +65,11 @@ mod tests {
             })
             .collect();
         let exact = ExactBrowser::new(objs.clone());
-        let euler = EulerBrowser::new(SEulerApprox::new(EulerHistogram::build(g, &objs).freeze()));
+        let euler: SharedEstimator =
+            Arc::new(SEulerApprox::new(EulerHistogram::build(g, &objs).freeze()));
         let tiling = Tiling::new(g.full(), 4, 3).unwrap();
         let er = exact.browse(&tiling);
-        let ur = euler.browse(&tiling);
+        let ur = run_browse(&euler, &Recorder::shared(), &tiling, &BrowseRequest::new());
         for ((c, r), _tile) in tiling.iter() {
             // Sub-cell objects, 4-cell tiles: S-EulerApprox is exact here.
             assert_eq!(er.get(c, r), ur.get(c, r), "tile ({c},{r})");

@@ -1,16 +1,16 @@
 //! Faceted browsing: the paper's Figure 1 client lets users constrain
 //! queries "based on various data attributes such as region, date and
-//! subject type" before tiling. This module keeps **one Euler histogram
-//! per attribute value** (facet); because the facets partition the
-//! dataset and every Level 2 count is additive over disjoint object
+//! subject type" before tiling. This module keeps **one live Euler
+//! histogram per attribute value** (facet); because the facets partition
+//! the dataset and every Level 2 count is additive over disjoint object
 //! sets, a browse under any facet *subset* is the exact sum of per-facet
-//! estimates — still constant time per tile per selected facet.
+//! estimates — one tiling sweep per selected facet.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
-use euler_core::{EulerHistogram, Level2Estimator, RelationCounts, SEulerApprox};
+use euler_core::{Level2Estimator, LiveEulerHistogram, LiveSEuler, RelationCounts};
 use euler_geom::Rect;
 use euler_grid::{Grid, Snapper, Tiling};
 
@@ -18,15 +18,14 @@ use crate::BrowseResult;
 
 /// A multi-attribute GeoBrowsing service with one histogram per facet
 /// value (e.g. per subject type, or per decade).
+///
+/// Writes take the facet map's write lock and browses pin every selected
+/// facet under its read lock, so one browse answers from a single cut of
+/// the write order across facets.
 pub struct FacetedService<F: Eq + Hash + Clone> {
     grid: Grid,
     snapper: Snapper,
-    inner: RwLock<HashMap<F, FacetState>>,
-}
-
-struct FacetState {
-    hist: EulerHistogram,
-    snapshot: Option<Arc<SEulerApprox>>,
+    inner: RwLock<HashMap<F, LiveEulerHistogram>>,
 }
 
 impl<F: Eq + Hash + Clone> FacetedService<F> {
@@ -47,24 +46,21 @@ impl<F: Eq + Hash + Clone> FacetedService<F> {
     /// Inserts an object under a facet value.
     pub fn insert(&self, facet: F, rect: &Rect) {
         let snapped = self.snapper.snap(rect);
-        let mut inner = self.inner.write().expect("facet lock");
-        let state = inner.entry(facet).or_insert_with(|| FacetState {
-            hist: EulerHistogram::new(self.grid),
-            snapshot: None,
-        });
-        state.hist.insert(&snapped);
-        state.snapshot = None;
+        self.inner
+            .write()
+            .expect("facet lock")
+            .entry(facet)
+            .or_insert_with(|| LiveEulerHistogram::new(self.grid))
+            .insert(&snapped);
     }
 
     /// Removes a previously inserted object from a facet. Returns false
     /// when the facet is unknown.
     pub fn remove(&self, facet: &F, rect: &Rect) -> bool {
         let snapped = self.snapper.snap(rect);
-        let mut inner = self.inner.write().expect("facet lock");
-        match inner.get_mut(facet) {
-            Some(state) => {
-                state.hist.remove(&snapped);
-                state.snapshot = None;
+        match self.inner.write().expect("facet lock").get(facet) {
+            Some(live) => {
+                live.remove(&snapped);
                 true
             }
             None => false,
@@ -87,7 +83,7 @@ impl<F: Eq + Hash + Clone> FacetedService<F> {
             .read()
             .expect("facet lock")
             .get(facet)
-            .map_or(0, |s| s.hist.object_count())
+            .map_or(0, LiveEulerHistogram::len)
     }
 
     /// Total objects across facets.
@@ -96,7 +92,7 @@ impl<F: Eq + Hash + Clone> FacetedService<F> {
             .read()
             .expect("facet lock")
             .values()
-            .map(|s| s.hist.object_count())
+            .map(LiveEulerHistogram::len)
             .sum()
     }
 
@@ -105,53 +101,28 @@ impl<F: Eq + Hash + Clone> FacetedService<F> {
         self.len() == 0
     }
 
-    /// Current frozen snapshots for the selected facets (refreshing stale
-    /// ones). Unknown facets are ignored, matching a filter UI where a
-    /// value may have no objects yet.
-    fn snapshots(&self, filter: &[F]) -> Vec<Arc<SEulerApprox>> {
-        let mut out = Vec::with_capacity(filter.len());
-        // Fast path under the read lock.
-        {
-            let inner = self.inner.read().expect("facet lock");
-            if filter
-                .iter()
-                .all(|f| inner.get(f).is_none_or(|s| s.snapshot.is_some()))
-            {
-                for f in filter {
-                    if let Some(s) = inner.get(f) {
-                        out.push(s.snapshot.clone().expect("checked above"));
-                    }
-                }
-                return out;
-            }
-        }
-        // Refresh stale snapshots under the write lock.
-        let mut inner = self.inner.write().expect("facet lock");
-        for f in filter {
-            if let Some(s) = inner.get_mut(f) {
-                let snap = s
-                    .snapshot
-                    .get_or_insert_with(|| Arc::new(SEulerApprox::new(s.hist.freeze())));
-                out.push(snap.clone());
-            }
-        }
-        out
-    }
-
-    /// Browses a tiling restricted to the given facet values. Per-facet
-    /// Level 2 counts are summed — exact additivity over the partition.
+    /// Browses a tiling restricted to the given facet values: each
+    /// selected facet's tiling sweep, summed per tile, then clamped —
+    /// exact additivity over the partition. Unknown facets are ignored,
+    /// matching a filter UI where a value may have no objects yet.
     pub fn browse(&self, tiling: &Tiling, filter: &[F]) -> BrowseResult {
-        let snaps = self.snapshots(filter);
-        let counts: Vec<RelationCounts> = tiling
-            .iter()
-            .map(|(_, tile)| {
-                let mut acc = RelationCounts::default();
-                for s in &snaps {
-                    acc = acc.add(&s.estimate(&tile));
-                }
-                acc.clamped()
-            })
-            .collect();
+        let pinned: Vec<LiveSEuler> = {
+            let facets = self.inner.read().expect("facet lock");
+            filter
+                .iter()
+                .filter_map(|f| facets.get(f))
+                .map(|live| LiveSEuler::new(live.pin()))
+                .collect()
+        };
+        let mut counts = vec![RelationCounts::default(); tiling.len()];
+        for est in &pinned {
+            for (acc, c) in counts.iter_mut().zip(est.estimate_tiling(tiling)) {
+                *acc = acc.add(&c);
+            }
+        }
+        for c in &mut counts {
+            *c = c.clamped();
+        }
         BrowseResult::new(*tiling, counts)
     }
 }
@@ -206,12 +177,9 @@ mod tests {
     #[test]
     fn facet_sums_equal_union_estimates() {
         // Additivity: per-facet sums equal a single histogram over all
-        // objects (estimators are linear in disjoint datasets).
+        // objects (estimators are linear in disjoint datasets) — after a
+        // remove, and after writes that land between two browses.
         let svc = service();
-        let tiling = Tiling::new(grid().full(), 3, 3).unwrap();
-        let all_filter = [Subject::Maps, Subject::Photos, Subject::Surveys];
-        let summed = svc.browse(&tiling, &all_filter);
-
         let union = crate::GeoBrowsingService::with_objects(
             grid(),
             [
@@ -221,10 +189,26 @@ mod tests {
                 Rect::new(0.5, 0.5, 11.5, 11.5).unwrap(),
             ],
         );
-        let direct = union.browse(&tiling, &crate::BrowseRequest::default());
-        for ((c, r), _t) in tiling.iter() {
-            assert_eq!(summed.get(c, r), direct.get(c, r), "tile ({c},{r})");
-        }
+        let tiling = Tiling::new(grid().full(), 3, 3).unwrap();
+        let all_filter = [Subject::Maps, Subject::Photos, Subject::Surveys];
+        let agree = |step: &str| {
+            let summed = svc.browse(&tiling, &all_filter);
+            let direct = union.browse(&tiling, &crate::BrowseRequest::default());
+            assert_eq!(summed.counts(), direct.counts(), "{step}");
+        };
+        agree("preload");
+
+        let photo = Rect::new(1.4, 1.4, 2.6, 2.6).unwrap();
+        assert!(svc.remove(&Subject::Photos, &photo));
+        union.remove(&photo);
+        agree("after a remove");
+
+        let late = Rect::new(4.2, 9.1, 6.6, 10.3).unwrap();
+        svc.insert(Subject::Surveys, &late);
+        union.insert(&late);
+        svc.insert(Subject::Photos, &photo);
+        union.insert(&photo);
+        agree("after writes following a browse");
     }
 
     #[test]

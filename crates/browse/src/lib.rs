@@ -7,10 +7,10 @@
 //! or thousands of trial queries with a single click. This crate wires the
 //! estimators of `euler-core` (and the exact backends) into that workflow:
 //!
-//! * [`Browser`] — the service interface: a tiling in, a grid of
-//!   [`RelationCounts`] out;
-//! * [`EulerBrowser`] — constant-time browsing over any
-//!   [`euler_core::Level2Estimator`];
+//! * [`run_browse`] — the one browse path: a tiling in, a
+//!   [`BrowseResult`] grid of [`RelationCounts`] out, answered through
+//!   the batch engine by any [`euler_core::Level2Estimator`]'s
+//!   `estimate_tiling` (one amortized sweep on the Euler family);
 //! * [`ExactBrowser`] — the exact difference-array backend (ground truth
 //!   at scale);
 //! * [`BrowsingService`] — a concurrent, updatable front end: writers
@@ -25,7 +25,7 @@
 //!   plus delta view) and never refreezes, so a write-heavy feed stays
 //!   cheap and a browse never blocks a concurrent insert;
 //! * [`FacetedService`] — multi-attribute browsing (Figure 1's
-//!   region/date/subject filters) via one histogram per facet value;
+//!   region/date/subject filters) via one live histogram per facet value;
 //! * [`PyramidBrowser`] — §1's "various resolutions": a lazily
 //!   materialized ladder of grids sharing one finest-grid lineage (coarse
 //!   levels derived by exact 2×2 fold, published via epoch snapshots),
@@ -54,7 +54,7 @@ mod service;
 mod session;
 
 pub use advise::{advise, Advice};
-pub use browser::{BrowseResult, Browser, EulerBrowser, Relation};
+pub use browser::{BrowseResult, Relation};
 pub use exact_browser::ExactBrowser;
 pub use faceted::FacetedService;
 pub use pyramid::{PyramidBrowser, PyramidError};
@@ -64,5 +64,5 @@ pub use service::{BrowsingService, DynamicGeoBrowsingService, GeoBrowsingService
 pub use session::{run_browse, BrowseSession, PinnedSession};
 
 pub use euler_core::RelationCounts;
-pub use euler_engine::{BatchOptions, BatchOutcome, CancelToken};
+pub use euler_engine::{BatchOptions, BatchOutcome};
 pub use euler_metrics::{Recorder, TelemetrySnapshot};

@@ -246,9 +246,10 @@ impl PyramidBrowser {
         let aligned = grid.align(region, 1e-9).expect("picked level aligns");
         let tiling = Tiling::new(aligned, cols, rows).expect("divisibility checked");
         let est = self.estimator_for(level);
-        let counts = tiling
+        let counts = est
+            .estimate_tiling(&tiling)
             .iter()
-            .map(|(_, tile)| est.estimate(&tile).clamped())
+            .map(|c| c.clamped())
             .collect();
         Ok((BrowseResult::new(tiling, counts), level))
     }

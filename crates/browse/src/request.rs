@@ -1,20 +1,19 @@
 //! The unified browse request: one builder for everything a multi-tile
 //! browse can be asked to do — worker count, telemetry and the mega-hit
-//! threshold, plus the deadline and cancel token it hands the engine as
-//! `BatchOptions` — behind one `browse(&Tiling, &BrowseRequest)` entry
-//! point that can hand the same request to any [`crate::BrowseSession`].
+//! threshold, plus the deadline it hands the engine as `BatchOptions` —
+//! behind one `browse(&Tiling, &BrowseRequest)` entry point that can hand
+//! the same request to any [`crate::BrowseSession`].
 
 use std::time::Duration;
 
-use euler_engine::{BatchOptions, CancelToken};
+use euler_engine::BatchOptions;
 
 /// Everything one multi-tile browse can be asked to do: worker count,
-/// telemetry, the mega-hit advice threshold, a wall-clock deadline and a
-/// cancellation token.
+/// telemetry, the mega-hit advice threshold and a wall-clock deadline.
 ///
 /// The default is the interactive profile — sequential (engine fan-out
 /// only pays from a few thousand tiles), telemetry on, mega-hit
-/// threshold 10 000, no deadline, no cancel token:
+/// threshold 10 000, no deadline:
 ///
 /// ```
 /// use euler_browse::BrowseRequest;
@@ -25,7 +24,7 @@ use euler_engine::{BatchOptions, CancelToken};
 ///     .deadline(Duration::from_millis(50))
 ///     .mega_threshold(1_000);
 /// assert_eq!(req.effective_threads(), 4);
-/// assert!(req.batch_options().has_controls());
+/// assert_eq!(req.batch_options().deadline_budget(), Some(Duration::from_millis(50)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BrowseRequest {
@@ -40,7 +39,7 @@ impl BrowseRequest {
     pub const DEFAULT_MEGA_THRESHOLD: i64 = 10_000;
 
     /// The default request: one thread, telemetry on, mega-hit threshold
-    /// 10 000, no deadline or cancel token.
+    /// 10 000, no deadline.
     pub fn new() -> BrowseRequest {
         BrowseRequest::default()
     }
@@ -73,13 +72,6 @@ impl BrowseRequest {
         self
     }
 
-    /// Attaches a cancellation token; flip it with [`CancelToken::cancel`]
-    /// and the browse stops with partial delivery.
-    pub fn cancel_token(mut self, token: CancelToken) -> BrowseRequest {
-        self.controls = self.controls.cancel_token(token);
-        self
-    }
-
     /// The effective worker count for this machine.
     pub fn effective_threads(&self) -> usize {
         match self.threads.unwrap_or(1) {
@@ -100,9 +92,8 @@ impl BrowseRequest {
         self.mega_threshold.unwrap_or(Self::DEFAULT_MEGA_THRESHOLD)
     }
 
-    /// The engine-level controls this request carries: deadline and
-    /// cancel token (see [`BatchOptions`] for when the engine checks
-    /// them).
+    /// The engine-level controls this request carries: its deadline
+    /// (see [`BatchOptions`] for when the engine checks it).
     pub fn batch_options(&self) -> &BatchOptions {
         &self.controls
     }
@@ -120,26 +111,19 @@ mod tests {
         assert_eq!(req.mega_limit(), 10_000);
         let batch = req.batch_options();
         assert!(batch.deadline_budget().is_none());
-        assert!(batch.cancel().is_none());
-        assert!(!batch.has_controls());
     }
 
     #[test]
     fn builder_round_trips_every_knob() {
-        let token = CancelToken::new();
         let req = BrowseRequest::new()
             .threads(0)
             .telemetry(false)
             .mega_threshold(7)
-            .deadline(Duration::from_millis(9))
-            .cancel_token(token.clone());
+            .deadline(Duration::from_millis(9));
         assert!(req.effective_threads() >= 1);
         assert!(!req.telemetry_enabled());
         assert_eq!(req.mega_limit(), 7);
         let batch = req.batch_options();
-        assert!(batch.has_controls());
         assert_eq!(batch.deadline_budget(), Some(Duration::from_millis(9)));
-        token.cancel();
-        assert!(batch.cancel().expect("token attached").is_cancelled());
     }
 }

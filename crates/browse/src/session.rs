@@ -102,10 +102,11 @@ pub trait BrowseSession: Send + Sync {
     /// writers, and a pinned view is immune to later writes.
     fn pin_session(&self) -> PinnedSession;
 
-    /// The resolution level this session would serve `_tiling` from.
-    /// Flat sessions always answer at the finest (and only) resolution;
-    /// pyramid-backed sessions override this so front-door caches can
-    /// key results by the level that actually produced them.
+    /// The resolution level this session would serve `_tiling` from:
+    /// always 0, since every session answers at its one resolution.
+    /// Nothing calls it. It stays only because loadbench's
+    /// `TracedSession` forwards it, and it goes together with that
+    /// forwarder in the next change to the benchmark.
     fn resolution_level(&self, _tiling: &Tiling) -> usize {
         0
     }
@@ -155,16 +156,15 @@ pub trait BrowseSession: Send + Sync {
 
     /// Answers a browsing query on a freshly pinned view — the one
     /// multi-tile entry point. The request carries every knob: worker
-    /// count, telemetry, mega-hit threshold, deadline, cancel token.
+    /// count, telemetry, mega-hit threshold, deadline.
     ///
     /// On a sweep-capable estimator the engine answers the tiling with
     /// one amortized sweep (counted in the telemetry's `sweep_hits`),
-    /// with or without a deadline or cancel token: the controls are
-    /// checked once before it starts, and a started sweep delivers every
-    /// tile. Otherwise the per-tile loop polls the controls before every
-    /// tile. Tiles left unanswered — all of them when the controls had
-    /// tripped before the start, the loop's tail when they trip during
-    /// it — are listed in [`BrowseResult::unavailable`] instead of
+    /// with or without a deadline: the deadline is checked once before
+    /// it starts, and a started sweep delivers every tile. Otherwise the
+    /// per-tile loop checks the deadline before every tile. Tiles left
+    /// unanswered — all of them when the deadline had passed before the
+    /// start, the loop's tail when it passes during it — are listed in [`BrowseResult::unavailable`] instead of
     /// failing the whole tiling.
     fn browse(&self, tiling: &Tiling, req: &BrowseRequest) -> BrowseResult {
         run_browse(self.pin_session().estimator(), self.recorder(), tiling, req)
@@ -176,9 +176,9 @@ pub trait BrowseSession: Send + Sync {
 /// converts failed slots into per-tile availability, and (when telemetry
 /// is on) feeds the zero-hit/mega-hit advice counters.
 ///
-/// Every session's [`BrowseSession::browse`] and the serve front door
-/// funnel through this one function, so "what a browse means" is defined
-/// exactly once.
+/// Every session's [`BrowseSession::browse`], the serve front door and
+/// `geobrowse`'s one-shot browse funnel through this one function, so
+/// "what a browse means" is defined exactly once.
 pub fn run_browse(
     estimator: &SharedEstimator,
     recorder: &Arc<Recorder>,
@@ -329,6 +329,67 @@ mod tests {
                 .report;
             assert_eq!(report.queries, 64, "{name}");
             assert_eq!(report.estimator, "S-EulerApprox", "{name}");
+        }
+    }
+
+    fn frozen_estimator(g: Grid, rects: &[Rect]) -> SharedEstimator {
+        let s = euler_grid::Snapper::new(g);
+        let objs: Vec<_> = rects.iter().map(|r| s.snap(r)).collect();
+        Arc::new(euler_core::SEulerApprox::new(
+            euler_core::EulerHistogram::build(g, &objs).freeze(),
+        ))
+    }
+
+    #[test]
+    fn browse_answers_every_tile() {
+        let est = frozen_estimator(
+            grid(),
+            &[
+                Rect::new(1.2, 1.2, 1.8, 1.8).unwrap(),
+                Rect::new(5.2, 5.2, 5.8, 5.8).unwrap(),
+                Rect::new(5.4, 5.4, 6.4, 6.4).unwrap(),
+            ],
+        );
+        let tiling = Tiling::new(grid().full(), 4, 4).unwrap();
+        let res = run_browse(&est, &Recorder::shared(), &tiling, &BrowseRequest::new());
+        assert_eq!(res.counts().len(), 16);
+        // Tile (0,0) covers cells [0,2)x[0,2): contains the first object.
+        assert_eq!(res.get(0, 0).contains, 1);
+        // Tile (2,2) covers [4,6)x[4,6): contains the second object and
+        // overlaps the third.
+        assert_eq!(res.get(2, 2).contains, 1);
+        assert_eq!(res.get(2, 2).overlaps, 1);
+        assert_eq!(res.max_of(crate::Relation::Contains), 1);
+        assert_eq!(res.max_of(crate::Relation::Intersect), 2);
+    }
+
+    /// At any worker count, `run_browse` over a frozen estimator equals
+    /// the clamped per-tile loop.
+    #[test]
+    fn engine_browse_matches_sequential() {
+        let g = Grid::new(
+            DataSpace::new(Rect::new(0.0, 0.0, 36.0, 18.0).unwrap()),
+            36,
+            18,
+        )
+        .unwrap();
+        let rects: Vec<_> = (0..500)
+            .map(|i| {
+                let x = (i * 13 % 340) as f64 / 10.0;
+                let y = (i * 7 % 160) as f64 / 10.0;
+                Rect::new(x, y, x + 1.7, y + 1.1).unwrap()
+            })
+            .collect();
+        let est = frozen_estimator(g, &rects);
+        let tiling = Tiling::new(g.full(), 18, 18).unwrap();
+        let looped: Vec<_> = tiling
+            .iter()
+            .map(|(_, tile)| est.estimate(&tile).clamped())
+            .collect();
+        for threads in [1, 2, 3, 7, 64] {
+            let req = BrowseRequest::new().threads(threads);
+            let res = run_browse(&est, &Recorder::shared(), &tiling, &req);
+            assert_eq!(res.counts(), &looped[..], "{threads} threads");
         }
     }
 

@@ -17,7 +17,7 @@ use euler_core::{
     EulerApprox, EulerHistogram, ExactContains2D, Level2Estimator, LiveEulerHistogram, LiveSEuler,
     MEulerApprox, RelationCounts, SEulerApprox,
 };
-use euler_engine::{BatchOptions, CancelToken, EstimatorEngine, QueryBatch, SharedEstimator};
+use euler_engine::{BatchOptions, EstimatorEngine, QueryBatch, SharedEstimator};
 use euler_grid::{Grid, GridRect, SnappedRect, Tiling};
 
 use crate::fault::{PanickingEstimator, SweepPanickingEstimator};
@@ -249,11 +249,11 @@ pub fn differential_matrix(
 ///    batch must come back [`Degraded`] — not failed — and equal the
 ///    per-tile loop bit-for-bit (the sweep-equivalence law is exactly
 ///    what licenses this fallback).
-/// 3. **Armed controls change nothing.** Under a far-off deadline and an
-///    unflipped cancel token, a tiling batch at one and two threads must
-///    come back all [`Complete`] and equal the per-tile loop
-///    bit-for-bit — controls are checked before the batch starts, not
-///    by taking a different path.
+/// 3. **Armed controls change nothing.** Under a far-off deadline, a
+///    tiling batch at one and two threads must come back all
+///    [`Complete`] and equal the per-tile loop bit-for-bit — the deadline
+///    is checked before the batch starts, not by taking a different
+///    path.
 ///
 /// [`Complete`]: euler_engine::BatchOutcome::Complete
 /// [`Degraded`]: euler_engine::BatchOutcome::Degraded
@@ -326,9 +326,7 @@ pub fn check_fault_resilience(
     }
 
     // Law 3: armed, untripped controls; the batch must match the loop.
-    let opts = BatchOptions::new()
-        .deadline(Duration::from_secs(3600))
-        .cancel_token(CancelToken::new());
+    let opts = BatchOptions::new().deadline(Duration::from_secs(3600));
     for threads in [1, 2] {
         let engine = EstimatorEngine::builder(Arc::clone(est))
             .threads(threads)

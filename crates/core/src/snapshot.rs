@@ -31,8 +31,9 @@
 //! plain [`DeltaOp`] lists, and each op's contribution to a signed window
 //! sum has a closed form (its footprint is a rank-1 sign pattern). The
 //! delta never exceeds `refreeze_every` ops, so a delta read is
-//! `O(delta)` with a small constant, a write is two pushes and a cons
-//! node, and a seal moves a `Vec`.
+//! `O(delta)` with a small constant, a write is one push and a cons node,
+//! and a seal moves a `Vec`. A refreeze folds the runs and then the tail
+//! ops, so each op is stored once.
 //!
 //! Every write publishes a fresh [`LiveSnapshot`] (version `v+1`) that
 //! shares all heavy state with its predecessor: the frozen cube and the
@@ -293,10 +294,11 @@ impl EulerSource for LiveSnapshot {
 #[derive(Debug)]
 struct WriterState {
     /// Mutable bucket array holding everything folded so far; refreeze
-    /// folds `pending` into it and freezes a new prefix cube.
+    /// folds the sealed runs and the tail ops into it and freezes a new
+    /// prefix cube.
     base: EulerHistogram,
-    /// All delta ops since the last refreeze (the fold source).
-    pending: Vec<DeltaOp>,
+    /// Number of delta ops since the last refreeze (runs + tail).
+    delta_ops: usize,
     /// The unsealed tail ops in write order (the next run's contents).
     tail_ops: Vec<DeltaOp>,
     runs: Arc<Vec<Arc<SealedRun>>>,
@@ -316,7 +318,7 @@ impl WriterState {
             runs: Arc::clone(&self.runs),
             tail: self.tail.clone(),
             delta_count: self.delta_count,
-            delta_ops: self.pending.len(),
+            delta_ops: self.delta_ops,
         })
     }
 }
@@ -408,7 +410,7 @@ impl LiveEulerHistogram {
         let frozen = Arc::new(base.freeze());
         let state = WriterState {
             base,
-            pending: Vec::new(),
+            delta_ops: 0,
             tail_ops: Vec::new(),
             runs: Arc::new(Vec::new()),
             tail: None,
@@ -457,7 +459,7 @@ impl LiveEulerHistogram {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Inserts a snapped object: two pushes and a cons node onto the
+    /// Inserts a snapped object: one push and a cons node onto the
     /// delta, then an O(1) snapshot publication.
     pub fn insert(&self, o: &SnappedRect) {
         self.apply(DeltaOp::insert(*o));
@@ -481,14 +483,14 @@ impl LiveEulerHistogram {
             op,
             rest: w.tail.take(),
         }));
-        w.pending.push(op);
+        w.delta_ops += 1;
         w.delta_count += op.sign;
         w.version += 1;
         if w.tail_ops.len() >= self.seal_every {
             Self::seal(&mut w);
         }
         match self.refreeze_every {
-            Some(limit) if w.pending.len() >= limit => Self::refreeze_locked(&mut w),
+            Some(limit) if w.delta_ops >= limit => Self::refreeze_locked(&mut w),
             _ => {}
         }
         self.publish(&w);
@@ -506,14 +508,15 @@ impl LiveEulerHistogram {
     /// Folds the entire delta into the frozen base and bumps the epoch.
     /// An empty delta reuses the previous frozen cube (a pure epoch bump).
     fn refreeze_locked(w: &mut WriterState) {
-        if !w.pending.is_empty() {
-            let pending = std::mem::take(&mut w.pending);
+        if w.delta_ops > 0 {
+            let runs = w.runs.iter().flat_map(|run| &run.ops);
             w.base
-                .apply_signed_batch(pending.iter().map(|op| (&op.rect, op.sign)));
+                .apply_signed_batch(runs.chain(&w.tail_ops).map(|op| (&op.rect, op.sign)));
             w.frozen = Arc::new(w.base.freeze());
             w.tail_ops.clear();
             w.runs = Arc::new(Vec::new());
             w.tail = None;
+            w.delta_ops = 0;
             w.delta_count = 0;
         }
         w.epoch += 1;
@@ -525,9 +528,7 @@ impl LiveEulerHistogram {
     pub fn refreeze(&self) -> Arc<LiveSnapshot> {
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         Self::refreeze_locked(&mut w);
-        let snap = w.snapshot();
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&snap);
-        snap
+        self.publish(&w)
     }
 
     /// Takes a consistent durability checkpoint: folds any pending delta
@@ -539,10 +540,9 @@ impl LiveEulerHistogram {
     /// state bit-for-bit. An already-clean delta produces no epoch bump.
     pub fn checkpoint_image(&self) -> CheckpointImage {
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if !w.pending.is_empty() {
+        if w.delta_ops > 0 {
             Self::refreeze_locked(&mut w);
-            let snap = w.snapshot();
-            *self.current.write().unwrap_or_else(|e| e.into_inner()) = snap;
+            self.publish(&w);
         }
         CheckpointImage {
             epoch: w.epoch,
@@ -582,19 +582,19 @@ impl LiveEulerHistogram {
         }
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         // Re-check under the writer lock: a racing refreeze may have won.
-        if w.pending.is_empty() {
+        if w.delta_ops == 0 {
             drop(w);
             return self.pin();
         }
         Self::refreeze_locked(&mut w);
+        self.publish(&w)
+    }
+
+    /// Publishes the writer's current state as the snapshot readers pin.
+    fn publish(&self, w: &WriterState) -> Arc<LiveSnapshot> {
         let snap = w.snapshot();
         *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&snap);
         snap
-    }
-
-    fn publish(&self, w: &WriterState) {
-        let snap = w.snapshot();
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = snap;
     }
 }
 

@@ -77,7 +77,6 @@ pub mod faults;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -90,44 +89,18 @@ use faults::FaultSite;
 /// The estimator handle the engine shares across workers.
 pub type SharedEstimator = Arc<dyn Level2Estimator + Send + Sync>;
 
-/// A shareable cooperative-cancellation flag: clone it, hand one clone to
-/// [`BatchOptions::cancel_token`], and flip it from any thread with
-/// [`CancelToken::cancel`] — the per-tile loop polls it before every
-/// query and stops with partial results.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation (idempotent, callable from any thread).
-    pub fn cancel(&self) {
-        self.0.store(true, Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Relaxed)
-    }
-}
-
-/// Per-batch execution controls: an optional wall-clock deadline and an
-/// optional [`CancelToken`]. Both are checked once when the batch
-/// starts; after that a sweep runs to completion, while the per-tile
-/// loop polls them before every query. The default options carry no
-/// controls, and the loop then skips the poll; see
-/// [`EstimatorEngine::run_batch_with`].
+/// Per-batch execution controls: an optional wall-clock deadline,
+/// checked once when the batch starts; after that a sweep runs to
+/// completion, while the per-tile loop checks it before every query. The
+/// default options carry no deadline, and the loop then skips the check;
+/// see [`EstimatorEngine::run_batch_with`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
     deadline: Option<Duration>,
-    cancel: Option<CancelToken>,
 }
 
 impl BatchOptions {
-    /// Options with no controls (the [`EstimatorEngine::run_batch`]
+    /// Options with no deadline (the [`EstimatorEngine::run_batch`]
     /// behaviour).
     pub fn new() -> BatchOptions {
         BatchOptions::default()
@@ -143,26 +116,9 @@ impl BatchOptions {
         self
     }
 
-    /// Attaches a cancellation token; flip it with [`CancelToken::cancel`]
-    /// and per-tile workers stop before their next query.
-    pub fn cancel_token(mut self, token: CancelToken) -> BatchOptions {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Whether any control (deadline or cancel token) is configured.
-    pub fn has_controls(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
-
     /// The configured wall-clock budget, if any.
     pub fn deadline_budget(&self) -> Option<Duration> {
         self.deadline
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 }
 
@@ -181,8 +137,6 @@ pub enum FailReason {
     Panicked,
     /// The batch deadline expired before the query ran.
     DeadlineExceeded,
-    /// The batch's [`CancelToken`] was flipped before the query ran.
-    Cancelled,
 }
 
 /// The per-query resilience outcome of a batch: the degradation ladder's
@@ -444,18 +398,6 @@ enum ChunkEnd {
     Done,
     Panicked,
     DeadlineExceeded,
-    Cancelled,
-}
-
-impl ChunkEnd {
-    fn fail_reason(self) -> Option<FailReason> {
-        match self {
-            ChunkEnd::Done => None,
-            ChunkEnd::Panicked => Some(FailReason::Panicked),
-            ChunkEnd::DeadlineExceeded => Some(FailReason::DeadlineExceeded),
-            ChunkEnd::Cancelled => Some(FailReason::Cancelled),
-        }
-    }
 }
 
 /// What one worker hands back at join.
@@ -466,32 +408,15 @@ struct ChunkOutput {
     message: Option<String>,
 }
 
-/// The resolved per-batch controls a worker polls: an absolute deadline
-/// and a cancel flag.
-#[derive(Clone, Copy)]
-struct Controls<'a> {
-    deadline: Option<Instant>,
-    cancel: Option<&'a AtomicBool>,
-}
-
-impl Controls<'_> {
-    /// Whether a control has tripped (cancellation wins over deadline —
-    /// it is the cheaper check and the more explicit signal).
-    fn interrupted(&self) -> Option<ChunkEnd> {
-        if self.cancel.is_some_and(|c| c.load(Relaxed)) {
-            return Some(ChunkEnd::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(ChunkEnd::DeadlineExceeded);
-        }
-        None
-    }
+/// Whether an absolute batch deadline has passed.
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// Runs one contiguous chunk of queries, writing per-query results into
-/// `out` and keeping the chunk's running total. With controls, polls
-/// them before every query and stops early (keeping the results produced
-/// so far) when one trips. With a shard, each query is individually
+/// `out` and keeping the chunk's running total. With a deadline, checks
+/// it before every query and stops early (keeping the results produced
+/// so far) once it has passed. With a shard, each query is individually
 /// timed and recorded — worker-locally, so the instrumentation adds no
 /// cross-thread traffic (the shard folds into the shared [`Recorder`]
 /// once, at join).
@@ -500,16 +425,16 @@ fn controlled_chunk(
     queries: &[GridRect],
     out: &mut [RelationCounts],
     mut shard: Option<&mut TelemetryShard>,
-    controls: Option<&Controls<'_>>,
+    deadline: Option<Instant>,
 ) -> ChunkOutput {
     let mut total = RelationCounts::default();
     let mut completed = 0;
     for (q, slot) in queries.iter().zip(out.iter_mut()) {
-        if let Some(end) = controls.and_then(Controls::interrupted) {
+        if expired(deadline) {
             return ChunkOutput {
                 total,
                 completed,
-                end,
+                end: ChunkEnd::DeadlineExceeded,
                 message: None,
             };
         }
@@ -557,12 +482,12 @@ fn run_chunk(
     queries: &[GridRect],
     out: &mut [RelationCounts],
     shard: Option<&mut TelemetryShard>,
-    controls: Option<&Controls<'_>>,
+    deadline: Option<Instant>,
     chunk_index: usize,
 ) -> ChunkOutput {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         faults::fire(FaultSite::Chunk, Some(chunk_index));
-        controlled_chunk(est, queries, out, shard, controls)
+        controlled_chunk(est, queries, out, shard, deadline)
     }));
     match caught {
         Ok(output) => output,
@@ -683,10 +608,10 @@ impl EstimatorEngine {
         self.recorder.as_ref()
     }
 
-    /// Runs every query of the batch with no deadline, cancellation, or
-    /// armed fail-points in play — equivalent to
-    /// [`Self::run_batch_with`] with default [`BatchOptions`], which
-    /// documents the dispatch and resilience behaviour.
+    /// Runs every query of the batch with no deadline or armed
+    /// fail-points in play — equivalent to [`Self::run_batch_with`] with
+    /// default [`BatchOptions`], which documents the dispatch and
+    /// resilience behaviour.
     pub fn run_batch(&self, batch: &QueryBatch<'_>) -> BatchResult {
         self.run_batch_with(batch, &BatchOptions::default())
     }
@@ -695,11 +620,10 @@ impl EstimatorEngine {
     /// per-query counts in batch order, per-query [`BatchOutcome`]s, any
     /// contained [`ChunkError`]s, and the measured [`BatchReport`].
     ///
-    /// **Controls.** A deadline or cancel token in `opts` is checked
-    /// once, before any work: if it has already tripped (a zero budget, a
-    /// pre-cancelled token) every query is reported
-    /// [`BatchOutcome::Failed`] and nothing runs. Past that check the
-    /// dispatch below is the same with or without controls.
+    /// **Deadline.** A deadline in `opts` is checked once, before any
+    /// work: if it has already passed (a zero budget) every query is
+    /// reported [`BatchOutcome::Failed`] and nothing runs. Past that
+    /// check the dispatch below is the same with or without a deadline.
     ///
     /// **Dispatch.** A batch materialized from a [`Tiling`] (or
     /// [`QuerySet`]) whose estimator supports the sweep evaluator is
@@ -717,8 +641,8 @@ impl EstimatorEngine {
     /// into the recorder at join, after the batch clock stops. All
     /// result and shard storage is allocated before the batch clock
     /// starts, so the timed hot loop is allocation-free, and with one
-    /// thread no threads are spawned at all. With controls, each worker
-    /// polls them before every query and stops with partial results —
+    /// thread no threads are spawned at all. With a deadline, each worker
+    /// checks it before every query and stops with partial results —
     /// the answered prefix keeps its outcomes, the unanswered tail is
     /// `Failed`.
     ///
@@ -730,18 +654,15 @@ impl EstimatorEngine {
     /// panicking *sweep* falls back to the per-tile loop
     /// ([`BatchOutcome::Degraded`] with [`DegradeReason::SweepPanic`] —
     /// same counts, by the sweep-equivalence law), which still honours
-    /// the controls.
+    /// the deadline.
     pub fn run_batch_with(&self, batch: &QueryBatch<'_>, opts: &BatchOptions) -> BatchResult {
         let queries = batch.as_slice();
         let n = queries.len();
         let est = &self.estimator;
 
-        let controls = opts.has_controls().then(|| Controls {
-            deadline: opts.deadline.map(|budget| Instant::now() + budget),
-            cancel: opts.cancel.as_ref().map(|t| t.0.as_ref()),
-        });
-        if let Some(end) = controls.as_ref().and_then(Controls::interrupted) {
-            return self.fail_up_front(n, end);
+        let deadline = opts.deadline.map(|budget| Instant::now() + budget);
+        if expired(deadline) {
+            return self.fail_up_front(n);
         }
 
         if n > 0 && est.supports_sweep() {
@@ -755,7 +676,7 @@ impl EstimatorEngine {
                         }
                         return self.run_chunked(
                             queries,
-                            controls.as_ref(),
+                            deadline,
                             Some(DegradeReason::SweepPanic),
                             vec![error],
                         );
@@ -763,14 +684,14 @@ impl EstimatorEngine {
                 }
             }
         }
-        self.run_chunked(queries, controls.as_ref(), None, Vec::new())
+        self.run_chunked(queries, deadline, None, Vec::new())
     }
 
-    /// Controls already tripped (zero deadline, pre-cancelled token):
+    /// The deadline passed before the batch started (a zero budget):
     /// fails every query without starting workers.
-    fn fail_up_front(&self, n: usize, end: ChunkEnd) -> BatchResult {
+    fn fail_up_front(&self, n: usize) -> BatchResult {
         let est = &self.estimator;
-        let reason = end.fail_reason().unwrap_or(FailReason::DeadlineExceeded);
+        let reason = FailReason::DeadlineExceeded;
         let outcomes = vec![BatchOutcome::Failed(reason); n];
         let epoch = est.epoch();
         if let Some(rec) = &self.recorder {
@@ -788,7 +709,7 @@ impl EstimatorEngine {
                 chunk: 0,
                 queries: 0..n,
                 reason,
-                message: "controls tripped before the batch started".to_string(),
+                message: "deadline passed before the batch started".to_string(),
             }],
             report: BatchReport {
                 estimator: est.name(),
@@ -802,13 +723,13 @@ impl EstimatorEngine {
     }
 
     /// The chunked path: fans the queries across workers under panic
-    /// isolation and the batch controls. `degrade` labels delivered
+    /// isolation and the batch deadline. `degrade` labels delivered
     /// results when this path is a ladder fallback; `errors` carries any
     /// fault log inherited from a failed sweep attempt.
     fn run_chunked(
         &self,
         queries: &[GridRect],
-        controls: Option<&Controls<'_>>,
+        deadline: Option<Instant>,
         degrade: Option<DegradeReason>,
         mut errors: Vec<ChunkError>,
     ) -> BatchResult {
@@ -840,7 +761,7 @@ impl EstimatorEngine {
                     queries,
                     &mut counts,
                     shards.first_mut(),
-                    controls,
+                    deadline,
                     0,
                 )]
             } else {
@@ -852,7 +773,7 @@ impl EstimatorEngine {
                             .zip(shards.iter_mut())
                             .enumerate()
                             .map(|(i, ((qs, out), shard))| {
-                                s.spawn(move || run_chunk(est, qs, out, Some(shard), controls, i))
+                                s.spawn(move || run_chunk(est, qs, out, Some(shard), deadline, i))
                             })
                             .collect()
                     } else {
@@ -861,7 +782,7 @@ impl EstimatorEngine {
                             .zip(counts.chunks_mut(chunk))
                             .enumerate()
                             .map(|(i, (qs, out))| {
-                                s.spawn(move || run_chunk(est, qs, out, None, controls, i))
+                                s.spawn(move || run_chunk(est, qs, out, None, deadline, i))
                             })
                             .collect()
                     };
@@ -913,10 +834,10 @@ impl EstimatorEngine {
                             .unwrap_or_else(|| "worker panicked".to_string()),
                     });
                 }
-                ChunkEnd::DeadlineExceeded | ChunkEnd::Cancelled => {
+                ChunkEnd::DeadlineExceeded => {
                     interrupted = true;
                     total = total.add(&output.total);
-                    let reason = output.end.fail_reason().unwrap_or(FailReason::Cancelled);
+                    let reason = FailReason::DeadlineExceeded;
                     let cut = start + output.completed;
                     for o in &mut outcomes[cut..end] {
                         *o = BatchOutcome::Failed(reason);
@@ -1695,7 +1616,7 @@ mod tests {
         assert_eq!(stats.batch_degraded_latency.count(), 1);
     }
 
-    /// An armed deadline plus an unflipped cancel token keep the sweep:
+    /// An armed deadline keeps the sweep:
     /// the batch is swept once, delivered `Complete`, and matches the
     /// uncontrolled sweep's counts.
     #[test]
@@ -1711,9 +1632,7 @@ mod tests {
             .threads(2)
             .recorder(recorder.clone())
             .build();
-        let opts = BatchOptions::new()
-            .deadline(Duration::from_secs(3600))
-            .cancel_token(CancelToken::new());
+        let opts = BatchOptions::new().deadline(Duration::from_secs(3600));
         let r = engine.run_batch_with(&QueryBatch::from(&tiling), &opts);
 
         assert_eq!(r.counts, swept.counts, "controls must not change counts");
@@ -1776,30 +1695,20 @@ mod tests {
         assert_eq!(stats.batch_failed_latency.count(), 1);
     }
 
-    /// A pre-cancelled token (and a zero deadline) fail the whole batch
-    /// before any query runs.
+    /// A zero deadline fails the whole batch before any query runs.
     #[test]
     fn pre_tripped_controls_fail_fast() {
         let (grid, est) = setup(50);
         let batch = QueryBatch::from(&Tiling::new(grid.full(), 4, 4).unwrap());
         let engine = EstimatorEngine::new(est).with_threads(4);
 
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(token.is_cancelled());
-        let r = engine.run_batch_with(&batch, &BatchOptions::new().cancel_token(token));
-        assert_eq!(
-            r.outcomes,
-            vec![BatchOutcome::Failed(FailReason::Cancelled); 16]
-        );
-        assert_eq!(r.report.total, RelationCounts::default());
-        assert!(r.errors[0].message.contains("before the batch started"));
-
         let r = engine.run_batch_with(&batch, &BatchOptions::new().deadline(Duration::ZERO));
         assert_eq!(
             r.outcomes,
             vec![BatchOutcome::Failed(FailReason::DeadlineExceeded); 16]
         );
+        assert_eq!(r.report.total, RelationCounts::default());
+        assert!(r.errors[0].message.contains("before the batch started"));
         assert_eq!(r.overall(), OutcomeLabel::Failed);
     }
 

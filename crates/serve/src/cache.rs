@@ -18,33 +18,22 @@ use euler_browse::BrowseResult;
 use euler_grid::Tiling;
 use euler_metrics::Counter;
 
-/// A cache key: the snapshot version an answer was computed at, the
-/// resolution level that produced it, plus the exact tiling geometry.
+/// A cache key: the snapshot version an answer was computed at, plus
+/// the exact tiling geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     version: u64,
-    level: usize,
     region: (usize, usize, usize, usize),
     cols: usize,
     rows: usize,
 }
 
 impl CacheKey {
-    /// The key for `tiling` answered at snapshot `version` on the finest
-    /// (level 0) resolution — flat sessions only ever serve that level.
+    /// The key for `tiling` answered at snapshot `version`.
     pub fn new(version: u64, tiling: &Tiling) -> CacheKey {
-        CacheKey::at_level(version, 0, tiling)
-    }
-
-    /// The key for `tiling` answered at snapshot `version` from pyramid
-    /// `level`. Results from different levels are bit-identical under
-    /// the fold law, but a level flip still means a different substrate
-    /// answered — keeping them distinct keeps cache hits attributable.
-    pub fn at_level(version: u64, level: usize, tiling: &Tiling) -> CacheKey {
         let r = tiling.region();
         CacheKey {
             version,
-            level,
             region: (r.x0, r.y0, r.x1, r.y1),
             cols: tiling.cols(),
             rows: tiling.rows(),
@@ -54,11 +43,6 @@ impl CacheKey {
     /// The snapshot version this key stamps.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The resolution level this key stamps.
-    pub fn level(&self) -> usize {
-        self.level
     }
 }
 
@@ -212,14 +196,6 @@ mod tests {
         assert_eq!(CacheKey::new(3, &t), CacheKey::new(3, &t));
         assert_ne!(CacheKey::new(3, &t), CacheKey::new(4, &t));
         assert_ne!(CacheKey::new(3, &t), CacheKey::new(3, &tiling(4, 2)));
-    }
-
-    #[test]
-    fn keys_distinguish_resolution_levels() {
-        let t = tiling(4, 4);
-        assert_eq!(CacheKey::new(3, &t), CacheKey::at_level(3, 0, &t));
-        assert_ne!(CacheKey::at_level(3, 0, &t), CacheKey::at_level(3, 1, &t));
-        assert_eq!(CacheKey::at_level(3, 2, &t).level(), 2);
     }
 
     #[test]

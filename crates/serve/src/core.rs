@@ -202,11 +202,9 @@ impl ServeCore {
             .min(self.config.max_deadline);
 
         // Pin once: the stamp, the cache key and the answer all refer to
-        // this exact snapshot — keyed by the resolution level the session
-        // would serve this tiling from (0 for flat sessions).
+        // this exact snapshot.
         let pinned = self.session.pin_session();
-        let level = self.session.resolution_level(&tiling);
-        let key = CacheKey::at_level(pinned.version(), level, &tiling);
+        let key = CacheKey::new(pinned.version(), &tiling);
         if let Some((result, counts_json)) = self.cache.get(&key) {
             tenant.record_admitted();
             tenant.record_cache_hit();

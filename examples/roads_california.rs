@@ -1,14 +1,15 @@
 //! Exploring a road-network dataset (the paper's `ca_road` scenario):
 //! millions of tiny segment MBRs, where S-EulerApprox is essentially
 //! exact. Demonstrates incremental maintenance too — the Euler histogram
-//! is a linear sketch, so live inserts/removes are exact.
+//! is a linear sketch, so live inserts/removes on the browse service are
+//! exact.
 //!
 //! ```sh
 //! cargo run --release --example roads_california
 //! ```
 
-use spatial_histograms::browse::{render_heatmap, Browser, EulerBrowser, Relation};
-use spatial_histograms::core::{EulerHistogram, Level2Estimator, SEulerApprox};
+use spatial_histograms::browse::{render_heatmap, Relation};
+use spatial_histograms::core::{EulerHistogram, Level2Estimator};
 use spatial_histograms::datagen::exact::ground_truth;
 use spatial_histograms::datagen::{road_like, RoadConfig};
 use spatial_histograms::metrics::ErrorAccumulator;
@@ -24,10 +25,9 @@ fn main() {
     println!("{}: {} segments", dataset.name(), objects.len());
 
     // Build and browse.
-    let est = SEulerApprox::new(EulerHistogram::build(grid, &objects).freeze());
-    let browser = EulerBrowser::new(est);
+    let service = GeoBrowsingService::preloaded(EulerHistogram::build(grid, &objects));
     let tiling = Tiling::new(grid.full(), 60, 30).unwrap();
-    let result = browser.browse(&tiling);
+    let result = service.browse(&tiling, &BrowseRequest::new());
     println!("\n=== segments INTERSECTING each 6x6-degree tile ===");
     print!("{}", render_heatmap(&result, Relation::Intersect));
 
@@ -50,8 +50,6 @@ fn main() {
 
     // Live updates: close a highway corridor (remove its segments), then
     // re-browse without rebuilding anything else.
-    let snapper = Snapper::new(grid);
-    let mut hist = EulerHistogram::build(grid, &objects);
     let corridor = Rect::new(100.0, 80.0, 140.0, 100.0).unwrap();
     let removed: Vec<_> = dataset
         .rects()
@@ -59,13 +57,16 @@ fn main() {
         .filter(|r| r.intersects_closed(&corridor))
         .collect();
     for r in &removed {
-        hist.remove(&snapper.snap(r));
+        service.remove(r);
     }
-    let after = SEulerApprox::new(hist.freeze());
     let q = grid.align(&corridor, 1e-9).unwrap();
     println!(
         "\nremoved {} segments in {corridor}; intersecting there now: {}",
         removed.len(),
-        after.estimate(&q).intersecting()
+        service
+            .pin_session()
+            .estimator()
+            .estimate(&q)
+            .intersecting()
     );
 }

@@ -3,9 +3,9 @@
 //! Loads a CSV of MBRs (or generates one of the paper's datasets), builds
 //! an Euler histogram, runs one browsing query (a tiling), and renders the
 //! per-tile counts as a terminal heat map with refinement advice. The
-//! `stats` subcommand replays the browse through the instrumented batch
-//! engine and prints the telemetry readout (latency percentiles, relation
-//! totals, zero-hit/mega-hit counters) instead of the heat map. The
+//! `stats` subcommand repeats the browse with telemetry on and prints the
+//! telemetry readout (latency percentiles, relation totals,
+//! zero-hit/mega-hit counters) instead of the heat map. The
 //! `serve` subcommand starts the multi-tenant TCP admission layer
 //! (line-delimited JSON; see `euler-serve`) over a browse session
 //! preloaded with the dataset.
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use spatial_histograms::browse::{advise, render_heatmap, EulerBrowser, Relation};
+use spatial_histograms::browse::{advise, render_heatmap, Relation};
 use spatial_histograms::core::EulerApprox;
 use spatial_histograms::core::{EulerHistogram, MEulerApprox, SEulerApprox};
 use spatial_histograms::datagen::io::load_csv_histogram;
@@ -34,7 +34,7 @@ use spatial_histograms::prelude::*;
 enum Command {
     /// Render the heat map and advice (the default).
     Browse,
-    /// Replay the tiling through the batch engine and print telemetry.
+    /// Repeat the browse with telemetry on and print the readout.
     Stats,
     /// Serve concurrent browsing sessions over TCP.
     Serve,
@@ -352,8 +352,9 @@ fn run(o: &Options) -> Result<(), String> {
         Command::Serve => unreachable!("serve branches before dataset setup"),
         Command::Stats => run_stats(o, est, build_time, &tiling),
         Command::Browse => {
-            let browser = EulerBrowser::new(est);
-            let (result, query_time) = time_it(|| browser.browse(&tiling));
+            let req = BrowseRequest::new().telemetry(false);
+            let (result, query_time) =
+                time_it(|| run_browse(&est, &Recorder::shared(), &tiling, &req));
 
             print!("{}", render_heatmap(&result, o.relation));
             let tips = advise(&result, o.relation, o.mega);
@@ -376,41 +377,26 @@ fn run(o: &Options) -> Result<(), String> {
     }
 }
 
-/// `stats` subcommand: replay the tiling through an instrumented engine and
-/// print the telemetry snapshot instead of a heat map.
+/// `stats` subcommand: browse the tiling `--repeat` times with telemetry
+/// on and print the telemetry snapshot instead of a heat map. Every pass
+/// feeds the counters, the zero-hit/mega-hit advice included.
 fn run_stats(
     o: &Options,
     est: SharedEstimator,
     build_time: Duration,
     tiling: &Tiling,
 ) -> Result<(), String> {
-    let recorder = Recorder::shared();
-    let engine = EstimatorEngine::builder(est)
-        .threads(o.threads.max(1))
-        .recorder(recorder.clone())
-        .build();
-    let batch = QueryBatch::from(tiling);
-    let mut last = None;
-    for _ in 0..o.repeat {
-        last = Some(engine.run_batch(&batch));
-    }
-    let Some(last) = last else {
+    if o.repeat == 0 {
         return Err("--repeat must be at least 1".into());
-    };
-
-    // Advice counters from the final pass (counts are identical each pass).
-    let (mut zero, mut mega) = (0u64, 0u64);
-    for c in &last.counts {
-        let c = c.clamped();
-        if c.intersecting() == 0 {
-            zero += 1;
-        }
-        if c.intersecting() >= o.mega {
-            mega += 1;
-        }
     }
-    recorder.add_zero_hits(zero);
-    recorder.add_mega_hits(mega);
+    let recorder = Recorder::shared();
+    let req = BrowseRequest::new()
+        .threads(o.threads.max(1))
+        .mega_threshold(o.mega);
+    let mut last_pass = Duration::ZERO;
+    for _ in 0..o.repeat {
+        last_pass = time_it(|| run_browse(&est, &recorder, tiling, &req)).1;
+    }
 
     print!("{}", recorder.snapshot().render());
     println!(
@@ -418,8 +404,8 @@ fn run_stats(
         build_time.as_secs_f64() * 1e3,
         o.repeat,
         tiling.len(),
-        engine.threads(),
-        last.report.throughput_qps()
+        req.effective_threads(),
+        tiling.len() as f64 / last_pass.as_secs_f64().max(1e-9)
     );
     Ok(())
 }

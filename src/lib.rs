@@ -65,16 +65,16 @@ pub use euler_wal as wal;
 /// The types most applications need, in one import.
 pub mod prelude {
     pub use euler_browse::{
-        advise, render_heatmap, BrowseRequest, BrowseSession, Browser, DynamicGeoBrowsingService,
-        EulerBrowser, ExactBrowser, GeoBrowsingService, PinnedSession, Relation,
+        advise, render_heatmap, run_browse, BrowseRequest, BrowseSession,
+        DynamicGeoBrowsingService, ExactBrowser, GeoBrowsingService, PinnedSession, Relation,
     };
     pub use euler_core::{
         DeltaOp, EulerApprox, EulerHistogram, Level2Estimator, LiveEulerHistogram, LiveSEuler,
         LiveSnapshot, MEulerApprox, RelationCounts, SEulerApprox, TilingPlan,
     };
     pub use euler_engine::{
-        BatchOptions, BatchOutcome, BatchResult, CancelToken, ChunkError, DegradeReason,
-        EngineBuilder, EstimatorEngine, FailReason, QueryBatch, SharedEstimator,
+        BatchOptions, BatchOutcome, BatchResult, ChunkError, DegradeReason, EngineBuilder,
+        EstimatorEngine, FailReason, QueryBatch, SharedEstimator,
     };
     pub use euler_geom::{Level2Relation, Point, Rect};
     pub use euler_grid::{DataSpace, Grid, GridRect, QuerySet, SnappedRect, Snapper, Tiling};

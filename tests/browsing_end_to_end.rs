@@ -5,11 +5,16 @@
 use std::sync::Arc;
 
 use spatial_histograms::browse::{
-    advise, render_heatmap, Browser, EulerBrowser, ExactBrowser, GeoBrowsingService, Relation,
+    advise, render_heatmap, BrowseResult, ExactBrowser, GeoBrowsingService, Relation,
 };
 use spatial_histograms::core::{EulerHistogram, MEulerApprox, SEulerApprox};
 use spatial_histograms::datagen::{paper_dataset, road_like, RoadConfig};
 use spatial_histograms::prelude::*;
+
+/// One browse of `tiling` over `est`, through the shared browse path.
+fn browse(est: &SharedEstimator, tiling: &Tiling) -> BrowseResult {
+    run_browse(est, &Recorder::shared(), tiling, &BrowseRequest::new())
+}
 
 #[test]
 fn euler_browser_matches_exact_browser_on_small_objects() {
@@ -20,13 +25,13 @@ fn euler_browser_matches_exact_browser_on_small_objects() {
     });
     let objects = d.snap(&grid);
     let exact = ExactBrowser::new(objects.clone());
-    let euler = EulerBrowser::new(SEulerApprox::new(
+    let euler: SharedEstimator = Arc::new(SEulerApprox::new(
         EulerHistogram::build(grid, &objects).freeze(),
     ));
     for (cols, rows) in [(36, 18), (22, 24), (5, 3)] {
         let tiling = Tiling::new(grid.full(), cols, rows).unwrap();
         let a = exact.browse(&tiling);
-        let b = euler.browse(&tiling);
+        let b = browse(&euler, &tiling);
         for ((c, r), _tile) in tiling.iter() {
             assert_eq!(a.get(c, r), b.get(c, r), "{cols}x{rows} tile ({c},{r})");
         }
@@ -39,14 +44,14 @@ fn m_euler_browser_close_to_exact_on_adl() {
     let d = paper_dataset("adl", 100).unwrap();
     let objects = d.snap(&grid);
     let exact = ExactBrowser::new(objects.clone());
-    let m = EulerBrowser::new(MEulerApprox::build(
+    let m: SharedEstimator = Arc::new(MEulerApprox::build(
         grid,
         &objects,
         &MEulerApprox::boundaries_from_sides(&[10]),
     ));
     let tiling = Tiling::new(grid.full(), 36, 18).unwrap();
     let a = exact.browse(&tiling);
-    let b = m.browse(&tiling);
+    let b = browse(&m, &tiling);
     let (mut err, mut mass) = (0.0, 0.0);
     for ((c, r), _t) in tiling.iter() {
         err += (a.get(c, r).contains - b.get(c, r).contains).abs() as f64;
