@@ -54,17 +54,15 @@ impl<F: Eq + Hash + Clone> FacetedService<F> {
             .insert(&snapped);
     }
 
-    /// Removes a previously inserted object from a facet. Returns false
-    /// when the facet is unknown.
+    /// Removes a previously inserted object from a facet. Returns false,
+    /// and changes nothing, when the facet is unknown or holds no object;
+    /// a refused remove never panics under the facet lock.
     pub fn remove(&self, facet: &F, rect: &Rect) -> bool {
         let snapped = self.snapper.snap(rect);
-        match self.inner.write().expect("facet lock").get(facet) {
-            Some(live) => {
-                live.remove(&snapped);
-                true
-            }
-            None => false,
-        }
+        let facets = self.inner.write().expect("facet lock");
+        facets
+            .get(facet)
+            .is_some_and(|live| live.remove(&snapped).is_ok())
     }
 
     /// The facet values currently present.
@@ -239,5 +237,25 @@ mod tests {
         let tiling = Tiling::new(grid().full(), 4, 4).unwrap();
         let photos = svc.browse(&tiling, &[Subject::Photos]);
         assert_eq!(photos.get(0, 0).contains, 0);
+    }
+
+    /// A remove on a facet emptied by earlier removes is refused without
+    /// a panic, so the facet lock is not poisoned and every later call
+    /// still works.
+    #[test]
+    fn remove_past_empty_leaves_the_service_usable() {
+        let svc = service();
+        let r = Rect::new(1.4, 1.4, 2.6, 2.6).unwrap();
+        assert!(svc.remove(&Subject::Photos, &r));
+        assert!(!svc.remove(&Subject::Photos, &r));
+        assert_eq!(svc.facet_len(&Subject::Photos), 0);
+        assert_eq!(svc.len(), 3);
+        svc.insert(Subject::Photos, &r);
+        assert_eq!(svc.facet_len(&Subject::Photos), 1);
+        let tiling = Tiling::new(grid().full(), 4, 4).unwrap();
+        assert_eq!(
+            svc.browse(&tiling, &[Subject::Photos]).get(0, 0).contains,
+            1
+        );
     }
 }

@@ -129,8 +129,19 @@ impl<const REFREEZE_ON_READ: bool> BrowseSession for BrowsingService<REFREEZE_ON
         self.live.insert(&self.snapper.snap(rect));
     }
 
+    /// Removes `rect`; a remove while the service is empty is ignored.
+    /// Front doors should call [`BrowseSession::try_remove`], which
+    /// reports it.
     fn remove(&self, rect: &Rect) {
-        self.live.remove(&self.snapper.snap(rect));
+        let _ = self.try_remove(rect);
+    }
+
+    /// Removes `rect`, or refuses with an `InvalidInput` error when the
+    /// service holds no object, leaving it untouched.
+    fn try_remove(&self, rect: &Rect) -> std::io::Result<u64> {
+        self.live
+            .remove(&self.snapper.snap(rect))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
     }
 
     fn recorder(&self) -> &Arc<Recorder> {
@@ -241,5 +252,25 @@ mod tests {
         // A fresh browse sees all of them.
         let fresh = svc.browse(&tiling, &BrowseRequest::new());
         assert!(fresh.counts().iter().any(|c| c.intersecting() > 1));
+    }
+
+    /// Both policies refuse a remove past empty with a structured
+    /// `InvalidInput` error, change nothing, and keep serving.
+    #[test]
+    fn try_remove_past_empty_is_an_invalid_input_error() {
+        let r = Rect::new(1.2, 1.2, 1.8, 1.8).unwrap();
+        let sessions: [Box<dyn BrowseSession>; 2] = [
+            Box::new(GeoBrowsingService::new(grid())),
+            Box::new(DynamicGeoBrowsingService::new(grid())),
+        ];
+        for svc in sessions {
+            let err = svc.try_remove(&r).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("empty"), "{err}");
+            svc.remove(&r);
+            assert_eq!((svc.len(), svc.version()), (0, 0));
+            assert_eq!(svc.try_insert(&r).unwrap(), 1);
+            assert_eq!(svc.try_remove(&r).unwrap(), 2);
+        }
     }
 }

@@ -479,7 +479,7 @@ fn check_dynamic_replay(
     // Churn: remove every third object, then put it back. The end state
     // must be indistinguishable from a cold build.
     for o in objects.iter().step_by(3) {
-        live.remove(o);
+        live.remove(o).expect("every churned object was inserted");
     }
     for o in objects.iter().step_by(3) {
         live.insert(o);

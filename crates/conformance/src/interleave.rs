@@ -118,7 +118,8 @@ pub fn check_interleaving(spec: &CaseSpec, readers: usize) -> InterleaveSummary 
     std::thread::scope(|s| {
         s.spawn(|| {
             for (i, op) in log.iter().enumerate() {
-                live.apply(*op);
+                live.apply(*op)
+                    .expect("the seeded log removes only live objects");
                 if (i + 1) % REFREEZE_EVERY == 0 {
                     live.refreeze();
                 }

@@ -13,6 +13,15 @@
 //! Euler index rectangle `[2cx0, 2cx1] × [2cy0, 2cy1]` — which is why bulk
 //! construction is a 2-D difference array (4 updates per object).
 //!
+//! ## One buffer
+//!
+//! The buckets live in a [`CubeBuffer`], laid out exactly as the dense
+//! prefix cube: the difference array is scattered and integrated in that
+//! buffer, and [`EulerHistogram::into_frozen`] sums the buckets into the
+//! cube in the same allocation. A frozen histogram folds later writes as
+//! old cube + prefix of the delta ([`FrozenEulerHistogram::with_signed_batch`]),
+//! so nothing keeps a bucket array beside the cube.
+//!
 //! ## Query algebra (on the frozen form)
 //!
 //! For an aligned query `q = [qx0, qx1] × [qy0, qy1]` (grid lines):
@@ -30,7 +39,7 @@
 
 use std::borrow::Borrow;
 
-use euler_cube::{CompressedPrefix2D, CubeTier, Dense2D, Diff2D, PrefixSum2D};
+use euler_cube::{CompressedPrefix2D, CubeBuffer, CubeTier, PrefixSum2D};
 use euler_grid::{Grid, GridRect, SnappedRect};
 
 use crate::EulerSource;
@@ -81,13 +90,51 @@ fn bucket_sign(ex: usize, ey: usize) -> i64 {
     }
 }
 
+/// The signed buckets of a batch of footprints (`+1` insert, `−1`
+/// delete) in one buffer: each op's four difference corners, one
+/// in-place integration, then the §5.1 sign pass. `O(|ops| + buckets)`
+/// regardless of object sizes. Returns the buckets and the net count.
+fn signed_buckets(
+    grid: &Grid,
+    ops: impl IntoIterator<Item = (SnappedRect, i64)>,
+) -> (CubeBuffer, i64) {
+    let (ew, eh) = grid.euler_dims();
+    let mut cells = CubeBuffer::zeros(ew, eh);
+    let mut net = 0i64;
+    for (o, sign) in ops {
+        cells.add_rect_diff(2 * o.cx0(), 2 * o.cy0(), 2 * o.cx1(), 2 * o.cy1(), sign);
+        net += sign;
+    }
+    cells.integrate();
+    cells.map_in_place(|x, y, v| v * bucket_sign(x, y));
+    (cells, net)
+}
+
+/// The freeze heuristic's compressed attempt: small cubes freeze dense
+/// unconditionally; past `COMPRESS_MIN_DENSE_BYTES` (2 MiB) `build` runs
+/// with a budget of the dense projection over `COMPRESS_KEEP_DIVISOR`
+/// (4), and its result is kept only if it stayed inside. The choice
+/// depends only on the prefix rows, so it is deterministic in the bucket
+/// contents whichever form `build` reads them from.
+fn compressed_within_budget(
+    width: usize,
+    height: usize,
+    build: impl FnOnce(usize) -> Option<CompressedPrefix2D>,
+) -> Option<CubeTier> {
+    let dense_bytes = PrefixSum2D::projected_bytes(width, height);
+    if dense_bytes < COMPRESS_MIN_DENSE_BYTES {
+        return None;
+    }
+    build(dense_bytes / COMPRESS_KEEP_DIVISOR).map(CubeTier::Compressed)
+}
+
 /// A mutable Euler histogram. Supports bulk construction, incremental
 /// insertion and removal; freeze it into a [`FrozenEulerHistogram`] for
 /// constant-time queries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EulerHistogram {
     grid: Grid,
-    buckets: Dense2D,
+    buckets: CubeBuffer,
     object_count: u64,
 }
 
@@ -97,7 +144,7 @@ impl EulerHistogram {
         let (ew, eh) = grid.euler_dims();
         EulerHistogram {
             grid,
-            buckets: Dense2D::zeros(ew, eh),
+            buckets: CubeBuffer::zeros(ew, eh),
             object_count: 0,
         }
     }
@@ -105,7 +152,7 @@ impl EulerHistogram {
     /// Reassembles a histogram from its stored parts (used by the binary
     /// codec in [`crate::persist`]). The caller guarantees the bucket
     /// array matches the grid's Euler dimensions.
-    pub(crate) fn from_parts(grid: Grid, buckets: Dense2D, object_count: u64) -> EulerHistogram {
+    pub(crate) fn from_parts(grid: Grid, buckets: CubeBuffer, object_count: u64) -> EulerHistogram {
         debug_assert_eq!(
             (buckets.width(), buckets.height()),
             grid.euler_dims(),
@@ -119,32 +166,22 @@ impl EulerHistogram {
     }
 
     /// Bulk-builds the histogram from snapped objects using a difference
-    /// array: `O(|S| + buckets)` regardless of object sizes. Takes any
-    /// iterable (a slice, or a stream snapped as it is read) and counts
-    /// the objects as it folds them in, so a streamed build holds only
-    /// the grid's arrays, never the objects.
+    /// array materialized in place: `O(|S| + buckets)` regardless of
+    /// object sizes, in one grid-sized buffer. Takes any iterable (a
+    /// slice, or a stream snapped as it is read) and counts the objects
+    /// as it folds them in, so a streamed build holds only that buffer,
+    /// never the objects.
     pub fn build<I>(grid: Grid, objects: I) -> EulerHistogram
     where
         I: IntoIterator,
         I::Item: Borrow<SnappedRect>,
     {
-        let (ew, eh) = grid.euler_dims();
-        let mut diff = Diff2D::zeros(ew, eh);
-        let mut object_count = 0u64;
-        for o in objects {
-            let o = o.borrow();
-            let (ex0, ex1) = (2 * o.cx0(), 2 * o.cx1());
-            let (ey0, ey1) = (2 * o.cy0(), 2 * o.cy1());
-            diff.add_rect(ex0, ey0, ex1, ey1, 1);
-            object_count += 1;
-        }
-        let mut buckets = diff.build();
-        // Apply the §5.1 edge negation (and vertex/face signs) once.
-        buckets.map_in_place(|x, y, v| v * bucket_sign(x, y));
+        let ops = objects.into_iter().map(|o| (*o.borrow(), 1));
+        let (buckets, count) = signed_buckets(&grid, ops);
         EulerHistogram {
             grid,
             buckets,
-            object_count,
+            object_count: count as u64,
         }
     }
 
@@ -183,13 +220,12 @@ impl EulerHistogram {
         }
     }
 
-    /// Folds a batch of signed footprints (`+1` insert, `−1` delete) into
-    /// the histogram via one difference array: `O(|ops| + buckets)`
-    /// regardless of object sizes, the refreeze fold of the epoch-snapshot
-    /// substrate ([`crate::snapshot`]).
-    ///
-    /// Equivalent to the matching sequence of [`insert`] / [`remove`]
-    /// calls. The net count must not drive the object count negative.
+    /// Applies a batch of signed footprints (`+1` insert, `−1` delete)
+    /// one bucket update at a time: the same as the matching sequence of
+    /// [`insert`] / [`remove`] calls, and the reference that the live
+    /// histogram's fold ([`FrozenEulerHistogram::with_signed_batch`]) is
+    /// tested against. The net count must not drive the object count
+    /// negative.
     ///
     /// [`insert`]: EulerHistogram::insert
     /// [`remove`]: EulerHistogram::remove
@@ -197,25 +233,11 @@ impl EulerHistogram {
     where
         I: IntoIterator<Item = (&'a SnappedRect, i64)>,
     {
-        let (ew, eh) = self.grid.euler_dims();
-        let mut diff = Diff2D::zeros(ew, eh);
-        let mut net = 0i64;
+        let mut count = self.object_count as i64;
         for (o, sign) in ops {
-            let (ex0, ex1) = (2 * o.cx0(), 2 * o.cx1());
-            let (ey0, ey1) = (2 * o.cy0(), 2 * o.cy1());
-            diff.add_rect(ex0, ey0, ex1, ey1, sign);
-            net += sign;
+            self.apply(o, sign);
+            count += sign;
         }
-        let built = diff.build();
-        for ey in 0..eh {
-            for ex in 0..ew {
-                let v = built.get(ex, ey);
-                if v != 0 {
-                    self.buckets.add(ex, ey, v * bucket_sign(ex, ey));
-                }
-            }
-        }
-        let count = self.object_count as i64 + net;
         assert!(count >= 0, "signed batch drives object count negative");
         self.object_count = count as u64;
     }
@@ -227,44 +249,66 @@ impl EulerHistogram {
         self.buckets.get(ex, ey)
     }
 
-    /// Bytes of storage held by the bucket array.
+    /// Row `ey` of the bucket array: buckets `(0..2nx − 1, ey)`.
+    #[inline]
+    pub(crate) fn bucket_row(&self, ey: usize) -> &[i64] {
+        self.buckets.row(ey)
+    }
+
+    /// Bytes of storage held by the bucket array (laid out as the dense
+    /// cube, guards and row padding included).
     pub fn storage_bytes(&self) -> usize {
         self.buckets.storage_bytes()
     }
 
     /// Builds the cumulative (prefix-sum) form for constant-time queries,
-    /// picking a storage tier by the size heuristic: small cubes freeze
-    /// dense unconditionally; past `COMPRESS_MIN_DENSE_BYTES` (2 MiB) the
-    /// run-compressed tier is tried first (straight from the buckets, so
-    /// the dense cube is never allocated) and kept only when it beats
-    /// the dense projection by `COMPRESS_KEEP_DIVISOR` (4)×. Both tiers
-    /// answer bit-identically, and the choice is deterministic in the
-    /// bucket contents — freezing equal histograms yields equal frozen
-    /// values.
+    /// leaving this histogram as it is — see [`Self::into_frozen`] for the
+    /// tier heuristic. The compressed attempt reads the buckets in place;
+    /// a dense freeze sums a copy of them.
     pub fn freeze(&self) -> FrozenEulerHistogram {
-        let dense_bytes = PrefixSum2D::projected_bytes(self.buckets.width(), self.buckets.height());
-        if dense_bytes >= COMPRESS_MIN_DENSE_BYTES {
-            if let Some(c) =
-                CompressedPrefix2D::build_capped(&self.buckets, dense_bytes / COMPRESS_KEEP_DIVISOR)
-            {
-                return self.frozen_with(CubeTier::Compressed(c));
-            }
+        match self.compressed_tier() {
+            Some(cum) => self.frozen_with(cum),
+            None => self.freeze_dense(),
         }
-        self.freeze_dense()
+    }
+
+    /// Freezes in place: the buckets become the prefix cube in the same
+    /// allocation, so a histogram and its frozen form never coexist.
+    ///
+    /// Tier heuristic: small cubes freeze dense unconditionally; past
+    /// `COMPRESS_MIN_DENSE_BYTES` (2 MiB) the run-compressed tier is
+    /// tried first (straight from the buckets, so the dense cube is
+    /// never built) and kept only when it beats the dense projection by
+    /// `COMPRESS_KEEP_DIVISOR` (4)×. Both tiers answer bit-identically,
+    /// and the choice is deterministic in the bucket contents — freezing
+    /// equal histograms yields equal frozen values.
+    pub fn into_frozen(self) -> FrozenEulerHistogram {
+        let cum = self.compressed_tier();
+        FrozenEulerHistogram {
+            grid: self.grid,
+            cum: cum.unwrap_or_else(|| CubeTier::Dense(self.buckets.into_prefix())),
+            object_count: self.object_count,
+        }
+    }
+
+    fn compressed_tier(&self) -> Option<CubeTier> {
+        compressed_within_budget(self.buckets.width(), self.buckets.height(), |max| {
+            CompressedPrefix2D::from_cells_capped(&self.buckets, max)
+        })
     }
 
     /// Freezes onto the dense tier unconditionally — the reference side
     /// of the compressed-tier law, and the right call when the caller
     /// knows the cube stays hot (benchmarks, tiny grids).
     pub fn freeze_dense(&self) -> FrozenEulerHistogram {
-        self.frozen_with(CubeTier::Dense(PrefixSum2D::build(&self.buckets)))
+        self.frozen_with(CubeTier::Dense(self.buckets.clone().into_prefix()))
     }
 
     /// Freezes onto the compressed tier unconditionally, regardless of
     /// whether it wins — the differential side of the compressed-tier
     /// law and the footprint axis of the `hugegrid` bench.
     pub fn freeze_compressed(&self) -> FrozenEulerHistogram {
-        self.frozen_with(CubeTier::Compressed(CompressedPrefix2D::build(
+        self.frozen_with(CubeTier::Compressed(CompressedPrefix2D::from_cells(
             &self.buckets,
         )))
     }
@@ -287,11 +331,13 @@ impl EulerHistogram {
     pub fn fold2x2(&self) -> Option<EulerHistogram> {
         let grid = folded_grid(&self.grid)?;
         let (ew, eh) = grid.euler_dims();
-        let mut buckets = Dense2D::zeros(ew, eh);
+        let mut buckets = CubeBuffer::zeros(ew, eh);
         buckets.map_in_place(|ex, ey, _| {
             let (x0, x1) = fold_span(ex);
             let (y0, y1) = fold_span(ey);
-            self.buckets.range_sum_naive(x0, y0, x1, y1)
+            (y0..=y1)
+                .map(|y| self.buckets.row(y)[x0..=x1].iter().sum::<i64>())
+                .sum()
         });
         Some(EulerHistogram {
             grid,
@@ -362,6 +408,34 @@ impl FrozenEulerHistogram {
         self.cum.storage_bytes()
     }
 
+    /// The frozen histogram after a batch of signed footprints (`+1`
+    /// insert, `−1` delete), built from this cube alone: prefix sums are
+    /// linear, so the next cube is this one plus the prefix cube of the
+    /// batch's signed buckets. The batch is integrated in one scratch
+    /// buffer, which then becomes the next dense cube in place; the tier
+    /// heuristic of [`EulerHistogram::into_frozen`] then decides, from
+    /// that cube, whether to keep it or its compressed twin. Equal to
+    /// freezing the bucket array with the batch applied. The net count
+    /// must not drive the object count negative.
+    pub fn with_signed_batch<'a, I>(&self, ops: I) -> FrozenEulerHistogram
+    where
+        I: IntoIterator<Item = (&'a SnappedRect, i64)>,
+    {
+        let (delta, net) = signed_buckets(&self.grid, ops.into_iter().map(|(o, s)| (*o, s)));
+        let count = self.object_count as i64 + net;
+        assert!(count >= 0, "signed batch drives object count negative");
+        let mut cube = delta.into_prefix();
+        self.cum.add_to(&mut cube);
+        let cum = compressed_within_budget(cube.width(), cube.height(), |max| {
+            CompressedPrefix2D::from_prefix_capped(&cube, max)
+        });
+        FrozenEulerHistogram {
+            grid: self.grid,
+            cum: cum.unwrap_or(CubeTier::Dense(cube)),
+            object_count: count as u64,
+        }
+    }
+
     /// Folds onto the half-resolution grid without the bucket array:
     /// each coarse bucket's `fold_span` window is contiguous per axis,
     /// so it is **one** clipped range sum on the cube — this works on
@@ -372,7 +446,7 @@ impl FrozenEulerHistogram {
     pub fn fold2x2(&self) -> Option<EulerHistogram> {
         let grid = folded_grid(&self.grid)?;
         let (ew, eh) = grid.euler_dims();
-        let mut buckets = Dense2D::zeros(ew, eh);
+        let mut buckets = CubeBuffer::zeros(ew, eh);
         buckets.map_in_place(|ex, ey, _| {
             let (x0, x1) = fold_span(ex);
             let (y0, y1) = fold_span(ey);

@@ -72,6 +72,8 @@ pub use exact_contains::{invert_contains_oracle, ExactContains1D, ExactContains2
 pub use histogram::{EulerHistogram, FrozenEulerHistogram};
 pub use m_euler::{MEulerApprox, TuneReport};
 pub use s_euler::SEulerApprox;
-pub use snapshot::{CheckpointImage, DeltaOp, LiveEulerHistogram, LiveSEuler, LiveSnapshot};
+pub use snapshot::{
+    CheckpointImage, DeltaOp, LiveEulerHistogram, LiveSEuler, LiveSnapshot, RemoveFromEmpty,
+};
 pub use source::{s_euler_counts, EulerSource};
 pub use sweep::TilingPlan;

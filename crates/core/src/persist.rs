@@ -20,26 +20,21 @@
 //! like `(−1, +1) → (0, 0)` that a flipped varint byte can produce are
 //! caught too: a single flipped byte *anywhere* in the file — header or
 //! payload — fails the decode. The decoder additionally caps the
-//! attacker-controlled dimension fields ([`MAX_DECODE_BUCKETS`]) and
+//! attacker-controlled dimension fields (at [`MAX_EULER_BUCKETS`], the cap
+//! `Grid::new` enforces) and
 //! validates payload length *before* allocating, so adversarial input
 //! can never force an over-allocation or a panic: `from_bytes` on
 //! arbitrary bytes always returns `Ok` or a [`PersistError`].
 
-use euler_cube::Dense2D;
+use euler_cube::CubeBuffer;
 use euler_geom::Rect;
-use euler_grid::{DataSpace, Grid};
+use euler_grid::{DataSpace, Grid, MAX_EULER_BUCKETS};
 
-use crate::EulerHistogram;
+use crate::{EulerHistogram, FrozenEulerHistogram};
 
 const MAGIC: &[u8; 4] = b"EULH";
 const VERSION: u32 = 1;
 const VERSION_COMPRESSED: u32 = 2;
-
-/// Decode-side cap on the declared bucket count and grid dimensions:
-/// 2²⁸ ≈ 2.68×10⁸ buckets (2 GiB of raw i64s) — just above the 8192²
-/// finest supported grid, whose Euler array is 16383² ≈ 2.68×10⁸. A
-/// header declaring more than this is rejected before any allocation.
-pub const MAX_DECODE_BUCKETS: u64 = 1 << 28;
 
 /// FNV-1a prime for the bucket-value checksum chain.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -177,32 +172,91 @@ impl Reader<'_> {
 /// Byte length of the header shared by both format versions.
 const HEADER_LEN: usize = 4 + 4 + 32 + 8 * 4;
 
-impl EulerHistogram {
-    /// Appends the header for format `version` to `buf` and returns the
-    /// checksum seed it implies.
-    fn put_header(&self, buf: &mut Vec<u8>, version: u32) -> u64 {
-        let grid = self.grid();
-        let (ew, eh) = grid.euler_dims();
-        let b = grid.space().bounds();
-        let bounds = [b.xlo(), b.ylo(), b.xhi(), b.yhi()];
-        let (nx, ny) = (grid.nx() as u64, grid.ny() as u64);
-        let (object_count, bucket_count) = (self.object_count(), (ew * eh) as u64);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&version.to_le_bytes());
-        for v in bounds {
-            buf.extend_from_slice(&v.to_le_bytes());
+/// Appends the header for format `version` to `buf` and returns the
+/// checksum seed it implies.
+fn put_header(buf: &mut Vec<u8>, grid: &Grid, object_count: u64, version: u32) -> u64 {
+    let (ew, eh) = grid.euler_dims();
+    let b = grid.space().bounds();
+    let bounds = [b.xlo(), b.ylo(), b.xhi(), b.yhi()];
+    let (nx, ny) = (grid.nx() as u64, grid.ny() as u64);
+    let bucket_count = (ew * eh) as u64;
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&version.to_le_bytes());
+    for v in bounds {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    for w in [nx, ny, object_count, bucket_count] {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+    header_checksum(bounds, nx, ny, object_count, bucket_count)
+}
+
+/// The format-2 encoder, fed the buckets one row at a time in row-major
+/// order — from a bucket array or differenced out of a frozen cube, the
+/// bytes are the same.
+struct CompressedEncoder {
+    buf: Vec<u8>,
+    checksum: u64,
+    zero_run: u64,
+}
+
+impl CompressedEncoder {
+    fn new(grid: &Grid, object_count: u64) -> CompressedEncoder {
+        let mut buf = Vec::with_capacity(HEADER_LEN);
+        let checksum = put_header(&mut buf, grid, object_count, VERSION_COMPRESSED);
+        CompressedEncoder {
+            buf,
+            checksum,
+            zero_run: 0,
         }
-        for w in [nx, ny, object_count, bucket_count] {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
-        header_checksum(bounds, nx, ny, object_count, bucket_count)
     }
 
+    fn row(&mut self, row: &[i64]) {
+        for &v in row {
+            self.checksum = checksum_step(self.checksum, v);
+            if v == 0 {
+                self.zero_run += 1;
+                continue;
+            }
+            self.flush_zero_run();
+            put_varint(&mut self.buf, zigzag(v));
+        }
+    }
+
+    fn flush_zero_run(&mut self) {
+        if self.zero_run > 0 {
+            self.buf.push(0); // zero-run marker (zigzag(v) = 0 ⇔ v = 0)
+            put_varint(&mut self.buf, self.zero_run);
+            self.zero_run = 0;
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.flush_zero_run();
+        self.buf.extend_from_slice(&self.checksum.to_le_bytes());
+        self.buf
+    }
+}
+
+impl FrozenEulerHistogram {
+    /// Encodes the frozen histogram in format 2, byte-identical to
+    /// [`EulerHistogram::to_bytes_compressed`] on the buckets it
+    /// summarizes: each bucket row is recovered by differencing adjacent
+    /// prefix rows of the cube, so no bucket array is ever rebuilt. This
+    /// is how a live histogram writes its checkpoint image.
+    pub fn to_bytes_compressed(&self) -> Vec<u8> {
+        let mut enc = CompressedEncoder::new(self.grid(), self.object_count());
+        self.cum().for_each_cell_row(|row| enc.row(row));
+        enc.finish()
+    }
+}
+
+impl EulerHistogram {
     /// Encodes the histogram (buckets + grid) into a portable byte buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let (ew, eh) = self.grid().euler_dims();
         let mut buf = Vec::with_capacity(HEADER_LEN + 8 * ew * eh + 8);
-        let mut checksum = self.put_header(&mut buf, VERSION);
+        let mut checksum = put_header(&mut buf, self.grid(), self.object_count(), VERSION);
         for ey in 0..eh {
             for ex in 0..ew {
                 let v = self.bucket(ex, ey);
@@ -220,32 +274,11 @@ impl EulerHistogram {
     /// tests measure a ≥ 4× reduction on a clustered example. Decode with
     /// the same [`EulerHistogram::from_bytes`].
     pub fn to_bytes_compressed(&self) -> Vec<u8> {
-        let (ew, eh) = self.grid().euler_dims();
-        let mut buf = Vec::with_capacity(HEADER_LEN);
-        let mut checksum = self.put_header(&mut buf, VERSION_COMPRESSED);
-        let mut zero_run = 0u64;
-        for ey in 0..eh {
-            for ex in 0..ew {
-                let v = self.bucket(ex, ey);
-                checksum = checksum_step(checksum, v);
-                if v == 0 {
-                    zero_run += 1;
-                    continue;
-                }
-                if zero_run > 0 {
-                    buf.push(0); // zero-run marker (zigzag(v) = 0 ⇔ v = 0)
-                    put_varint(&mut buf, zero_run);
-                    zero_run = 0;
-                }
-                put_varint(&mut buf, zigzag(v));
-            }
+        let mut enc = CompressedEncoder::new(self.grid(), self.object_count());
+        for ey in 0..self.grid().euler_dims().1 {
+            enc.row(self.bucket_row(ey));
         }
-        if zero_run > 0 {
-            buf.push(0);
-            put_varint(&mut buf, zero_run);
-        }
-        buf.extend_from_slice(&checksum.to_le_bytes());
-        buf
+        enc.finish()
     }
 
     /// Decodes a histogram previously produced by
@@ -271,11 +304,11 @@ impl EulerHistogram {
         // Cap the attacker-controlled dimension fields *before* any
         // arithmetic on them (2·nx−1 would overflow for huge nx) and
         // before any allocation sized from them.
-        if nx64 == 0 || ny64 == 0 || nx64 > MAX_DECODE_BUCKETS || ny64 > MAX_DECODE_BUCKETS {
+        if nx64 == 0 || ny64 == 0 || nx64 > MAX_EULER_BUCKETS || ny64 > MAX_EULER_BUCKETS {
             return Err(PersistError::Corrupt("grid dims"));
         }
         let (ew64, eh64) = (2 * nx64 - 1, 2 * ny64 - 1);
-        if ew64 * eh64 > MAX_DECODE_BUCKETS || bucket_count64 > MAX_DECODE_BUCKETS {
+        if ew64 * eh64 > MAX_EULER_BUCKETS || bucket_count64 > MAX_EULER_BUCKETS {
             return Err(PersistError::Corrupt("grid exceeds decode cap"));
         }
         if bucket_count64 != ew64 * eh64 {
@@ -340,7 +373,7 @@ impl EulerHistogram {
         }
         Ok(EulerHistogram::from_parts(
             grid,
-            Dense2D::from_vec(ew, eh, raw),
+            CubeBuffer::from_row_major(ew, eh, raw),
             object_count,
         ))
     }

@@ -23,8 +23,8 @@
 //!                  sealed runs [ops₀, ops₁, …]               ├─ frozen prefix cube
 //!                     │ every `refreeze_every` ops           ├─ sealed op runs (shared)
 //!                     ▼                                      └─ tail ops (persistent list)
-//!                  refreeze: fold delta into base,
-//!                  freeze, publish epoch e+1
+//!                  refreeze: next cube = old cube
+//!                  + prefix(delta), publish epoch e+1
 //! ```
 //!
 //! The delta holds no bucket arrays at all: every run and the tail are
@@ -34,6 +34,14 @@
 //! `O(delta)` with a small constant, a write is one push and a cons node,
 //! and a seal moves a `Vec`. A refreeze folds the runs and then the tail
 //! ops, so each op is stored once.
+//!
+//! Nothing but the frozen cube holds the folded state: prefix sums are
+//! linear, so a refreeze builds the next cube from the current one plus
+//! the prefix sums of the delta's signed buckets
+//! ([`FrozenEulerHistogram::with_signed_batch`]), in one scratch array
+//! that becomes the next cube. Between refreezes a live histogram holds
+//! one grid-sized array, and a refreeze needs only a snapshot's cube and
+//! delta — no writer-owned bucket array.
 //!
 //! Every write publishes a fresh [`LiveSnapshot`] (version `v+1`) that
 //! shares all heavy state with its predecessor: the frozen cube and the
@@ -72,8 +80,10 @@ pub const DEFAULT_SEAL_EVERY: usize = 64;
 /// delta into a fresh frozen cube.
 pub const DEFAULT_REFREEZE_EVERY: usize = 1024;
 
-/// A consistent checkpoint of a [`LiveEulerHistogram`]: the frozen base
-/// serialized with [`crate::EulerHistogram::to_bytes_compressed`] plus
+/// A consistent checkpoint of a [`LiveEulerHistogram`]: the frozen cube
+/// serialized with [`FrozenEulerHistogram::to_bytes_compressed`] (the
+/// bytes [`crate::EulerHistogram::to_bytes_compressed`] writes for the
+/// same buckets) plus
 /// the exact `(epoch, version)` write-log position it captures. Produced
 /// by [`LiveEulerHistogram::checkpoint_image`]; consumed by the
 /// durability layer, which pairs it with a WAL suffix and restores via
@@ -84,9 +94,22 @@ pub struct CheckpointImage {
     pub epoch: u64,
     /// Write-log prefix length the image covers.
     pub version: u64,
-    /// The compressed persist-codec encoding of the frozen base.
+    /// The compressed persist-codec encoding of the frozen cube.
     pub bytes: Vec<u8>,
 }
+
+/// A remove refused because the live histogram holds no object: the
+/// write is not applied and the version does not move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RemoveFromEmpty;
+
+impl std::fmt::Display for RemoveFromEmpty {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "remove from empty live histogram")
+    }
+}
+
+impl std::error::Error for RemoveFromEmpty {}
 
 /// One write-log entry: a snapped footprint with its sign (`+1` insert,
 /// `−1` delete).
@@ -291,12 +314,9 @@ impl EulerSource for LiveSnapshot {
 }
 
 /// Writer-side state, serialized under one mutex. Readers never take it.
+/// It holds no bucket array: everything folded so far is `frozen`.
 #[derive(Debug)]
 struct WriterState {
-    /// Mutable bucket array holding everything folded so far; refreeze
-    /// folds the sealed runs and the tail ops into it and freezes a new
-    /// prefix cube.
-    base: EulerHistogram,
     /// Number of delta ops since the last refreeze (runs + tail).
     delta_ops: usize,
     /// The unsealed tail ops in write order (the next run's contents).
@@ -400,16 +420,16 @@ impl LiveEulerHistogram {
         )
     }
 
-    /// Wraps an already-built mutable histogram as epoch 1's frozen base.
+    /// Wraps an already-built mutable histogram as epoch 1's frozen cube,
+    /// freezing it in place ([`EulerHistogram::into_frozen`]).
     pub fn from_base(
         base: EulerHistogram,
         seal_every: usize,
         refreeze_every: Option<usize>,
     ) -> LiveEulerHistogram {
         assert!(seal_every > 0, "seal_every must be positive");
-        let frozen = Arc::new(base.freeze());
+        let frozen = Arc::new(base.into_frozen());
         let state = WriterState {
-            base,
             delta_ops: 0,
             tail_ops: Vec::new(),
             runs: Arc::new(Vec::new()),
@@ -462,21 +482,24 @@ impl LiveEulerHistogram {
     /// Inserts a snapped object: one push and a cons node onto the
     /// delta, then an O(1) snapshot publication.
     pub fn insert(&self, o: &SnappedRect) {
-        self.apply(DeltaOp::insert(*o));
+        self.apply(DeltaOp::insert(*o))
+            .expect("an insert is never refused");
     }
 
     /// Removes a previously inserted object (the histogram is a linear
-    /// sketch, so removal is exact). Panics if the live count is zero.
-    pub fn remove(&self, o: &SnappedRect) {
-        self.apply(DeltaOp::delete(*o));
+    /// sketch, so removal is exact) and returns the new version; refused
+    /// with [`RemoveFromEmpty`] when the live count is zero.
+    pub fn remove(&self, o: &SnappedRect) -> Result<u64, RemoveFromEmpty> {
+        self.apply(DeltaOp::delete(*o))
     }
 
-    /// Applies one signed write-log entry.
-    pub fn apply(&self, op: DeltaOp) {
+    /// Applies one signed write-log entry and returns the new version. A
+    /// delete while the live count is zero is refused, checked under the
+    /// writer lock, and leaves the histogram untouched.
+    pub fn apply(&self, op: DeltaOp) -> Result<u64, RemoveFromEmpty> {
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if op.sign < 0 {
-            let live = w.frozen.object_count() as i64 + w.delta_count;
-            assert!(live > 0, "remove from empty live histogram");
+        if op.sign < 0 && w.frozen.object_count() as i64 + w.delta_count <= 0 {
+            return Err(RemoveFromEmpty);
         }
         w.tail_ops.push(op);
         w.tail = Some(Arc::new(TailNode {
@@ -494,6 +517,7 @@ impl LiveEulerHistogram {
             _ => {}
         }
         self.publish(&w);
+        Ok(w.version)
     }
 
     /// Moves the tail ops into an immutable sealed run.
@@ -505,14 +529,14 @@ impl LiveEulerHistogram {
         w.tail = None;
     }
 
-    /// Folds the entire delta into the frozen base and bumps the epoch.
-    /// An empty delta reuses the previous frozen cube (a pure epoch bump).
+    /// Folds the entire delta into the next frozen cube — the current
+    /// cube plus the prefix sums of the delta — and bumps the epoch. An
+    /// empty delta reuses the previous frozen cube (a pure epoch bump).
     fn refreeze_locked(w: &mut WriterState) {
         if w.delta_ops > 0 {
             let runs = w.runs.iter().flat_map(|run| &run.ops);
-            w.base
-                .apply_signed_batch(runs.chain(&w.tail_ops).map(|op| (&op.rect, op.sign)));
-            w.frozen = Arc::new(w.base.freeze());
+            let ops = runs.chain(&w.tail_ops).map(|op| (&op.rect, op.sign));
+            w.frozen = Arc::new(w.frozen.with_signed_batch(ops));
             w.tail_ops.clear();
             w.runs = Arc::new(Vec::new());
             w.tail = None;
@@ -533,7 +557,8 @@ impl LiveEulerHistogram {
 
     /// Takes a consistent durability checkpoint: folds any pending delta
     /// (bumping the epoch, exactly like [`LiveEulerHistogram::refreeze`])
-    /// and serializes the frozen base with the compressed persist codec,
+    /// and serializes the frozen cube with the compressed persist codec
+    /// ([`FrozenEulerHistogram::to_bytes_compressed`]),
     /// all under the writer lock so the image names one exact write-log
     /// prefix. Restoring the image via [`LiveEulerHistogram::restore`]
     /// and replaying write-log entries `> version` reproduces the live
@@ -547,7 +572,7 @@ impl LiveEulerHistogram {
         CheckpointImage {
             epoch: w.epoch,
             version: w.version,
-            bytes: w.base.to_bytes_compressed(),
+            bytes: w.frozen.to_bytes_compressed(),
         }
     }
 
@@ -820,7 +845,7 @@ mod tests {
         // Tiny thresholds so the test crosses seal and refreeze boundaries.
         let live = LiveEulerHistogram::with_config(g, 5, Some(23));
         for (i, op) in log.iter().enumerate() {
-            live.apply(*op);
+            live.apply(*op).unwrap();
             let snap = live.pin();
             assert_eq!(snap.version(), i as u64 + 1);
             let reference = rebuild(g, &log[..=i]);
@@ -844,7 +869,7 @@ mod tests {
             let log = write_log(&g, 40, 9);
             let live = LiveEulerHistogram::with_config(g, 3, Some(17));
             for (i, op) in log.iter().enumerate() {
-                live.apply(*op);
+                live.apply(*op).unwrap();
                 let snap = live.pin();
                 let reference = rebuild(g, &log[..=i]);
                 let (ew, eh) = (2 * nx as i64 - 1, 2 * ny as i64 - 1);
@@ -871,7 +896,7 @@ mod tests {
         let log = write_log(&g, 90, 2);
         let live = LiveEulerHistogram::with_config(g, 7, None);
         for op in &log {
-            live.apply(*op);
+            live.apply(*op).unwrap();
         }
         let snap = live.pin();
         let reference = crate::SEulerApprox::new(rebuild(g, &log));
@@ -891,7 +916,8 @@ mod tests {
         let pinned = live.pin();
         live.insert(&s.snap(&Rect::new(4.0, 4.0, 6.0, 6.0).unwrap()));
         live.refreeze();
-        live.remove(&s.snap(&Rect::new(1.0, 1.0, 3.0, 3.0).unwrap()));
+        live.remove(&s.snap(&Rect::new(1.0, 1.0, 3.0, 3.0).unwrap()))
+            .unwrap();
         assert_eq!(pinned.object_count(), 1);
         assert_eq!(pinned.version(), 1);
         assert_eq!(live.pin().object_count(), 1);
@@ -925,7 +951,7 @@ mod tests {
         let live = LiveEulerHistogram::with_objects(g, &base);
         let ghost = s.snap(&Rect::new(2.2, 2.2, 7.7, 7.7).unwrap());
         live.insert(&ghost);
-        live.remove(&ghost);
+        live.remove(&ghost).unwrap();
         let snap = live.refreeze();
         assert_eq!(snap.epoch(), 2);
         let reference = EulerHistogram::build(g, &base).freeze();
@@ -966,7 +992,7 @@ mod tests {
                 }));
             }
             for (i, op) in log.iter().enumerate() {
-                live.apply(*op);
+                live.apply(*op).unwrap();
                 if i % 16 == 0 {
                     // Back-to-back refreezes while readers are pinning.
                     live.refreeze();
@@ -1009,7 +1035,7 @@ mod tests {
         let log = write_log(&g, 150, 4);
         let live = LiveEulerHistogram::with_config(g, 6, Some(50));
         for op in &log {
-            live.apply(*op);
+            live.apply(*op).unwrap();
         }
         let est = LiveSEuler::new(live.pin());
         let tilings = vec![
@@ -1033,7 +1059,7 @@ mod tests {
         let live = LiveEulerHistogram::with_config(g, 5, None);
         let log = write_log(&g, 37, 0xC4EC);
         for op in &log {
-            live.apply(*op);
+            live.apply(*op).unwrap();
         }
         let image = live.checkpoint_image();
         assert_eq!(image.version, 37);
@@ -1051,8 +1077,8 @@ mod tests {
         // Replaying a suffix on the restored side tracks the original.
         let suffix = write_log(&g, 11, 0xC4ED);
         for op in &suffix {
-            live.apply(*op);
-            restored.apply(*op);
+            live.apply(*op).unwrap();
+            restored.apply(*op).unwrap();
         }
         let mut full = log.clone();
         full.extend_from_slice(&suffix);
@@ -1060,6 +1086,71 @@ mod tests {
         assert_eq!(*live.refreeze().frozen().as_ref(), reference);
         assert_eq!(*restored.refreeze().frozen().as_ref(), reference);
         assert_eq!(restored.version(), live.version());
+    }
+
+    /// A checkpoint encodes the frozen cube, differenced row by row; its
+    /// bytes must equal the bucket array's own encoding of the same write
+    /// prefix — on the dense tier, on the compressed tier (a grid big
+    /// enough for the freeze heuristic to pick it) and on 1-cell-wide
+    /// grids.
+    #[test]
+    fn checkpoint_images_equal_the_bucket_array_encoding() {
+        for (nx, ny, n, seed) in [
+            (20, 14, 120, 1),
+            (1, 1, 30, 2),
+            (1, 7, 40, 3),
+            (7, 1, 40, 4),
+            (400, 400, 40, 5),
+        ] {
+            let g = grid(nx, ny);
+            let log = write_log(&g, n, seed);
+            let live = LiveEulerHistogram::with_config(g, 4, Some(9));
+            for (i, op) in log.iter().enumerate() {
+                live.apply(*op).unwrap();
+                if i % 13 == 12 || i + 1 == log.len() {
+                    let image = live.checkpoint_image();
+                    let mut reference = EulerHistogram::new(g);
+                    reference.apply_signed_batch(log[..=i].iter().map(|op| (&op.rect, op.sign)));
+                    assert_eq!(
+                        image.bytes,
+                        reference.to_bytes_compressed(),
+                        "{nx}x{ny} at version {}",
+                        i + 1
+                    );
+                    assert_eq!(*live.pin().frozen().as_ref(), reference.freeze());
+                }
+            }
+            let compressed = live.pin().frozen().is_compressed();
+            assert_eq!(compressed, nx == 400, "{nx}x{ny} tier");
+        }
+        // An insert-only log: the image equals the bulk build's.
+        let g = grid(20, 14);
+        let objects = random_objects(&g, 50, 6);
+        let live = LiveEulerHistogram::with_config(g, 4, Some(9));
+        for o in &objects {
+            live.insert(o);
+        }
+        assert_eq!(
+            live.checkpoint_image().bytes,
+            EulerHistogram::build(g, &objects).to_bytes_compressed()
+        );
+    }
+
+    /// A remove past empty is an error checked under the writer lock:
+    /// nothing is applied, the version stays, and later writes proceed.
+    #[test]
+    fn remove_past_empty_is_refused_and_changes_nothing() {
+        let g = grid(6, 6);
+        let s = Snapper::new(g);
+        let a = s.snap(&Rect::new(0.5, 0.5, 2.5, 2.5).unwrap());
+        let live = LiveEulerHistogram::with_config(g, 2, Some(3));
+        assert_eq!(live.remove(&a), Err(RemoveFromEmpty));
+        assert_eq!((live.version(), live.len()), (0, 0));
+        assert_eq!(live.apply(DeltaOp::insert(a)), Ok(1));
+        assert_eq!(live.remove(&a), Ok(2));
+        assert_eq!(live.apply(DeltaOp::delete(a)), Err(RemoveFromEmpty));
+        assert_eq!((live.version(), live.len()), (2, 0));
+        assert_eq!(live.refreeze().frozen().total(), 0);
     }
 
     proptest! {
@@ -1079,7 +1170,7 @@ mod tests {
             let log = write_log(&g, n_ops, seed);
             let live = LiveEulerHistogram::with_config(g, seal, None);
             for op in &log {
-                live.apply(*op);
+                live.apply(*op).unwrap();
             }
             let region = GridRect::unchecked(
                 rx0, ry0, (rx0 + rw).min(16), (ry0 + rh).min(12));
@@ -1106,7 +1197,7 @@ mod tests {
             let log = write_log(&g, n_ops, seed);
             let live = LiveEulerHistogram::with_config(g, seal, Some(refreeze));
             for op in &log {
-                live.apply(*op);
+                live.apply(*op).unwrap();
             }
             let snap = live.pin();
             let reference = rebuild(g, &log);

@@ -1,7 +1,6 @@
 use std::collections::HashMap;
 
-use crate::Dense2D;
-use crate::PrefixSum2D;
+use crate::{CubeBuffer, PrefixSum2D};
 
 /// One parity-pair run: starting at internal index `start`, the row
 /// value at internal index `i` is `v[i & 1]` until the next run begins.
@@ -59,26 +58,53 @@ pub struct CompressedPrefix2D {
 }
 
 impl CompressedPrefix2D {
-    /// Builds the compressed cube from a dense array. Never fails; on
-    /// incompressible data the result is simply *larger* than the dense
-    /// cube — use [`Self::build_capped`] when a budget applies.
-    pub fn build(a: &Dense2D) -> CompressedPrefix2D {
-        Self::build_capped(a, usize::MAX).expect("uncapped build cannot abort")
+    /// Builds the compressed cube of a cell array, accumulating each
+    /// prefix row on the fly — no dense cube is allocated. Never fails;
+    /// on incompressible data the result is simply *larger* than the
+    /// dense cube — use [`Self::from_cells_capped`] when a budget
+    /// applies.
+    pub fn from_cells(a: &CubeBuffer) -> CompressedPrefix2D {
+        Self::from_cells_capped(a, usize::MAX).expect("uncapped build cannot abort")
     }
 
-    /// Builds the compressed cube, aborting with `None` as soon as the
-    /// encoded size exceeds `max_bytes` — the tier-selection heuristic
-    /// passes a fraction of the projected dense footprint here so an
+    /// [`Self::from_cells`], aborting with `None` as soon as the encoded
+    /// size exceeds `max_bytes` — the tier-selection heuristic passes a
+    /// fraction of the projected dense footprint here so an
     /// incompressible build stops early instead of ballooning.
-    pub fn build_capped(a: &Dense2D, max_bytes: usize) -> Option<CompressedPrefix2D> {
-        let (w, h) = (a.width(), a.height());
+    pub fn from_cells_capped(a: &CubeBuffer, max_bytes: usize) -> Option<CompressedPrefix2D> {
+        Self::encode(a.width(), a.height(), max_bytes, |iy, acc| {
+            let mut row_acc = 0i64;
+            for (x, v) in a.row(iy - 1).iter().enumerate() {
+                row_acc += v;
+                acc[x + 1] += row_acc;
+            }
+        })
+    }
+
+    /// The compressed twin of an already-built dense cube, read row by
+    /// row; `None` once the encoding exceeds `max_bytes`. Equal to
+    /// [`Self::from_cells_capped`] on the cells the cube sums.
+    pub fn from_prefix_capped(p: &PrefixSum2D, max_bytes: usize) -> Option<CompressedPrefix2D> {
+        Self::encode(p.width(), p.height(), max_bytes, |iy, acc| {
+            acc.copy_from_slice(p.internal_row(iy));
+        })
+    }
+
+    /// The shared encoder: `next_row(iy, acc)` turns `acc` from internal
+    /// prefix row `iy − 1` into row `iy` (`acc[i] = P(i − 1, iy − 1)`,
+    /// `acc[0]` the guard 0), for `iy = 1..=height`.
+    fn encode(
+        w: usize,
+        h: usize,
+        max_bytes: usize,
+        mut next_row: impl FnMut(usize, &mut [i64]),
+    ) -> Option<CompressedPrefix2D> {
         let mut row_dir = Vec::with_capacity(h + 1);
         let mut offsets: Vec<u32> = vec![0];
         let mut starts: Vec<u32> = Vec::new();
         let mut vals: Vec<[i64; 2]> = Vec::new();
         let mut seen: HashMap<Box<[Run]>, u32> = HashMap::new();
 
-        // acc[i] = P(i − 1, y) for the current row (acc[0] = guard 0).
         let mut acc = vec![0i64; w + 1];
         let mut encoded: Vec<Run> = Vec::new();
         let mut run_bytes = 0usize;
@@ -88,12 +114,7 @@ impl CompressedPrefix2D {
         // source of truth for the run shape.
         for iy in 0..=h {
             if iy > 0 {
-                let y = iy - 1;
-                let mut row_acc = 0i64;
-                for x in 0..w {
-                    row_acc += a.get(x, y);
-                    acc[x + 1] += row_acc;
-                }
+                next_row(iy, &mut acc);
             }
             encode_parity_runs(&acc, &mut encoded);
             let next_id = offsets.len() as u32 - 1;
@@ -274,6 +295,28 @@ impl CompressedPrefix2D {
         self.at(self.width, self.height)
     }
 
+    /// Writes internal row `iy` (`width + 1` values, guard first) into
+    /// `out`.
+    fn expand_row(&self, iy: usize, out: &mut [i64]) {
+        let row = self.row_dir[iy] as usize;
+        let (lo, hi) = (self.offsets[row] as usize, self.offsets[row + 1] as usize);
+        for j in lo..hi {
+            let end = if j + 1 < hi {
+                self.starts[j + 1] as usize
+            } else {
+                out.len()
+            };
+            for (i, o) in out
+                .iter_mut()
+                .enumerate()
+                .take(end)
+                .skip(self.starts[j] as usize)
+            {
+                *o = self.vals[j][i & 1];
+            }
+        }
+    }
+
     /// Bytes of storage held by the compressed cube.
     pub fn storage_bytes(&self) -> usize {
         self.row_dir.len() * 4
@@ -399,11 +442,70 @@ impl CubeTier {
     pub fn is_compressed(&self) -> bool {
         matches!(self, CubeTier::Compressed(_))
     }
+
+    /// Adds this cube's prefix values into `dst`, a dense cube of the
+    /// same shape. Prefix sums are linear, so `dst` then summarizes the
+    /// cell-wise sum of both arrays.
+    pub fn add_to(&self, dst: &mut PrefixSum2D) {
+        assert_eq!(
+            (self.width(), self.height()),
+            (dst.width(), dst.height()),
+            "cube shapes differ"
+        );
+        let mut expanded = vec![0i64; self.width() + 1];
+        for iy in 0..=self.height() {
+            let row = match self {
+                CubeTier::Dense(d) => d.internal_row(iy),
+                CubeTier::Compressed(c) => {
+                    c.expand_row(iy, &mut expanded);
+                    &expanded
+                }
+            };
+            for (d, v) in dst.internal_row_mut(iy).iter_mut().zip(row) {
+                *d += v;
+            }
+        }
+    }
+
+    /// Calls `f` with each row of the summarized array, `y = 0..height`,
+    /// recovered by differencing adjacent prefix rows — how a frozen
+    /// histogram is encoded without keeping its cells.
+    pub fn for_each_cell_row(&self, mut f: impl FnMut(&[i64])) {
+        let mut cells = vec![0i64; self.width()];
+        // Both rows lead with the zero guard, so the column sums of the
+        // row difference start at 0 and each cell is one step of them.
+        let mut emit = |prev: &[i64], row: &[i64]| {
+            let mut left = 0i64;
+            for ((c, r), p) in cells.iter_mut().zip(&row[1..]).zip(&prev[1..]) {
+                let upto = r - p;
+                *c = upto - left;
+                left = upto;
+            }
+            f(&cells);
+        };
+        match self {
+            CubeTier::Dense(d) => {
+                for iy in 1..=d.height() {
+                    emit(d.internal_row(iy - 1), d.internal_row(iy));
+                }
+            }
+            CubeTier::Compressed(c) => {
+                let mut prev = vec![0i64; c.width() + 1];
+                let mut row = vec![0i64; c.width() + 1];
+                for iy in 1..=c.height() {
+                    c.expand_row(iy, &mut row);
+                    emit(&prev, &row);
+                    std::mem::swap(&mut prev, &mut row);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dense2D;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -435,9 +537,17 @@ mod tests {
         a
     }
 
+    fn cells(a: &Dense2D) -> CubeBuffer {
+        CubeBuffer::from_row_major(a.width(), a.height(), a.raw().to_vec())
+    }
+
+    fn compressed(a: &Dense2D) -> CompressedPrefix2D {
+        CompressedPrefix2D::from_cells(&cells(a))
+    }
+
     fn assert_twin(a: &Dense2D) {
         let dense = PrefixSum2D::build(a);
-        let comp = CompressedPrefix2D::build(a);
+        let comp = compressed(a);
         assert_eq!(comp.width(), dense.width());
         assert_eq!(comp.height(), dense.height());
         assert_eq!(comp.total(), dense.total());
@@ -464,7 +574,7 @@ mod tests {
     fn zero_area_arrays_build_valid_empty_cubes() {
         for (w, h) in [(0usize, 0usize), (0, 5), (5, 0)] {
             let a = Dense2D::from_vec(w, h, vec![]);
-            let c = CompressedPrefix2D::build(&a);
+            let c = compressed(&a);
             assert_eq!(c.width(), w);
             assert_eq!(c.height(), h);
             assert_eq!(c.total(), 0, "{w}x{h}");
@@ -480,8 +590,8 @@ mod tests {
     fn capped_build_aborts_on_incompressible_data() {
         // Random data has no parity structure and no repeated rows.
         let a = random_array(64, 64, 7);
-        assert!(CompressedPrefix2D::build_capped(&a, 256).is_none());
-        assert!(CompressedPrefix2D::build_capped(&a, usize::MAX).is_some());
+        assert!(CompressedPrefix2D::from_cells_capped(&cells(&a), 256).is_none());
+        assert!(CompressedPrefix2D::from_cells_capped(&cells(&a), usize::MAX).is_some());
     }
 
     #[test]
@@ -495,7 +605,7 @@ mod tests {
                 a.add(x, y, sign);
             }
         }
-        let c = CompressedPrefix2D::build(&a);
+        let c = compressed(&a);
         // Guard + pre-band + 3 in-band rows + post-band ≤ a handful.
         assert!(c.unique_rows() <= 6, "unique rows = {}", c.unique_rows());
         assert!(c.storage_bytes() < PrefixSum2D::build(&a).storage_bytes() / 4);
@@ -505,7 +615,7 @@ mod tests {
     #[test]
     fn gather_matches_pointwise_lookups() {
         let a = euler_like_array(33, 21, 8, 11);
-        let c = CompressedPrefix2D::build(&a);
+        let c = compressed(&a);
         let d = PrefixSum2D::build(&a);
         // Interleaved non-decreasing index pairs, the sweep-plan shape,
         // including past-the-end entries that must clamp.
@@ -531,7 +641,43 @@ mod tests {
         // cube (first-seen dedup ids are deterministic) — frozen
         // histograms derive `PartialEq` through this.
         let a = euler_like_array(12, 9, 4, 5);
-        assert_eq!(CompressedPrefix2D::build(&a), CompressedPrefix2D::build(&a));
+        assert_eq!(compressed(&a), compressed(&a));
+    }
+
+    /// Both builders encode the same cube: from the cells, or read back
+    /// from the dense cube they sum into.
+    #[test]
+    fn prefix_and_cell_builds_agree() {
+        for a in [random_array(17, 9, 1), euler_like_array(20, 14, 6, 3)] {
+            let dense = PrefixSum2D::build(&a);
+            let from_prefix = CompressedPrefix2D::from_prefix_capped(&dense, usize::MAX);
+            assert_eq!(from_prefix, Some(compressed(&a)));
+            assert!(CompressedPrefix2D::from_prefix_capped(&dense, 64).is_none());
+        }
+    }
+
+    /// Each tier recovers its cells row by row, and adds its prefixes
+    /// into a dense cube as the cube of the summed cells.
+    #[test]
+    fn tiers_recover_cells_and_add_linearly() {
+        for (w, h) in [(1, 1), (7, 1), (1, 6), (9, 7), (17, 9)] {
+            let a = euler_like_array(w, h, 5, (w * 10 + h) as u64);
+            let b = random_array(w, h, 3);
+            let tiers = [
+                CubeTier::Dense(PrefixSum2D::build(&a)),
+                CubeTier::Compressed(compressed(&a)),
+            ];
+            for tier in &tiers {
+                let mut rows = Vec::new();
+                tier.for_each_cell_row(|r| rows.extend_from_slice(r));
+                assert_eq!(rows, a.raw(), "{w}x{h} cells");
+                let mut sum = PrefixSum2D::build(&b);
+                tier.add_to(&mut sum);
+                let mut ab = b.clone();
+                ab.map_in_place(|x, y, v| v + a.get(x, y));
+                assert_eq!(sum, PrefixSum2D::build(&ab), "{w}x{h} sum");
+            }
+        }
     }
 
     proptest! {
@@ -545,7 +691,7 @@ mod tests {
         {
             let a = euler_like_array(w, h, stamps, seed);
             let dense = PrefixSum2D::build(&a);
-            let comp = CompressedPrefix2D::build(&a);
+            let comp = compressed(&a);
             let mut x0 = [0i64; 4]; let mut y0 = [0i64; 4];
             let mut x1 = [0i64; 4]; let mut y1 = [0i64; 4];
             for l in 0..4 {
@@ -578,7 +724,7 @@ mod tests {
         {
             let a = euler_like_array(12, 10, 3, seed);
             let dense = PrefixSum2D::build(&a);
-            let comp = CompressedPrefix2D::build(&a);
+            let comp = compressed(&a);
             prop_assert_eq!(
                 comp.range_sum_clipped(x0, y0, x0 - 2, y0 + 3),
                 dense.range_sum_clipped(x0, y0, x0 - 2, y0 + 3)

@@ -13,6 +13,8 @@
 //! * [`Diff2D`] — a 2-D difference array for O(1) rectangle increments,
 //!   used to bulk-build Euler histograms and exact ground truth;
 //! * [`PrefixSum2D`] — the 2-D prefix-sum cube with O(1) range sums;
+//! * [`CubeBuffer`] — a 2-D array (or difference array) in the cube's
+//!   padded layout, which sums into a [`PrefixSum2D`] in place;
 //! * [`CompressedPrefix2D`] / [`CubeTier`] — a run-length–compressed twin
 //!   of the 2-D cube (parity-pair runs + a deduplicating row directory)
 //!   and the enum that lets frozen histograms pick a tier per dataset,
@@ -36,4 +38,4 @@ pub use compressed2d::{CompressedPrefix2D, CubeTier};
 pub use dense2d::Dense2D;
 pub use diff2d::Diff2D;
 pub use ndim::{DenseNd, PrefixSumNd};
-pub use prefix2d::PrefixSum2D;
+pub use prefix2d::{CubeBuffer, PrefixSum2D};

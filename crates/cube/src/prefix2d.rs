@@ -42,23 +42,7 @@ impl PrefixSum2D {
     /// returns guard (all-zero) rows — callers never index through a
     /// `w·h == 0` grid.
     pub fn build(a: &Dense2D) -> PrefixSum2D {
-        let (w, h) = (a.width(), a.height());
-        let stride = (w + 1).next_multiple_of(ROW_BLOCK);
-        let mut p = vec![0i64; stride * (h + 1)];
-        for y in 0..h {
-            let mut row_acc = 0i64;
-            let (prev, cur) = p[y * stride..].split_at_mut(stride);
-            for x in 0..w {
-                row_acc += a.get(x, y);
-                cur[x + 1] = row_acc + prev[x + 1];
-            }
-        }
-        PrefixSum2D {
-            width: w,
-            height: h,
-            stride,
-            p,
-        }
+        CubeBuffer::from_row_major(a.width(), a.height(), a.raw().to_vec()).into_prefix()
     }
 
     /// Width of the summarized array.
@@ -153,8 +137,20 @@ impl PrefixSum2D {
     /// column sets out of it with plain indexing.
     #[inline]
     pub fn row_clipped(&self, y: i64) -> &[i64] {
-        let off = Self::clip(y, self.height) * self.stride;
-        &self.p[off..off + self.width + 1]
+        self.internal_row(Self::clip(y, self.height))
+    }
+
+    /// Internal row `iy` (0 = the guard row, `iy = y + 1` for array row
+    /// `y`): `width + 1` prefix values led by the zero guard column.
+    #[inline]
+    pub(crate) fn internal_row(&self, iy: usize) -> &[i64] {
+        &self.p[iy * self.stride..iy * self.stride + self.width + 1]
+    }
+
+    /// Mutable [`Self::internal_row`].
+    #[inline]
+    pub(crate) fn internal_row_mut(&mut self, iy: usize) -> &mut [i64] {
+        &mut self.p[iy * self.stride..iy * self.stride + self.width + 1]
     }
 
     /// Four [`Self::range_sum_clipped`] windows in one call, one window
@@ -218,6 +214,170 @@ impl PrefixSum2D {
     /// compressed encoder's running size against this projection.
     pub fn projected_bytes(width: usize, height: usize) -> usize {
         (width + 1).next_multiple_of(ROW_BLOCK) * (height + 1) * std::mem::size_of::<i64>()
+    }
+}
+
+/// A dense `width × height` array stored in [`PrefixSum2D`]'s layout —
+/// zero guard row and column in front, rows padded to the cube's stride —
+/// so [`Self::into_prefix`] sums it into the cube *in place*: building,
+/// then freezing, an array never holds a second grid-sized allocation.
+///
+/// It doubles as a 2-D difference array: [`Self::add_rect_diff`] records
+/// a rectangle's four corners and [`Self::integrate`] materializes every
+/// recorded rectangle in place.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CubeBuffer {
+    width: usize,
+    height: usize,
+    stride: usize,
+    /// Cell `(x, y)` at `(x + 1) + (y + 1) · stride`; the guard row, the
+    /// guard column and the row padding stay zero.
+    p: Vec<i64>,
+}
+
+impl CubeBuffer {
+    /// A zero-filled `width × height` array.
+    pub fn zeros(width: usize, height: usize) -> CubeBuffer {
+        let stride = (width + 1).next_multiple_of(ROW_BLOCK);
+        CubeBuffer {
+            width,
+            height,
+            stride,
+            p: vec![0; stride * (height + 1)],
+        }
+    }
+
+    /// Re-lays out row-major `data` (`width · height` values) in place:
+    /// the vector grows to the padded size and each row moves to its
+    /// slot, last row first, so nothing is overwritten before it moves.
+    pub fn from_row_major(width: usize, height: usize, mut data: Vec<i64>) -> CubeBuffer {
+        assert_eq!(data.len(), width * height, "data length mismatch");
+        let stride = (width + 1).next_multiple_of(ROW_BLOCK);
+        data.resize(stride * (height + 1), 0);
+        for y in (0..height).rev() {
+            data.copy_within(y * width..(y + 1) * width, (y + 1) * stride + 1);
+        }
+        // Row `y`'s old cells may linger in the guard row, a guard
+        // column or the padding: zero all three.
+        data[..stride].fill(0);
+        for iy in 1..=height {
+            data[iy * stride] = 0;
+            data[iy * stride + width + 1..(iy + 1) * stride].fill(0);
+        }
+        CubeBuffer {
+            width,
+            height,
+            stride,
+            p: data,
+        }
+    }
+
+    /// Array width (x extent).
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Array height (y extent).
+    #[inline]
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    #[inline]
+    fn idx(&self, x: usize, y: usize) -> usize {
+        debug_assert!(x < self.width && y < self.height, "({x},{y}) out of bounds");
+        (x + 1) + (y + 1) * self.stride
+    }
+
+    /// Value at `(x, y)`.
+    #[inline]
+    pub fn get(&self, x: usize, y: usize) -> i64 {
+        self.p[self.idx(x, y)]
+    }
+
+    /// Adds `v` to the value at `(x, y)`.
+    #[inline]
+    pub fn add(&mut self, x: usize, y: usize, v: i64) {
+        let i = self.idx(x, y);
+        self.p[i] += v;
+    }
+
+    /// Offset of row `y`'s first cell.
+    #[inline]
+    fn row_start(&self, y: usize) -> usize {
+        debug_assert!(y < self.height, "row {y} out of bounds");
+        (y + 1) * self.stride + 1
+    }
+
+    /// Row `y`'s `width` values.
+    #[inline]
+    pub fn row(&self, y: usize) -> &[i64] {
+        let start = self.row_start(y);
+        &self.p[start..start + self.width]
+    }
+
+    /// Applies `f(x, y, value) -> value` to every cell in place.
+    pub fn map_in_place(&mut self, mut f: impl FnMut(usize, usize, i64) -> i64) {
+        for y in 0..self.height {
+            let start = self.row_start(y);
+            for (x, v) in self.p[start..start + self.width].iter_mut().enumerate() {
+                *v = f(x, y, *v);
+            }
+        }
+    }
+
+    /// Difference-array update: after [`Self::integrate`], `v` is added
+    /// to every cell of the inclusive rectangle `[x0,x1] × [y0,y1]`.
+    /// Closing corners past the last column or row are dropped — they
+    /// would only reach cells outside the array.
+    #[inline]
+    pub fn add_rect_diff(&mut self, x0: usize, y0: usize, x1: usize, y1: usize, v: i64) {
+        debug_assert!(x0 <= x1 && x1 < self.width, "x range [{x0},{x1}]");
+        debug_assert!(y0 <= y1 && y1 < self.height, "y range [{y0},{y1}]");
+        let (x_end, y_end) = (x1 + 1 < self.width, y1 + 1 < self.height);
+        self.add(x0, y0, v);
+        if x_end {
+            self.add(x1 + 1, y0, -v);
+        }
+        if y_end {
+            self.add(x0, y1 + 1, -v);
+        }
+        if x_end && y_end {
+            self.add(x1 + 1, y1 + 1, v);
+        }
+    }
+
+    /// Replaces every cell by the inclusive 2-D prefix sum of the cells
+    /// at or before it, in place: a difference array becomes the values
+    /// it records, and a value array becomes its prefix cube.
+    pub fn integrate(&mut self) {
+        let (w, stride) = (self.width, self.stride);
+        for iy in 1..=self.height {
+            let (prev, cur) = self.p[(iy - 1) * stride..].split_at_mut(stride);
+            let mut row_acc = 0i64;
+            for x in 1..=w {
+                row_acc += cur[x];
+                cur[x] = row_acc + prev[x];
+            }
+        }
+    }
+
+    /// Sums the array into its prefix cube in the same allocation.
+    pub fn into_prefix(mut self) -> PrefixSum2D {
+        self.integrate();
+        PrefixSum2D {
+            width: self.width,
+            height: self.height,
+            stride: self.stride,
+            p: self.p,
+        }
+    }
+
+    /// Bytes of storage held by the array (padding and guards included):
+    /// the same as the cube it sums into.
+    pub fn storage_bytes(&self) -> usize {
+        self.p.len() * std::mem::size_of::<i64>()
     }
 }
 
@@ -358,6 +518,51 @@ mod tests {
             return 0;
         }
         a.range_sum_naive(cx0 as usize, cy0 as usize, cx1 as usize, cy1 as usize)
+    }
+
+    /// Rows survive the in-place re-layout, for widths on both sides of
+    /// the row block and for empty arrays.
+    #[test]
+    fn from_row_major_keeps_every_cell_and_zero_padding() {
+        for (w, h) in [(0, 3), (3, 0), (1, 1), (7, 3), (8, 2), (9, 4), (15, 5)] {
+            let data: Vec<i64> = (0..w * h).map(|i| i as i64 * 3 - 7).collect();
+            let c = CubeBuffer::from_row_major(w, h, data.clone());
+            for y in 0..h {
+                assert_eq!(c.row(y), &data[y * w..(y + 1) * w], "{w}x{h} row {y}");
+            }
+            assert_eq!(c, {
+                let mut z = CubeBuffer::zeros(w, h);
+                z.map_in_place(|x, y, _| data[y * w + x]);
+                z
+            });
+        }
+    }
+
+    /// Difference updates integrate to the rectangles they record, with
+    /// corners on the last row and column dropped.
+    #[test]
+    fn rect_diffs_integrate_in_place() {
+        let (w, h) = (9, 6);
+        let mut c = CubeBuffer::zeros(w, h);
+        let mut naive = Dense2D::zeros(w, h);
+        for (x0, y0, x1, y1, v) in [
+            (0, 0, 8, 5, 1),
+            (2, 1, 4, 3, -3),
+            (8, 5, 8, 5, 7),
+            (3, 0, 8, 2, 2),
+        ] {
+            c.add_rect_diff(x0, y0, x1, y1, v);
+            for y in y0..=y1 {
+                for x in x0..=x1 {
+                    naive.add(x, y, v);
+                }
+            }
+        }
+        c.integrate();
+        for y in 0..h {
+            assert_eq!(c.row(y), &naive.raw()[y * w..(y + 1) * w], "row {y}");
+        }
+        assert_eq!(c.into_prefix(), PrefixSum2D::build(&naive));
     }
 
     proptest! {

@@ -2,11 +2,26 @@ use euler_geom::Rect;
 
 use crate::{DataSpace, GridRect};
 
+/// The most Euler buckets any histogram may hold: 2²⁸ ≈ 2.68×10⁸
+/// (2 GiB of `i64`s), just above the 8192² grid, whose Euler array is
+/// 16383² ≈ 2.68×10⁸ buckets. [`Grid::new`] refuses a grid past it, and
+/// the persist decoder refuses an image header past it before any
+/// allocation — so a command-line grid, a CSV-backed boot and a decoded
+/// checkpoint all meet the same bound.
+pub const MAX_EULER_BUCKETS: u64 = 1 << 28;
+
 /// Errors from grid construction and coordinate conversion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GridError {
     /// A grid dimension was zero.
     EmptyGrid,
+    /// The grid's Euler array would exceed [`MAX_EULER_BUCKETS`].
+    TooLarge {
+        /// Cells along x.
+        nx: usize,
+        /// Cells along y.
+        ny: usize,
+    },
     /// A query rectangle does not align with the grid or exceeds it.
     Misaligned {
         /// Explanation of what failed to align.
@@ -18,6 +33,10 @@ impl std::fmt::Display for GridError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GridError::EmptyGrid => write!(f, "grid dimensions must be nonzero"),
+            GridError::TooLarge { nx, ny } => write!(
+                f,
+                "a {nx}x{ny} grid needs more than {MAX_EULER_BUCKETS} Euler buckets"
+            ),
             GridError::Misaligned { detail } => write!(f, "misaligned query: {detail}"),
         }
     }
@@ -39,10 +58,16 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// Creates a grid with `nx × ny` cells over `space`.
+    /// Creates a grid with `nx × ny` cells over `space`. Its Euler array,
+    /// `(2nx − 1)(2ny − 1)` buckets, must fit [`MAX_EULER_BUCKETS`].
     pub fn new(space: DataSpace, nx: usize, ny: usize) -> Result<Grid, GridError> {
         if nx == 0 || ny == 0 {
             return Err(GridError::EmptyGrid);
+        }
+        let (ew, eh) = (2 * nx as u128 - 1, 2 * ny as u128 - 1);
+        let cap = u128::from(MAX_EULER_BUCKETS);
+        if ew > cap || eh > cap || ew * eh > cap {
+            return Err(GridError::TooLarge { nx, ny });
         }
         Ok(Grid { space, nx, ny })
     }
@@ -200,6 +225,25 @@ mod tests {
             Grid::new(DataSpace::unit(), 0, 4).unwrap_err(),
             GridError::EmptyGrid
         );
+    }
+
+    /// The bucket cap is checked by arithmetic alone: nothing allocates,
+    /// and dims whose `2n − 1` would overflow a `usize` are refused too.
+    #[test]
+    fn rejects_grids_past_the_bucket_cap() {
+        let space = DataSpace::paper_world();
+        assert!(Grid::new(space, 8192, 8192).is_ok());
+        // (2·2²⁷ − 1) · 1 = 2²⁸ − 1 buckets fit; one more column does not.
+        assert!(Grid::new(space, 1 << 27, 1).is_ok());
+        for (nx, ny) in [
+            (1 << 27 | 1, 1),
+            (100_000, 100_000),
+            (usize::MAX, usize::MAX),
+        ] {
+            let err = Grid::new(space, nx, ny).unwrap_err();
+            assert_eq!(err, GridError::TooLarge { nx, ny });
+            assert!(err.to_string().contains("Euler buckets"), "{err}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ mod snap;
 mod space;
 mod tile;
 
-pub use grid::{Grid, GridError};
+pub use grid::{Grid, GridError, MAX_EULER_BUCKETS};
 pub use snap::{SnappedRect, Snapper, SNAP_EPSILON};
 pub use space::DataSpace;
 pub use tile::{GridRect, QuerySet, Tiling, PAPER_TILE_SIZES};

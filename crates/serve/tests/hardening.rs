@@ -153,13 +153,20 @@ const CORPUS: &[&str] = &[
 ];
 
 /// A fresh core over a session that already holds the corpus's
-/// rectangle, so a mutated `remove` never empties it.
+/// rectangle, so the unmutated `remove` succeeds.
 fn fresh_core() -> Arc<ServeCore> {
     let rects = [
         Rect::new(10.0, 10.0, 12.0, 11.0).unwrap(),
         Rect::new(30.0, 5.0, 41.0, 19.0).unwrap(),
     ];
     let session = Arc::new(DynamicGeoBrowsingService::with_objects(grid(), rects));
+    ServeCore::new(session, ServeConfig::default())
+}
+
+/// A fresh core over an empty session: every `remove`, mutated or not,
+/// is a remove past empty.
+fn empty_core() -> Arc<ServeCore> {
+    let session = Arc::new(DynamicGeoBrowsingService::new(grid()));
     ServeCore::new(session, ServeConfig::default())
 }
 
@@ -218,7 +225,15 @@ fn every_truncation_and_byte_flip_of_a_valid_line_gets_one_response() {
         );
     }
 
-    let server = Server::start(fresh_core(), "127.0.0.1:0").expect("bind");
+    mutation_law(fresh_core);
+    mutation_law(empty_core);
+}
+
+/// Sends every mutation of every corpus line to a core from
+/// `make_core`: UTF-8 text to a fresh core's `handle_line`, the rest over
+/// TCP to one server; each gets exactly one response line.
+fn mutation_law(make_core: fn() -> Arc<ServeCore>) {
+    let server = Server::start(make_core(), "127.0.0.1:0").expect("bind");
     let stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -231,7 +246,7 @@ fn every_truncation_and_byte_flip_of_a_valid_line_gets_one_response() {
             match std::str::from_utf8(&input) {
                 Ok(text) => {
                     let mut out = String::new();
-                    fresh_core().handle_line(text).write_line(&mut out);
+                    make_core().handle_line(text).write_line(&mut out);
                     one_response_line(&out, &input);
                     local += 1;
                 }
@@ -260,4 +275,27 @@ fn every_truncation_and_byte_flip_of_a_valid_line_gets_one_response() {
     assert!(wire > 0, "some flips must break UTF-8");
     server.core().begin_shutdown();
     server.join().expect("clean shutdown");
+}
+
+/// A `remove` on an empty in-memory store is refused with a structured
+/// `remove failed` error (not a caught worker panic), and the store
+/// keeps serving.
+#[test]
+fn a_remove_past_empty_is_a_structured_error() {
+    let core = empty_core();
+    let answer = |line: &str| {
+        let mut out = String::new();
+        core.handle_line(line).write_line(&mut out);
+        one_response_line(&out, line.as_bytes())
+    };
+    let json = answer(r#"{"tenant":"t","op":"remove","rect":[1,1,2,2]}"#);
+    assert_eq!(json.get("status").and_then(Json::as_str), Some("error"));
+    let msg = json.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        msg.starts_with("remove failed: ") && msg.contains("empty"),
+        "{msg}"
+    );
+    let json = answer(r#"{"tenant":"t","op":"insert","rect":[1,1,2,2]}"#);
+    assert_eq!(json.get("status").and_then(Json::as_str), Some("ok"));
+    assert_eq!(json.get("version").and_then(Json::as_u64), Some(1));
 }

@@ -15,7 +15,7 @@ use euler_grid::{Grid, SnappedRect};
 
 use crate::log::{fsync_dir, FsyncPolicy, Wal, WalConfig};
 use crate::manifest::Manifest;
-use crate::segment::{list_segments, scan_segment, ScanEnd, SEGMENT_HEADER_LEN};
+use crate::segment::{list_segments, scan_segment, ScanEnd, ScannedRecord, SEGMENT_HEADER_LEN};
 use crate::WalError;
 
 /// Configuration for a [`DurableLive`] store.
@@ -158,7 +158,7 @@ impl DurableLive {
 
         // 2. Scan segments and collect the replay suffix.
         let segments = list_segments(dir)?;
-        let mut replay: Vec<DeltaOp> = Vec::new();
+        let mut replay: Vec<(u64, ScannedRecord)> = Vec::new();
         let mut expected_next = ckpt_version + 1;
         let mut torn_tail: Option<TornTail> = None;
         let mut max_seq = manifest.as_ref().map_or(0, |m| m.wal_seq);
@@ -181,7 +181,7 @@ impl DurableLive {
                         segment: *seq,
                     });
                 }
-                replay.push(r.op);
+                replay.push((*seq, *r));
                 expected_next += 1;
             }
             if let ScanEnd::Torn { offset, reason } = end {
@@ -228,8 +228,12 @@ impl DurableLive {
             ckpt_epoch,
             ckpt_version,
         );
-        for op in &replay {
-            live.apply(*op);
+        for (segment, r) in &replay {
+            live.apply(r.op).map_err(|e| WalError::Corrupt {
+                segment: *segment,
+                offset: r.offset,
+                what: format!("record {}: {e}", r.version),
+            })?;
         }
         let report = RecoveryReport {
             checkpoint_epoch: ckpt_epoch,
@@ -314,8 +318,8 @@ impl DurableLive {
             ));
         }
         let version = inner.wal.append(&op)?;
-        self.live.apply(op);
-        debug_assert_eq!(self.live.version(), version);
+        let applied = self.live.apply(op);
+        debug_assert_eq!(applied, Ok(version), "checked above, under the WAL lock");
         inner.records_since_checkpoint += 1;
         if let Some(every) = self.cfg.checkpoint_every {
             if inner.records_since_checkpoint >= every {

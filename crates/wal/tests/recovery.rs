@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use euler_core::{DeltaOp, EulerHistogram, FrozenEulerHistogram};
 use euler_geom::Rect;
 use euler_grid::{DataSpace, Grid, SnappedRect, Snapper};
-use euler_wal::{DurableConfig, DurableLive, FsyncPolicy, WalError};
+use euler_wal::{crc32, DurableConfig, DurableLive, FsyncPolicy, WalError, RECORD_PAYLOAD_LEN};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn grid(nx: usize, ny: usize) -> Grid {
@@ -549,5 +549,48 @@ fn damaged_manifest_or_checkpoint_is_a_bad_checkpoint_error() {
     let (store, _) = DurableLive::open(&dir, g, cfg).unwrap();
     assert_matches_prefix(&store, g, &log, log.len());
     drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A replayed record that removes past empty is hard corruption naming
+/// its segment and offset, never a panic: the first record of a WAL is
+/// rewritten, CRC and all, from an insert into a delete.
+#[test]
+fn a_replayed_remove_past_empty_is_corruption() {
+    let dir = temp_dir("remove-past-empty");
+    let g = grid(6, 6);
+    let cfg = DurableConfig {
+        checkpoint_every: None,
+        ..DurableConfig::default()
+    };
+    let op = write_log(&g, 1, 5)[0];
+    {
+        let (store, _) = DurableLive::open(&dir, g, cfg).unwrap();
+        assert_eq!(store.apply(op).unwrap(), 1);
+    }
+    let path = dir.join("wal-000001.log");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let frame = bytes.len() - (8 + RECORD_PAYLOAD_LEN);
+    let payload = frame + 8;
+    assert_eq!(bytes[payload + 8], 1, "the record is an insert");
+    bytes[payload + 8] = (-1i8) as u8;
+    let crc = crc32(&bytes[payload..]);
+    bytes[frame + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    match DurableLive::open(&dir, g, cfg) {
+        Err(WalError::Corrupt {
+            segment,
+            offset,
+            what,
+        }) => {
+            assert_eq!((segment, offset), (1, frame as u64));
+            assert!(what.contains("remove from empty"), "{what}");
+        }
+        other => panic!(
+            "expected corruption, got {:?}",
+            other.map(|(s, _)| s.version())
+        ),
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -162,7 +162,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|e| format!("bad --scale: {e}"))?
             }
             "--grid" => {
-                o.grid = parse_pair(&value(&mut i)?, 'x').ok_or("bad --grid, expected NXxNY")?
+                let (nx, ny) =
+                    parse_pair(&value(&mut i)?, 'x').ok_or("bad --grid, expected NXxNY")?;
+                // Checked here, so an oversized grid is a usage error
+                // before anything allocates.
+                Grid::new(DataSpace::paper_world(), nx, ny)
+                    .map_err(|e| format!("bad --grid: {e}"))?;
+                o.grid = (nx, ny);
             }
             "--tiles" => {
                 o.tiles = parse_pair(&value(&mut i)?, 'x').ok_or("bad --tiles, expected CxR")?
@@ -647,6 +653,20 @@ mod tests {
         assert_eq!(o.grid, (1, 5));
         assert!(parse_args(&args(&["serve", "--grid", "5x1", "--data-dir", "store"])).is_ok());
         assert!(parse_args(&args(&["serve", "--grid", "1x1", "--profile", "frozen"])).is_ok());
+    }
+
+    #[test]
+    fn grids_past_the_bucket_cap_are_usage_errors() {
+        // Refused while parsing, by arithmetic alone: nothing allocates.
+        for grid in ["100000x100000", "16385x16385"] {
+            let err = parse_args(&args(&["serve", "--grid", grid])).unwrap_err();
+            assert!(
+                err.starts_with("bad --grid") && err.contains("Euler buckets"),
+                "{err}"
+            );
+        }
+        assert!(parse_args(&args(&["--demo", "adl", "--grid", "100000x100000"])).is_err());
+        assert!(parse_args(&args(&["serve", "--grid", "8192x8192"])).is_ok());
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn dynamic_histogram_tracks_a_churning_dataset() {
         }
         let victims: Vec<SnappedRect> = alive.iter().step_by(3).copied().collect();
         for v in &victims {
-            live.remove(v);
+            live.remove(v).expect("a victim is alive");
         }
         let victim_set: Vec<usize> = (0..alive.len()).step_by(3).collect();
         let mut keep = Vec::new();

@@ -1,7 +1,9 @@
 //! Boot memory of the `geobrowse serve` preload: streaming a CSV into a
-//! served histogram must peak at the grid's own arrays, the same as an
+//! served histogram must peak at one grid-sized array — the bucket
+//! buffer that becomes the dense prefix cube in place — the same as an
 //! empty service, whatever the row count. Holding the rows (a `Vec` of
-//! rects, a copy of it, a `Vec` of snapped rects) would scale with N.
+//! rects, a copy of it, a `Vec` of snapped rects) would scale with N, and
+//! a bucket array beside the cube would double the peak.
 //!
 //! A counting global allocator tracks the bytes allocated now and their
 //! high-water mark; this file holds exactly one test so no other test's
@@ -10,6 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
+use spatial_histograms::cube::PrefixSum2D;
 use spatial_histograms::datagen::io::load_csv_histogram;
 use spatial_histograms::datagen::{adl_like, AdlConfig};
 use spatial_histograms::prelude::*;
@@ -66,10 +69,18 @@ fn a_streamed_preload_peaks_like_an_empty_service() {
     const ROWS: usize = 58_368;
     const SLACK: isize = 256 << 10;
     let grid = Grid::new(DataSpace::paper_world(), 360, 180).unwrap();
+    let (ew, eh) = grid.euler_dims();
+    let one_cube = PrefixSum2D::projected_bytes(ew, eh) as isize;
     let mib = |b: isize| b as f64 / (1 << 20) as f64;
 
     let (empty, empty_peak) = peak_during(|| DynamicGeoBrowsingService::new(grid));
     drop(empty);
+    assert!(
+        empty_peak <= one_cube + SLACK,
+        "an empty service peaked at {:.2} MiB; one cube is {:.2} MiB",
+        mib(empty_peak),
+        mib(one_cube)
+    );
 
     for rows in [ROWS, 4 * ROWS] {
         let path = std::env::temp_dir().join(format!(
@@ -90,10 +101,10 @@ fn a_streamed_preload_peaks_like_an_empty_service() {
         assert_eq!(session.len(), rows as u64);
         assert_eq!(session.version(), rows as u64);
         assert!(
-            peak <= empty_peak + SLACK,
-            "preloading {rows} rows peaked at {:.2} MiB; an empty service peaks at {:.2} MiB",
+            peak <= one_cube + SLACK,
+            "preloading {rows} rows peaked at {:.2} MiB; one cube is {:.2} MiB",
             mib(peak),
-            mib(empty_peak)
+            mib(one_cube)
         );
     }
 }

@@ -140,7 +140,7 @@ proptest! {
             .collect();
         for (o, &k) in objects.iter().zip(&keep_mask) {
             if !k {
-                live.remove(o);
+                live.remove(o).expect("a dropped object was inserted");
             }
         }
         let dynamic = LiveSEuler::new(live.pin());
