@@ -49,11 +49,14 @@ impl CdHistogram {
             lh.add(o.cx0(), o.cy1(), 1);
             ll.add(o.cx0(), o.cy0(), 1);
         }
+        // Each corner histogram counts every object once, so its prefix
+        // sums are at most N.
+        let cube = |a: &Dense2D| PrefixSum2D::build(a).expect("corner sums are at most N");
         CdHistogram {
-            hh: PrefixSum2D::build(&hh),
-            hl: PrefixSum2D::build(&hl),
-            lh: PrefixSum2D::build(&lh),
-            ll: PrefixSum2D::build(&ll),
+            hh: cube(&hh),
+            hl: cube(&hl),
+            lh: cube(&lh),
+            ll: cube(&ll),
             nx,
             ny,
             size: objects.len() as u64,

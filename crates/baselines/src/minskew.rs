@@ -16,7 +16,7 @@
 //! bucket covered by the query expanded by half the mean extent.
 
 use euler_core::{Level2Estimator, RelationCounts};
-use euler_cube::{Dense2D, PrefixSum2D};
+use euler_cube::{DenseNd, PrefixSumNd};
 use euler_grid::{Grid, GridRect, SnappedRect};
 
 /// One Min-skew bucket: a cell-aligned region with its statistics.
@@ -45,17 +45,22 @@ pub struct MinSkew {
     size: u64,
 }
 
+/// Prefix sums of density and squared density. Both are `i64` cubes:
+/// a density sum counts an object once per cell it covers, and a square
+/// sum grows with N², so neither is bounded by the object count the way
+/// the 32-bit 2-D cube's values must be.
 struct SkewContext {
-    sum: PrefixSum2D,
-    sq: PrefixSum2D,
+    sum: PrefixSumNd,
+    sq: PrefixSumNd,
 }
 
 impl SkewContext {
     /// Spatial skew of a cell region: Σd² − (Σd)²/n.
     fn skew(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
         let n = ((x1 - x0) * (y1 - y0)) as f64;
-        let s = self.sum.range_sum(x0, y0, x1 - 1, y1 - 1) as f64;
-        let s2 = self.sq.range_sum(x0, y0, x1 - 1, y1 - 1) as f64;
+        let (lo, hi) = ([x0, y0], [x1 - 1, y1 - 1]);
+        let s = self.sum.range_sum(&lo, &hi) as f64;
+        let s2 = self.sq.range_sum(&lo, &hi) as f64;
         s2 - s * s / n
     }
 }
@@ -71,14 +76,18 @@ impl MinSkew {
             density.add_rect(o.cx0(), o.cy0(), o.cx1(), o.cy1(), 1);
         }
         let density = density.build();
-        let mut squared = Dense2D::zeros(nx, ny);
-        squared.map_in_place(|x, y, _| {
-            let d = density.get(x, y);
-            d * d
-        });
+        let mut sum = DenseNd::zeros(&[nx, ny]);
+        let mut sq = DenseNd::zeros(&[nx, ny]);
+        for y in 0..ny {
+            for x in 0..nx {
+                let d = density.get(x, y);
+                sum.add(&[x, y], d);
+                sq.add(&[x, y], d * d);
+            }
+        }
         let ctx = SkewContext {
-            sum: PrefixSum2D::build(&density),
-            sq: PrefixSum2D::build(&squared),
+            sum: PrefixSumNd::build(&sum),
+            sq: PrefixSumNd::build(&sq),
         };
 
         // Greedy BSP: (region, its skew) max-heap by best split gain.

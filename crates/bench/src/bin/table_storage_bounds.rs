@@ -19,7 +19,7 @@ use euler_core::storage::{
     exact_contains_buckets_all_types, human_bytes, point_encoding_buckets,
 };
 use euler_core::EulerHistogram;
-use euler_cube::PrefixSum2D;
+use euler_cube::{Cell, PrefixSum2D};
 use euler_datagen::custom::{clustered, ClusterConfig};
 use euler_datagen::{road_like, RoadConfig};
 use euler_grid::{DataSpace, Grid};
@@ -43,7 +43,7 @@ fn main() {
         "exact x4 types",
         "4d-point cells",
         "Euler buckets",
-        "Euler bytes(8B)",
+        "Euler bytes(4B)",
     ]);
     for (nx, ny, label) in grids {
         let dims = [nx, ny];
@@ -58,7 +58,7 @@ fn main() {
             human_bytes(buckets_to_bytes(exact4, 1)),
             point_encoding_buckets(&dims).to_string(),
             euler.to_string(),
-            human_bytes(buckets_to_bytes(euler, 8)),
+            human_bytes(buckets_to_bytes(euler, std::mem::size_of::<Cell>())),
         ]);
     }
     body.push_str(&t.render());

@@ -1,7 +1,7 @@
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-use euler_core::{EulerHistogram, LiveEulerHistogram, LiveSEuler};
+use euler_core::{DeltaOp, EulerHistogram, LiveEulerHistogram, LiveSEuler};
 use euler_geom::Rect;
 use euler_grid::{Grid, Snapper};
 use euler_metrics::Recorder;
@@ -86,6 +86,14 @@ impl<const REFREEZE_ON_READ: bool> BrowsingService<REFREEZE_ON_READ> {
             recorder: Recorder::shared(),
         }
     }
+
+    /// Applies one write, returning the version it produced; a refusal
+    /// is an `InvalidInput` error.
+    fn write(&self, op: DeltaOp) -> std::io::Result<u64> {
+        self.live
+            .apply(op)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+    }
 }
 
 impl<const REFREEZE_ON_READ: bool> BrowseSession for BrowsingService<REFREEZE_ON_READ> {
@@ -125,8 +133,10 @@ impl<const REFREEZE_ON_READ: bool> BrowseSession for BrowsingService<REFREEZE_ON
         PinnedSession::new(Arc::new(LiveSEuler::new(snap)), epoch, version)
     }
 
+    /// Inserts `rect`; an insert at the object bound is ignored. Front
+    /// doors should call [`BrowseSession::try_insert`], which reports it.
     fn insert(&self, rect: &Rect) {
-        self.live.insert(&self.snapper.snap(rect));
+        let _ = self.try_insert(rect);
     }
 
     /// Removes `rect`; a remove while the service is empty is ignored.
@@ -136,12 +146,18 @@ impl<const REFREEZE_ON_READ: bool> BrowseSession for BrowsingService<REFREEZE_ON
         let _ = self.try_remove(rect);
     }
 
+    /// Inserts `rect` and acknowledges the version this insert produced
+    /// (not whatever version a concurrent writer has since reached), or
+    /// refuses with an `InvalidInput` error at the object bound, leaving
+    /// the service untouched.
+    fn try_insert(&self, rect: &Rect) -> std::io::Result<u64> {
+        self.write(DeltaOp::insert(self.snapper.snap(rect)))
+    }
+
     /// Removes `rect`, or refuses with an `InvalidInput` error when the
     /// service holds no object, leaving it untouched.
     fn try_remove(&self, rect: &Rect) -> std::io::Result<u64> {
-        self.live
-            .remove(&self.snapper.snap(rect))
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+        self.write(DeltaOp::delete(self.snapper.snap(rect)))
     }
 
     fn recorder(&self) -> &Arc<Recorder> {
@@ -252,6 +268,47 @@ mod tests {
         // A fresh browse sees all of them.
         let fresh = svc.browse(&tiling, &BrowseRequest::new());
         assert!(fresh.counts().iter().any(|c| c.intersecting() > 1));
+    }
+
+    /// Concurrent writers each acknowledge the version their own insert
+    /// produced: across threads the acked versions are exactly `1..=N`,
+    /// each seen once.
+    #[test]
+    fn concurrent_try_inserts_ack_their_own_versions() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 200;
+        let sessions: [Box<dyn BrowseSession>; 2] = [
+            Box::new(GeoBrowsingService::new(grid())),
+            Box::new(DynamicGeoBrowsingService::new(grid())),
+        ];
+        for svc in sessions {
+            let start = std::sync::Barrier::new(THREADS);
+            let mut acks: Vec<u64> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (svc, start) = (&svc, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            (0..PER_THREAD)
+                                .map(|i| {
+                                    let x = (t + i) as f64 % 7.0 + 0.2;
+                                    svc.try_insert(&Rect::new(x, 1.2, x + 0.5, 1.8).unwrap())
+                                        .unwrap()
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap())
+                    .collect()
+            });
+            acks.sort_unstable();
+            let n = (THREADS * PER_THREAD) as u64;
+            assert_eq!(acks, (1..=n).collect::<Vec<_>>(), "{}", svc.session_name());
+            assert_eq!(svc.version(), n);
+        }
     }
 
     /// Both policies refuse a remove past empty with a structured

@@ -53,7 +53,8 @@ impl ExactContains1D {
         }
         ExactContains1D {
             n,
-            cum: PrefixSum2D::build(&h),
+            cum: PrefixSum2D::build(&h)
+                .expect("each object is counted once, so every prefix sum is at most N"),
             size: objects.len() as i64,
         }
     }

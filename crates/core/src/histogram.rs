@@ -39,10 +39,21 @@
 
 use std::borrow::Borrow;
 
-use euler_cube::{CompressedPrefix2D, CubeBuffer, CubeTier, PrefixSum2D};
+use euler_cube::{Cell, CompressedPrefix2D, CubeBuffer, CubeTier, PrefixSum2D};
 use euler_grid::{Grid, GridRect, SnappedRect};
 
 use crate::EulerSource;
+
+/// The most objects an Euler histogram may count: `i32::MAX`, the
+/// largest value of a cube [`Cell`].
+///
+/// Every value of a histogram's cube is an object count: a prefix value
+/// `P(i, j)` counts the objects that meet the quadrant `[0..i]×[0..j]`,
+/// so it lies in `[0, N]`, and each bucket, difference corner and
+/// partial sum of a build or fold is bounded by the objects it counts.
+/// Front doors refuse input past this bound (a live insert, a CSV
+/// preload, a persisted image) instead of letting a cell overflow.
+pub const MAX_OBJECTS: u64 = Cell::MAX as u64;
 
 /// Below this projected dense-cube size the freeze heuristic does not
 /// even attempt compression: a couple of MiB of prefix rows is already
@@ -94,17 +105,24 @@ fn bucket_sign(ex: usize, ey: usize) -> i64 {
 /// delete) in one buffer: each op's four difference corners, one
 /// in-place integration, then the §5.1 sign pass. `O(|ops| + buckets)`
 /// regardless of object sizes. Returns the buckets and the net count.
+///
+/// # Panics
+///
+/// Past [`MAX_OBJECTS`] ops: every value the passes store is bounded by
+/// the op count, which is what lets them skip per-value checks.
 fn signed_buckets(
     grid: &Grid,
     ops: impl IntoIterator<Item = (SnappedRect, i64)>,
 ) -> (CubeBuffer, i64) {
     let (ew, eh) = grid.euler_dims();
     let mut cells = CubeBuffer::zeros(ew, eh);
-    let mut net = 0i64;
+    let (mut net, mut count) = (0i64, 0u64);
     for (o, sign) in ops {
         cells.add_rect_diff(2 * o.cx0(), 2 * o.cy0(), 2 * o.cx1(), 2 * o.cy1(), sign);
         net += sign;
+        count += 1;
     }
+    assert!(count <= MAX_OBJECTS, "{count} ops pass the object bound");
     cells.integrate();
     cells.map_in_place(|x, y, v| v * bucket_sign(x, y));
     (cells, net)
@@ -171,6 +189,12 @@ impl EulerHistogram {
     /// slice, or a stream snapped as it is read) and counts the objects
     /// as it folds them in, so a streamed build holds only that buffer,
     /// never the objects.
+    ///
+    /// # Panics
+    ///
+    /// When `objects` holds more than [`MAX_OBJECTS`] objects; a front
+    /// door streaming untrusted input caps the count first (as
+    /// `euler-datagen`'s CSV loader does).
     pub fn build<I>(grid: Grid, objects: I) -> EulerHistogram
     where
         I: IntoIterator,
@@ -198,6 +222,11 @@ impl EulerHistogram {
     }
 
     /// Inserts one object: `O(footprint)` bucket updates.
+    ///
+    /// # Panics
+    ///
+    /// When a bucket leaves the [`Cell`] range — only past
+    /// [`MAX_OBJECTS`] objects.
     pub fn insert(&mut self, o: &SnappedRect) {
         self.apply(o, 1);
         self.object_count += 1;
@@ -251,7 +280,7 @@ impl EulerHistogram {
 
     /// Row `ey` of the bucket array: buckets `(0..2nx − 1, ey)`.
     #[inline]
-    pub(crate) fn bucket_row(&self, ey: usize) -> &[i64] {
+    pub(crate) fn bucket_row(&self, ey: usize) -> &[Cell] {
         self.buckets.row(ey)
     }
 
@@ -336,7 +365,12 @@ impl EulerHistogram {
             let (x0, x1) = fold_span(ex);
             let (y0, y1) = fold_span(ey);
             (y0..=y1)
-                .map(|y| self.buckets.row(y)[x0..=x1].iter().sum::<i64>())
+                .map(|y| {
+                    self.buckets.row(y)[x0..=x1]
+                        .iter()
+                        .map(|&v| i64::from(v))
+                        .sum::<i64>()
+                })
                 .sum()
         });
         Some(EulerHistogram {

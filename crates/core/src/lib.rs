@@ -69,11 +69,11 @@ pub mod sweep;
 pub use estimator::{Level2Estimator, RelationCounts};
 pub use euler_approx::{EulerApprox, RegionSplit};
 pub use exact_contains::{invert_contains_oracle, ExactContains1D, ExactContains2D};
-pub use histogram::{EulerHistogram, FrozenEulerHistogram};
+pub use histogram::{EulerHistogram, FrozenEulerHistogram, MAX_OBJECTS};
 pub use m_euler::{MEulerApprox, TuneReport};
 pub use s_euler::SEulerApprox;
 pub use snapshot::{
-    CheckpointImage, DeltaOp, LiveEulerHistogram, LiveSEuler, LiveSnapshot, RemoveFromEmpty,
+    CheckpointImage, DeltaOp, LiveEulerHistogram, LiveSEuler, LiveSnapshot, WriteRefused,
 };
 pub use source::{s_euler_counts, EulerSource};
 pub use sweep::TilingPlan;

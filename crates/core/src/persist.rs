@@ -25,12 +25,18 @@
 //! validates payload length *before* allocating, so adversarial input
 //! can never force an over-allocation or a panic: `from_bytes` on
 //! arbitrary bytes always returns `Ok` or a [`PersistError`].
+//!
+//! Buckets are stored as 64-bit words (format 1) or varints (format 2),
+//! while the decoded histogram holds 32-bit cube cells. The decoder
+//! therefore also refuses an object count past [`MAX_OBJECTS`], a bucket
+//! outside the cell range and buckets whose prefix sums leave it, so a
+//! decoded histogram always freezes without overflow.
 
-use euler_cube::CubeBuffer;
+use euler_cube::{Cell, CubeBuffer};
 use euler_geom::Rect;
 use euler_grid::{DataSpace, Grid, MAX_EULER_BUCKETS};
 
-use crate::{EulerHistogram, FrozenEulerHistogram};
+use crate::{EulerHistogram, FrozenEulerHistogram, MAX_OBJECTS};
 
 const MAGIC: &[u8; 4] = b"EULH";
 const VERSION: u32 = 1;
@@ -211,8 +217,9 @@ impl CompressedEncoder {
         }
     }
 
-    fn row(&mut self, row: &[i64]) {
+    fn row<V: Copy + Into<i64>>(&mut self, row: &[V]) {
         for &v in row {
+            let v: i64 = v.into();
             self.checksum = checksum_step(self.checksum, v);
             if v == 0 {
                 self.zero_run += 1;
@@ -314,6 +321,9 @@ impl EulerHistogram {
         if bucket_count64 != ew64 * eh64 {
             return Err(PersistError::Corrupt("bucket count"));
         }
+        if object_count > MAX_OBJECTS {
+            return Err(PersistError::Corrupt("object count"));
+        }
         let bucket_count = bucket_count64 as usize;
         let bounds =
             Rect::new(xlo, ylo, xhi, yhi).map_err(|_| PersistError::Corrupt("space bounds"))?;
@@ -339,7 +349,7 @@ impl EulerHistogram {
             for _ in 0..bucket_count {
                 let v = i64::from_le_bytes(data.take()?);
                 checksum = checksum_step(checksum, v);
-                raw.push(v);
+                raw.push(bucket_cell(v)?);
             }
         } else {
             // The compressed payload legitimately expands (zero runs), so
@@ -361,7 +371,7 @@ impl EulerHistogram {
                 } else {
                     let v = unzigzag(token);
                     checksum = checksum_step(checksum, v);
-                    raw.push(v);
+                    raw.push(bucket_cell(v)?);
                 }
             }
             if data.remaining() != 8 {
@@ -371,18 +381,24 @@ impl EulerHistogram {
         if u64::from_le_bytes(data.take()?) != checksum {
             return Err(PersistError::ChecksumMismatch);
         }
-        Ok(EulerHistogram::from_parts(
-            grid,
-            CubeBuffer::from_row_major(ew, eh, raw),
-            object_count,
-        ))
+        let buckets = CubeBuffer::from_row_major(ew, eh, raw);
+        if buckets.check_prefix().is_err() {
+            return Err(PersistError::Corrupt("bucket sums"));
+        }
+        Ok(EulerHistogram::from_parts(grid, buckets, object_count))
     }
+}
+
+/// A decoded bucket as a cube cell, or `Corrupt` when it does not fit.
+fn bucket_cell(v: i64) -> Result<Cell, PersistError> {
+    Cell::try_from(v).map_err(|_| PersistError::Corrupt("bucket value"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use euler_grid::Snapper;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn sample() -> EulerHistogram {
@@ -635,6 +651,91 @@ mod tests {
                 fa.intersect_count(&q),
                 back.freeze_dense().intersect_count(&q)
             );
+        }
+    }
+
+    /// A format-2 image of a 4×4 grid (7×7 buckets) with the given
+    /// object count and row-major bucket values, checksummed like a real
+    /// one: what a crafted file looks like to the decoder.
+    fn crafted_v2(object_count: u64, buckets: &[i64]) -> Vec<u8> {
+        let grid = Grid::new(DataSpace::new(Rect::new(0.0, 0.0, 4.0, 4.0).unwrap()), 4, 4).unwrap();
+        let mut enc = CompressedEncoder::new(&grid, object_count);
+        let mut cells = buckets.to_vec();
+        cells.resize(49, 0);
+        enc.row(&cells);
+        enc.finish()
+    }
+
+    /// The format-1 twin of [`crafted_v2`].
+    fn crafted_v1(object_count: u64, buckets: &[i64]) -> Vec<u8> {
+        let grid = Grid::new(DataSpace::new(Rect::new(0.0, 0.0, 4.0, 4.0).unwrap()), 4, 4).unwrap();
+        let mut buf = Vec::new();
+        let mut checksum = put_header(&mut buf, &grid, object_count, VERSION);
+        let mut cells = buckets.to_vec();
+        cells.resize(49, 0);
+        for v in cells {
+            checksum = checksum_step(checksum, v);
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf
+    }
+
+    /// The decoder holds histograms to 32-bit cube cells: an object
+    /// count up to `MAX_OBJECTS` decodes, one past it is corrupt, and so
+    /// is a bucket outside the cell range or buckets whose prefix sums
+    /// leave it — in both formats, so a decoded histogram always
+    /// freezes.
+    #[test]
+    fn images_past_the_object_bound_are_corrupt() {
+        let max = i64::from(euler_cube::Cell::MAX);
+        for craft in [crafted_v1, crafted_v2] {
+            let at = EulerHistogram::from_bytes(&craft(MAX_OBJECTS, &[])).unwrap();
+            assert_eq!(at.object_count(), MAX_OBJECTS);
+            assert_eq!(at.freeze().total(), 0);
+            let edge = EulerHistogram::from_bytes(&craft(1, &[max])).unwrap();
+            assert_eq!(edge.freeze().total(), max);
+            for (bytes, what) in [
+                (craft(MAX_OBJECTS + 1, &[]), "object count"),
+                (craft(u64::MAX, &[]), "object count"),
+                (craft(1, &[max + 1]), "bucket value"),
+                (craft(1, &[-max - 2]), "bucket value"),
+                (craft(1, &[i64::MIN]), "bucket value"),
+                (craft(1, &[max, 1]), "bucket sums"),
+                (craft(1, &[-max, 0, 0, 0, 0, 0, 0, -2]), "bucket sums"),
+            ] {
+                assert_eq!(
+                    EulerHistogram::from_bytes(&bytes),
+                    Err(PersistError::Corrupt(what))
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// Decoding arbitrary bytes returns `Ok` or `Err`, never panics:
+        /// raw noise, noise behind a valid header, and checksummed
+        /// images with arbitrary buckets (whose decoded histograms must
+        /// then freeze without overflow).
+        #[test]
+        fn arbitrary_bytes_decode_to_ok_or_err(
+            noise in prop::collection::vec(0u8..u8::MAX, 0..160),
+            count in 0u64..u64::MAX,
+            buckets in prop::collection::vec(i64::MIN..i64::MAX, 0..49),
+            small in prop::collection::vec(-3i64..4, 0..49),
+        ) {
+            let _ = EulerHistogram::from_bytes(&noise);
+            let mut headed = crafted_v2(count % (2 * MAX_OBJECTS), &[]);
+            headed.truncate(HEADER_LEN);
+            headed.extend_from_slice(&noise);
+            let _ = EulerHistogram::from_bytes(&headed);
+            let wide = buckets.iter().map(|&v| v >> (v & 63)).collect::<Vec<_>>();
+            for image in [crafted_v1(count, &wide), crafted_v2(count, &wide), crafted_v2(1, &small)] {
+                if let Ok(h) = EulerHistogram::from_bytes(&image) {
+                    let frozen = h.freeze();
+                    prop_assert_eq!(frozen.object_count(), h.object_count());
+                }
+            }
         }
     }
 

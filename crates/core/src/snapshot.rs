@@ -63,13 +63,13 @@
 use std::borrow::Borrow;
 use std::sync::{Arc, Mutex, RwLock};
 
-use euler_cube::Diff2D;
+use euler_cube::{Cell, Diff2D};
 use euler_grid::{Grid, GridRect, SnappedRect, Tiling};
 
 use crate::sweep::{sweep_tile_sums, TilingPlan};
 use crate::{
     s_euler_counts, EulerHistogram, EulerSource, FrozenEulerHistogram, Level2Estimator,
-    RelationCounts,
+    RelationCounts, MAX_OBJECTS,
 };
 
 /// Default number of unsealed tail ops before they are sealed into a run
@@ -98,18 +98,30 @@ pub struct CheckpointImage {
     pub bytes: Vec<u8>,
 }
 
-/// A remove refused because the live histogram holds no object: the
-/// write is not applied and the version does not move.
+/// A write the live histogram refuses: it is not applied and the version
+/// does not move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RemoveFromEmpty;
+pub enum WriteRefused {
+    /// A remove while the live histogram holds no object.
+    RemoveFromEmpty,
+    /// An insert at [`MAX_OBJECTS`] live objects, or a write that could
+    /// move a cube value past the 32-bit cell range.
+    AtBound,
+}
 
-impl std::fmt::Display for RemoveFromEmpty {
+impl std::fmt::Display for WriteRefused {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "remove from empty live histogram")
+        match self {
+            WriteRefused::RemoveFromEmpty => write!(f, "remove from empty live histogram"),
+            WriteRefused::AtBound => write!(
+                f,
+                "live histogram at its bound of {MAX_OBJECTS} objects (32-bit cube cells)"
+            ),
+        }
     }
 }
 
-impl std::error::Error for RemoveFromEmpty {}
+impl std::error::Error for WriteRefused {}
 
 /// One write-log entry: a snapped footprint with its sign (`+1` insert,
 /// `−1` delete).
@@ -324,12 +336,62 @@ struct WriterState {
     runs: Arc<Vec<Arc<SealedRun>>>,
     tail: Option<Arc<TailNode>>,
     frozen: Arc<FrozenEulerHistogram>,
+    /// Bounds on the least and greatest value of `frozen`'s cube. Each
+    /// delta op moves any prefix value by at most one (down for a
+    /// remove, up for an insert), so a fold widens the bounds by its
+    /// delta instead of scanning the new cube; `admit` scans only when
+    /// widened bounds would refuse a write.
+    cube_range: (i64, i64),
+    /// Whether `cube_range` is exact: scanned from `frozen`'s cube.
+    range_scanned: bool,
     epoch: u64,
     version: u64,
     delta_count: i64,
 }
 
 impl WriterState {
+    /// Whether `op` may be applied: a remove needs a live object, and no
+    /// write may take the live count past [`MAX_OBJECTS`] or let the
+    /// next fold store a value past the cell range. The count check is
+    /// the bound a consistent histogram meets (its prefix values lie in
+    /// `[0, N]`); the cube check also covers removes of objects never
+    /// inserted, which drift values outside `[0, N]`.
+    fn admit(&mut self, op: &DeltaOp) -> Result<(), WriteRefused> {
+        let live = self.frozen.object_count() as i64 + self.delta_count;
+        if op.sign < 0 && live <= 0 {
+            return Err(WriteRefused::RemoveFromEmpty);
+        }
+        if op.sign > 0 && live >= MAX_OBJECTS as i64 {
+            return Err(WriteRefused::AtBound);
+        }
+        if !self.cube_fits(op) && !self.range_scanned {
+            self.cube_range = self.frozen.cum().value_range();
+            self.range_scanned = true;
+        }
+        if !self.cube_fits(op) {
+            return Err(WriteRefused::AtBound);
+        }
+        Ok(())
+    }
+
+    /// Whether the next fold's values stay in the cell range with `op`
+    /// in the delta, by `cube_range`.
+    fn cube_fits(&self, op: &DeltaOp) -> bool {
+        let (inserts, removes) = self.delta_inserts_removes();
+        let (lo, hi) = self.cube_range;
+        if op.sign < 0 {
+            lo - removes > i64::from(Cell::MIN)
+        } else {
+            hi + inserts < i64::from(Cell::MAX)
+        }
+    }
+
+    /// Inserts and removes in the delta.
+    fn delta_inserts_removes(&self) -> (i64, i64) {
+        let ops = self.delta_ops as i64;
+        ((ops + self.delta_count) / 2, (ops - self.delta_count) / 2)
+    }
+
     fn snapshot(&self) -> Arc<LiveSnapshot> {
         Arc::new(LiveSnapshot {
             epoch: self.epoch,
@@ -434,6 +496,8 @@ impl LiveEulerHistogram {
             tail_ops: Vec::new(),
             runs: Arc::new(Vec::new()),
             tail: None,
+            cube_range: frozen.cum().value_range(),
+            range_scanned: true,
             frozen,
             epoch: 1,
             version: 0,
@@ -481,26 +545,43 @@ impl LiveEulerHistogram {
 
     /// Inserts a snapped object: one push and a cons node onto the
     /// delta, then an O(1) snapshot publication.
+    ///
+    /// # Panics
+    ///
+    /// At the object bound ([`WriteRefused::AtBound`]); front doors call
+    /// [`Self::apply`], which reports it.
     pub fn insert(&self, o: &SnappedRect) {
-        self.apply(DeltaOp::insert(*o))
-            .expect("an insert is never refused");
+        if let Err(e) = self.apply(DeltaOp::insert(*o)) {
+            panic!("insert refused: {e}");
+        }
     }
 
     /// Removes a previously inserted object (the histogram is a linear
     /// sketch, so removal is exact) and returns the new version; refused
-    /// with [`RemoveFromEmpty`] when the live count is zero.
-    pub fn remove(&self, o: &SnappedRect) -> Result<u64, RemoveFromEmpty> {
+    /// with [`WriteRefused::RemoveFromEmpty`] when the live count is zero.
+    pub fn remove(&self, o: &SnappedRect) -> Result<u64, WriteRefused> {
         self.apply(DeltaOp::delete(*o))
     }
 
-    /// Applies one signed write-log entry and returns the new version. A
-    /// delete while the live count is zero is refused, checked under the
-    /// writer lock, and leaves the histogram untouched.
-    pub fn apply(&self, op: DeltaOp) -> Result<u64, RemoveFromEmpty> {
+    /// Whether [`Self::apply`] would take `op` now: the same check, for a
+    /// caller that must log a write before applying it. Only a caller
+    /// that serializes its writes (as a durable store does under its log
+    /// lock) can rely on the answer.
+    pub fn admit(&self, op: &DeltaOp) -> Result<(), WriteRefused> {
+        self.writer
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .admit(op)
+    }
+
+    /// Applies one signed write-log entry and returns the new version.
+    /// Refused — checked under the writer lock, leaving the histogram
+    /// untouched — with [`WriteRefused::RemoveFromEmpty`] for a delete
+    /// while the live count is zero and [`WriteRefused::AtBound`] for a
+    /// write past the object bound ([`MAX_OBJECTS`]).
+    pub fn apply(&self, op: DeltaOp) -> Result<u64, WriteRefused> {
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if op.sign < 0 && w.frozen.object_count() as i64 + w.delta_count <= 0 {
-            return Err(RemoveFromEmpty);
-        }
+        w.admit(&op)?;
         w.tail_ops.push(op);
         w.tail = Some(Arc::new(TailNode {
             op,
@@ -537,6 +618,10 @@ impl LiveEulerHistogram {
             let runs = w.runs.iter().flat_map(|run| &run.ops);
             let ops = runs.chain(&w.tail_ops).map(|op| (&op.rect, op.sign));
             w.frozen = Arc::new(w.frozen.with_signed_batch(ops));
+            let (inserts, removes) = w.delta_inserts_removes();
+            let (lo, hi) = w.cube_range;
+            w.cube_range = (lo - removes, hi + inserts);
+            w.range_scanned = false;
             w.tail_ops.clear();
             w.runs = Arc::new(Vec::new());
             w.tail = None;
@@ -1144,13 +1229,76 @@ mod tests {
         let s = Snapper::new(g);
         let a = s.snap(&Rect::new(0.5, 0.5, 2.5, 2.5).unwrap());
         let live = LiveEulerHistogram::with_config(g, 2, Some(3));
-        assert_eq!(live.remove(&a), Err(RemoveFromEmpty));
+        assert_eq!(live.remove(&a), Err(WriteRefused::RemoveFromEmpty));
         assert_eq!((live.version(), live.len()), (0, 0));
         assert_eq!(live.apply(DeltaOp::insert(a)), Ok(1));
         assert_eq!(live.remove(&a), Ok(2));
-        assert_eq!(live.apply(DeltaOp::delete(a)), Err(RemoveFromEmpty));
+        assert_eq!(
+            live.apply(DeltaOp::delete(a)),
+            Err(WriteRefused::RemoveFromEmpty)
+        );
         assert_eq!((live.version(), live.len()), (2, 0));
         assert_eq!(live.refreeze().frozen().total(), 0);
+    }
+
+    /// A histogram over `g` holding `count` objects whose bucket (0, 0)
+    /// is `corner` — so every prefix value is `corner` — as a persisted
+    /// image can state it.
+    fn stated(g: Grid, count: u64, corner: i64) -> EulerHistogram {
+        let (ew, eh) = g.euler_dims();
+        let mut buckets = euler_cube::CubeBuffer::zeros(ew, eh);
+        buckets.add(0, 0, corner);
+        EulerHistogram::from_parts(g, buckets, count)
+    }
+
+    /// At `MAX_OBJECTS` live objects an insert is refused and changes
+    /// nothing; a remove makes room for exactly one more.
+    #[test]
+    fn inserts_at_the_object_bound_are_refused() {
+        let g = grid(6, 6);
+        let a = Snapper::new(g).snap(&Rect::new(0.5, 0.5, 2.5, 2.5).unwrap());
+        let live = LiveEulerHistogram::preloaded(stated(g, MAX_OBJECTS, 0));
+        let v = MAX_OBJECTS;
+        assert_eq!(live.apply(DeltaOp::insert(a)), Err(WriteRefused::AtBound));
+        assert_eq!((live.version(), live.len()), (v, MAX_OBJECTS));
+        assert_eq!(live.remove(&a), Ok(v + 1));
+        assert_eq!(live.apply(DeltaOp::insert(a)), Ok(v + 2));
+        assert_eq!(live.apply(DeltaOp::insert(a)), Err(WriteRefused::AtBound));
+        assert_eq!(live.refreeze().object_count(), MAX_OBJECTS);
+        assert_eq!(live.apply(DeltaOp::insert(a)), Err(WriteRefused::AtBound));
+        assert!(WriteRefused::AtBound.to_string().contains("2147483647"));
+    }
+
+    /// A write that could move a prefix value past the cell range is
+    /// refused even below the object bound: values an image states
+    /// near the ends of the range, or that removes of objects never
+    /// inserted drifted there, stay in range through every fold.
+    #[test]
+    fn writes_that_could_leave_the_cell_range_are_refused() {
+        let g = grid(6, 6);
+        let a = Snapper::new(g).snap(&Rect::new(0.5, 0.5, 2.5, 2.5).unwrap());
+        let max = i64::from(Cell::MAX);
+        let high = LiveEulerHistogram::restore(stated(g, 1, max - 1), 2, None, 1, 1);
+        assert_eq!(high.apply(DeltaOp::insert(a)), Ok(2));
+        assert_eq!(high.apply(DeltaOp::insert(a)), Err(WriteRefused::AtBound));
+        assert_eq!(high.refreeze().frozen().cum().value_range(), (0, max));
+        assert_eq!(high.apply(DeltaOp::insert(a)), Err(WriteRefused::AtBound));
+        assert_eq!(high.remove(&a), Ok(3));
+
+        // A fold widens the bounds by its delta; a write they would
+        // refuse rescans the cube and goes through when its values allow.
+        let churn = LiveEulerHistogram::restore(stated(g, 1, max - 1), 2, None, 1, 1);
+        assert_eq!(churn.apply(DeltaOp::insert(a)), Ok(2));
+        assert_eq!(churn.remove(&a), Ok(3));
+        churn.refreeze();
+        assert_eq!(churn.apply(DeltaOp::insert(a)), Ok(4));
+        assert_eq!(churn.apply(DeltaOp::insert(a)), Err(WriteRefused::AtBound));
+
+        let low = LiveEulerHistogram::restore(stated(g, 5, -max), 2, None, 1, 5);
+        assert_eq!(low.remove(&a), Ok(6));
+        assert_eq!(low.remove(&a), Err(WriteRefused::AtBound));
+        assert_eq!(low.apply(DeltaOp::insert(a)), Ok(7));
+        assert_eq!(low.refreeze().frozen().cum().value_range(), (-max, 0));
     }
 
     proptest! {

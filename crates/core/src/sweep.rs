@@ -238,9 +238,9 @@ impl CornerStrip<'_> {
                 // Only the region's right edge can reach past the cube
                 // width (Euler column 2n − 1 ↦ internal 2n = w + 1);
                 // clamping onto the last prefix column is lossless.
-                self.a[n - 1] = row[plan.ia[n - 1].min(w)];
-                self.b[n - 1] = row[plan.ib[n - 1].min(w)];
-                self.last = row[w];
+                self.a[n - 1] = row[plan.ia[n - 1].min(w)].into();
+                self.b[n - 1] = row[plan.ib[n - 1].min(w)].into();
+                self.last = row[w].into();
             }
             CubeTier::Compressed(c) => {
                 self.last = c.gather_row2_clipped(er, &plan.ia, &plan.ib, self.a, self.b);
@@ -279,10 +279,10 @@ fn fill_pair(
     // only interior boundary outside the plan's affine run.
     let f = plan.affine_from.min(n - 1);
     if f > 0 {
-        sa.a[0] = row_a[plan.ia[0]];
-        sa.b[0] = row_a[plan.ib[0]];
-        sb.a[0] = row_b[plan.ia[0]];
-        sb.b[0] = row_b[plan.ib[0]];
+        sa.a[0] = row_a[plan.ia[0]].into();
+        sa.b[0] = row_a[plan.ib[0]].into();
+        sb.a[0] = row_b[plan.ia[0]].into();
+        sb.b[0] = row_b[plan.ib[0]].into();
     }
     kernels::gather_pairs2(
         row_a,
@@ -294,12 +294,12 @@ fn fill_pair(
         &mut sb.a[f..n - 1],
         &mut sb.b[f..n - 1],
     );
-    sa.a[n - 1] = row_a[plan.ia[n - 1].min(w)];
-    sa.b[n - 1] = row_a[plan.ib[n - 1].min(w)];
-    sb.a[n - 1] = row_b[plan.ia[n - 1].min(w)];
-    sb.b[n - 1] = row_b[plan.ib[n - 1].min(w)];
-    sa.last = row_a[w];
-    sb.last = row_b[w];
+    sa.a[n - 1] = row_a[plan.ia[n - 1].min(w)].into();
+    sa.b[n - 1] = row_a[plan.ib[n - 1].min(w)].into();
+    sb.a[n - 1] = row_b[plan.ia[n - 1].min(w)].into();
+    sb.b[n - 1] = row_b[plan.ib[n - 1].min(w)].into();
+    sa.last = row_a[w].into();
+    sb.last = row_b[w].into();
 }
 
 /// The per-tile signed sums every Euler estimator consumes: the inside

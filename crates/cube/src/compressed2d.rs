@@ -1,14 +1,14 @@
 use std::collections::HashMap;
 
-use crate::{CubeBuffer, PrefixSum2D};
+use crate::{narrow_bounded, Cell, CubeBuffer, PrefixSum2D};
 
 /// One parity-pair run: starting at internal index `start`, the row
 /// value at internal index `i` is `v[i & 1]` until the next run begins.
-type Run = (u32, [i64; 2]);
+type Run = (u32, [Cell; 2]);
 
 /// Bytes a run costs in the pooled arrays (`starts` entry + `vals`
 /// entry).
-const RUN_BYTES: usize = 4 + 16;
+const RUN_BYTES: usize = 4 + 2 * std::mem::size_of::<Cell>();
 
 /// A run-length–compressed twin of [`PrefixSum2D`] — same prefix values,
 /// a fraction of the bytes on sparse or banded data.
@@ -35,6 +35,7 @@ const RUN_BYTES: usize = 4 + 16;
 ///
 /// # Contract
 ///
+/// Values are [`Cell`]s, as in the dense cube, widened on every read.
 /// Every query entry point is bit-identical to its [`PrefixSum2D`]
 /// counterpart: same clip semantics (`clamp(v, −1, dim − 1) + 1` onto a
 /// zero guard plane), same emptiness test in
@@ -54,7 +55,7 @@ pub struct CompressedPrefix2D {
     /// Run start positions, in internal (guard-led) index space.
     starts: Vec<u32>,
     /// Parity-pair values per run: value at internal `i` is `v[i & 1]`.
-    vals: Vec<[i64; 2]>,
+    vals: Vec<[Cell; 2]>,
 }
 
 impl CompressedPrefix2D {
@@ -74,9 +75,9 @@ impl CompressedPrefix2D {
     pub fn from_cells_capped(a: &CubeBuffer, max_bytes: usize) -> Option<CompressedPrefix2D> {
         Self::encode(a.width(), a.height(), max_bytes, |iy, acc| {
             let mut row_acc = 0i64;
-            for (x, v) in a.row(iy - 1).iter().enumerate() {
-                row_acc += v;
-                acc[x + 1] += row_acc;
+            for (p, &v) in acc[1..].iter_mut().zip(a.row(iy - 1)) {
+                row_acc += i64::from(v);
+                *p = narrow_bounded(i64::from(*p) + row_acc);
             }
         })
     }
@@ -97,15 +98,15 @@ impl CompressedPrefix2D {
         w: usize,
         h: usize,
         max_bytes: usize,
-        mut next_row: impl FnMut(usize, &mut [i64]),
+        mut next_row: impl FnMut(usize, &mut [Cell]),
     ) -> Option<CompressedPrefix2D> {
         let mut row_dir = Vec::with_capacity(h + 1);
         let mut offsets: Vec<u32> = vec![0];
         let mut starts: Vec<u32> = Vec::new();
-        let mut vals: Vec<[i64; 2]> = Vec::new();
+        let mut vals: Vec<[Cell; 2]> = Vec::new();
         let mut seen: HashMap<Box<[Run]>, u32> = HashMap::new();
 
-        let mut acc = vec![0i64; w + 1];
+        let mut acc: Vec<Cell> = vec![0; w + 1];
         let mut encoded: Vec<Run> = Vec::new();
         let mut run_bytes = 0usize;
 
@@ -184,7 +185,7 @@ impl CompressedPrefix2D {
         let runs = &self.starts[lo..hi];
         // Last run with start ≤ ix; runs always begin with start 0.
         let idx = runs.partition_point(|&s| s as usize <= ix) - 1;
-        self.vals[lo + idx][ix & 1]
+        i64::from(self.vals[lo + idx][ix & 1])
     }
 
     /// Cumulative sum at clipped signed coordinates — bit-identical to
@@ -243,7 +244,7 @@ impl CompressedPrefix2D {
     }
 
     /// Gathers two clipped column sets out of the row at clipped signed
-    /// coordinate `y` — the compressed twin of
+    /// coordinate `y`, widened — the compressed twin of
     /// [`PrefixSum2D::row_clipped`] + `gather2`, and the strip-fill
     /// primitive of the sweep evaluator on this tier.
     ///
@@ -277,16 +278,16 @@ impl CompressedPrefix2D {
             while j + 1 < runs_s.len() && (runs_s[j + 1] as usize) <= x {
                 j += 1;
             }
-            out_a[k] = runs_v[j][x & 1];
+            out_a[k] = runs_v[j][x & 1].into();
             let x = ib[k].min(self.width);
             debug_assert!(x >= ia[k].min(self.width));
             while j + 1 < runs_s.len() && (runs_s[j + 1] as usize) <= x {
                 j += 1;
             }
-            out_b[k] = runs_v[j][x & 1];
+            out_b[k] = runs_v[j][x & 1].into();
             prev = x;
         }
-        runs_v[runs_s.len() - 1][self.width & 1]
+        runs_v[runs_s.len() - 1][self.width & 1].into()
     }
 
     /// Sum of the whole array.
@@ -297,7 +298,7 @@ impl CompressedPrefix2D {
 
     /// Writes internal row `iy` (`width + 1` values, guard first) into
     /// `out`.
-    fn expand_row(&self, iy: usize, out: &mut [i64]) {
+    fn expand_row(&self, iy: usize, out: &mut [Cell]) {
         let row = self.row_dir[iy] as usize;
         let (lo, hi) = (self.offsets[row] as usize, self.offsets[row + 1] as usize);
         for j in lo..hi {
@@ -317,12 +318,18 @@ impl CompressedPrefix2D {
         }
     }
 
+    /// The least and greatest stored value (the zero guard included).
+    pub fn value_range(&self) -> (i64, i64) {
+        let (lo, hi) = crate::min_max(self.vals.as_flattened());
+        (lo.into(), hi.into())
+    }
+
     /// Bytes of storage held by the compressed cube.
     pub fn storage_bytes(&self) -> usize {
         self.row_dir.len() * 4
             + self.offsets.len() * 4
             + self.starts.len() * 4
-            + self.vals.len() * std::mem::size_of::<[i64; 2]>()
+            + self.vals.len() * std::mem::size_of::<[Cell; 2]>()
     }
 }
 
@@ -331,12 +338,12 @@ impl CompressedPrefix2D {
 /// run pre-loads both parities from the next two positions, so runs are
 /// maximal and the encoding is canonical (equal rows encode equally —
 /// the dedup key relies on this).
-fn encode_parity_runs(acc: &[i64], out: &mut Vec<Run>) {
+fn encode_parity_runs(acc: &[Cell], out: &mut Vec<Run>) {
     out.clear();
     let n = acc.len();
     let mut i = 0usize;
     while i < n {
-        let mut v = [0i64; 2];
+        let mut v: [Cell; 2] = [0; 2];
         v[i & 1] = acc[i];
         v[(i + 1) & 1] = if i + 1 < n { acc[i + 1] } else { acc[i] };
         let mut j = i + 1;
@@ -429,6 +436,15 @@ impl CubeTier {
         }
     }
 
+    /// The least and greatest prefix value the cube stores (the zero
+    /// guard included), on either tier.
+    pub fn value_range(&self) -> (i64, i64) {
+        match self {
+            CubeTier::Dense(d) => d.value_range(),
+            CubeTier::Compressed(c) => c.value_range(),
+        }
+    }
+
     /// Bytes held by the cube on this tier.
     pub fn storage_bytes(&self) -> usize {
         match self {
@@ -445,14 +461,18 @@ impl CubeTier {
 
     /// Adds this cube's prefix values into `dst`, a dense cube of the
     /// same shape. Prefix sums are linear, so `dst` then summarizes the
-    /// cell-wise sum of both arrays.
+    /// cell-wise sum of both arrays. Each sum is taken in `i64` and
+    /// narrowed on store.
+    ///
+    /// Every stored value must fit a [`Cell`]: debug builds panic on one
+    /// that does not, release builds store it truncated.
     pub fn add_to(&self, dst: &mut PrefixSum2D) {
         assert_eq!(
             (self.width(), self.height()),
             (dst.width(), dst.height()),
             "cube shapes differ"
         );
-        let mut expanded = vec![0i64; self.width() + 1];
+        let mut expanded: Vec<Cell> = vec![0; self.width() + 1];
         for iy in 0..=self.height() {
             let row = match self {
                 CubeTier::Dense(d) => d.internal_row(iy),
@@ -461,23 +481,24 @@ impl CubeTier {
                     &expanded
                 }
             };
-            for (d, v) in dst.internal_row_mut(iy).iter_mut().zip(row) {
-                *d += v;
+            for (d, &v) in dst.internal_row_mut(iy).iter_mut().zip(row) {
+                *d = narrow_bounded(i64::from(*d) + i64::from(v));
             }
         }
     }
 
     /// Calls `f` with each row of the summarized array, `y = 0..height`,
     /// recovered by differencing adjacent prefix rows — how a frozen
-    /// histogram is encoded without keeping its cells.
+    /// histogram is encoded without keeping its cells. The rows are
+    /// differenced in `i64` and handed over widened.
     pub fn for_each_cell_row(&self, mut f: impl FnMut(&[i64])) {
         let mut cells = vec![0i64; self.width()];
         // Both rows lead with the zero guard, so the column sums of the
         // row difference start at 0 and each cell is one step of them.
-        let mut emit = |prev: &[i64], row: &[i64]| {
+        let mut emit = |prev: &[Cell], row: &[Cell]| {
             let mut left = 0i64;
-            for ((c, r), p) in cells.iter_mut().zip(&row[1..]).zip(&prev[1..]) {
-                let upto = r - p;
+            for ((c, &r), &p) in cells.iter_mut().zip(&row[1..]).zip(&prev[1..]) {
+                let upto = i64::from(r) - i64::from(p);
                 *c = upto - left;
                 left = upto;
             }
@@ -490,8 +511,8 @@ impl CubeTier {
                 }
             }
             CubeTier::Compressed(c) => {
-                let mut prev = vec![0i64; c.width() + 1];
-                let mut row = vec![0i64; c.width() + 1];
+                let mut prev: Vec<Cell> = vec![0; c.width() + 1];
+                let mut row: Vec<Cell> = vec![0; c.width() + 1];
                 for iy in 1..=c.height() {
                     c.expand_row(iy, &mut row);
                     emit(&prev, &row);
@@ -538,7 +559,8 @@ mod tests {
     }
 
     fn cells(a: &Dense2D) -> CubeBuffer {
-        CubeBuffer::from_row_major(a.width(), a.height(), a.raw().to_vec())
+        let raw = a.raw().iter().map(|&v| crate::narrow(v)).collect();
+        CubeBuffer::from_row_major(a.width(), a.height(), raw)
     }
 
     fn compressed(a: &Dense2D) -> CompressedPrefix2D {
@@ -546,7 +568,7 @@ mod tests {
     }
 
     fn assert_twin(a: &Dense2D) {
-        let dense = PrefixSum2D::build(a);
+        let dense = PrefixSum2D::build(a).unwrap();
         let comp = compressed(a);
         assert_eq!(comp.width(), dense.width());
         assert_eq!(comp.height(), dense.height());
@@ -608,7 +630,7 @@ mod tests {
         let c = compressed(&a);
         // Guard + pre-band + 3 in-band rows + post-band ≤ a handful.
         assert!(c.unique_rows() <= 6, "unique rows = {}", c.unique_rows());
-        assert!(c.storage_bytes() < PrefixSum2D::build(&a).storage_bytes() / 4);
+        assert!(c.storage_bytes() < PrefixSum2D::build(&a).unwrap().storage_bytes() / 4);
         assert_twin(&a);
     }
 
@@ -616,7 +638,7 @@ mod tests {
     fn gather_matches_pointwise_lookups() {
         let a = euler_like_array(33, 21, 8, 11);
         let c = compressed(&a);
-        let d = PrefixSum2D::build(&a);
+        let d = PrefixSum2D::build(&a).unwrap();
         // Interleaved non-decreasing index pairs, the sweep-plan shape,
         // including past-the-end entries that must clamp.
         let xs = [0usize, 3, 7, 8, 15, 30, 33, 40];
@@ -628,10 +650,10 @@ mod tests {
             let last = c.gather_row2_clipped(y, &ia, &ib, &mut out_a, &mut out_b);
             let row = d.row_clipped(y);
             for k in 0..xs.len() {
-                assert_eq!(out_a[k], row[ia[k].min(33)], "a[{k}] row {y}");
-                assert_eq!(out_b[k], row[ib[k].min(33)], "b[{k}] row {y}");
+                assert_eq!(out_a[k], row[ia[k].min(33)].into(), "a[{k}] row {y}");
+                assert_eq!(out_b[k], row[ib[k].min(33)].into(), "b[{k}] row {y}");
             }
-            assert_eq!(last, row[33], "last of row {y}");
+            assert_eq!(last, row[33].into(), "last of row {y}");
         }
     }
 
@@ -649,7 +671,7 @@ mod tests {
     #[test]
     fn prefix_and_cell_builds_agree() {
         for a in [random_array(17, 9, 1), euler_like_array(20, 14, 6, 3)] {
-            let dense = PrefixSum2D::build(&a);
+            let dense = PrefixSum2D::build(&a).unwrap();
             let from_prefix = CompressedPrefix2D::from_prefix_capped(&dense, usize::MAX);
             assert_eq!(from_prefix, Some(compressed(&a)));
             assert!(CompressedPrefix2D::from_prefix_capped(&dense, 64).is_none());
@@ -664,18 +686,18 @@ mod tests {
             let a = euler_like_array(w, h, 5, (w * 10 + h) as u64);
             let b = random_array(w, h, 3);
             let tiers = [
-                CubeTier::Dense(PrefixSum2D::build(&a)),
+                CubeTier::Dense(PrefixSum2D::build(&a).unwrap()),
                 CubeTier::Compressed(compressed(&a)),
             ];
             for tier in &tiers {
                 let mut rows = Vec::new();
                 tier.for_each_cell_row(|r| rows.extend_from_slice(r));
                 assert_eq!(rows, a.raw(), "{w}x{h} cells");
-                let mut sum = PrefixSum2D::build(&b);
+                let mut sum = PrefixSum2D::build(&b).unwrap();
                 tier.add_to(&mut sum);
                 let mut ab = b.clone();
                 ab.map_in_place(|x, y, v| v + a.get(x, y));
-                assert_eq!(sum, PrefixSum2D::build(&ab), "{w}x{h} sum");
+                assert_eq!(sum, PrefixSum2D::build(&ab).unwrap(), "{w}x{h} sum");
             }
         }
     }
@@ -690,7 +712,7 @@ mod tests {
             win in prop::collection::vec((-6i64..18, -6i64..16, 0i64..14, 0i64..12), 4))
         {
             let a = euler_like_array(w, h, stamps, seed);
-            let dense = PrefixSum2D::build(&a);
+            let dense = PrefixSum2D::build(&a).unwrap();
             let comp = compressed(&a);
             let mut x0 = [0i64; 4]; let mut y0 = [0i64; 4];
             let mut x1 = [0i64; 4]; let mut y1 = [0i64; 4];
@@ -723,7 +745,7 @@ mod tests {
             seed in 0u64..20, x0 in -4i64..16, y0 in -4i64..14)
         {
             let a = euler_like_array(12, 10, 3, seed);
-            let dense = PrefixSum2D::build(&a);
+            let dense = PrefixSum2D::build(&a).unwrap();
             let comp = compressed(&a);
             prop_assert_eq!(
                 comp.range_sum_clipped(x0, y0, x0 - 2, y0 + 3),

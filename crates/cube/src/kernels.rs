@@ -20,8 +20,14 @@
 //! coordinate is clamped to `[-1, dim - 1]` and shifted by the zero guard
 //! row/column, so out-of-range reads land on a zero plane instead of a
 //! branch (see [`crate::PrefixSum2D::prefix_clipped`]).
+//!
+//! The gathers and [`signed_sum4`] read cube storage ([`Cell`]s) and
+//! write `i64`, widening each value as it is loaded; the strip combines
+//! work on those `i64` strips only.
 
-/// Unroll width of the gathers, in `i64` elements.
+use crate::Cell;
+
+/// Unroll width of the gathers, in output elements.
 pub const LANES: usize = 4;
 
 /// Clamps a signed coordinate into the cube's internal (guard-shifted)
@@ -86,17 +92,18 @@ pub fn strip_combine2(
 }
 
 /// Dual gather: `a[k] = row[ia[k]]`, `b[k] = row[ib[k]]` for `k <
-/// a.len()`. Used to fill the structure-of-arrays corner strips from one
-/// cube row; the index pairs are adjacent Euler columns, so both loads of
-/// a pair usually share a cache line.
+/// a.len()`, widened. Used to fill the structure-of-arrays corner strips
+/// from one cube row; the index pairs are adjacent Euler columns, so both
+/// loads of a pair usually share a cache line.
 #[inline]
-pub fn gather2(row: &[i64], ia: &[usize], ib: &[usize], a: &mut [i64], b: &mut [i64]) {
+pub fn gather2(row: &[Cell], ia: &[usize], ib: &[usize], a: &mut [i64], b: &mut [i64]) {
     // Gathers are address-bound, not arithmetic-bound; the win here is
     // unrolling the loop 4-wide so four independent loads are in flight
     // per iteration, with grouped stores. The index loads themselves stay
     // bounds-checked — they are data-dependent.
     let n = a.len();
     let (ia, ib) = (&ia[..n], &ib[..n]);
+    let row = |i: usize| i64::from(row[i]);
     let mut ac = a.chunks_exact_mut(LANES);
     let mut bc = b.chunks_exact_mut(LANES);
     for (((oa, ob), pi), pj) in (&mut ac)
@@ -104,21 +111,21 @@ pub fn gather2(row: &[i64], ia: &[usize], ib: &[usize], a: &mut [i64], b: &mut [
         .zip(ia.chunks_exact(LANES))
         .zip(ib.chunks_exact(LANES))
     {
-        oa.copy_from_slice(&[row[pi[0]], row[pi[1]], row[pi[2]], row[pi[3]]]);
-        ob.copy_from_slice(&[row[pj[0]], row[pj[1]], row[pj[2]], row[pj[3]]]);
+        oa.copy_from_slice(&[row(pi[0]), row(pi[1]), row(pi[2]), row(pi[3])]);
+        ob.copy_from_slice(&[row(pj[0]), row(pj[1]), row(pj[2]), row(pj[3])]);
     }
     let (ra, rb) = (ac.into_remainder(), bc.into_remainder());
     let start = n - ra.len();
     for (k, (oa, ob)) in ra.iter_mut().zip(rb.iter_mut()).enumerate() {
         let k = start + k;
-        *oa = row[ia[k]];
-        *ob = row[ib[k]];
+        *oa = row(ia[k]);
+        *ob = row(ib[k]);
     }
 }
 
 /// Strided quad gather for an **affine** index lattice: with
 /// `j = start + k·stride`, `a0[k] = row0[j]`, `b0[k] = row0[j + 1]`,
-/// `a1[k] = row1[j]`, `b1[k] = row1[j + 1]`. Tiling plans produce
+/// `a1[k] = row1[j]`, `b1[k] = row1[j + 1]`, widened. Tiling plans produce
 /// exactly this shape away from the clamped edges (closed column = open
 /// column + 1, consecutive boundaries `2·w` apart), which turns the
 /// gather into a strided pair copy: no index-array loads and no
@@ -127,8 +134,8 @@ pub fn gather2(row: &[i64], ia: &[usize], ib: &[usize], a: &mut [i64], b: &mut [
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn gather_pairs2(
-    row0: &[i64],
-    row1: &[i64],
+    row0: &[Cell],
+    row1: &[Cell],
     start: usize,
     stride: usize,
     a0: &mut [i64],
@@ -146,6 +153,8 @@ pub fn gather_pairs2(
     // traffic at all.
     let end = start + (n - 1) * stride + 2;
     let (r0, r1) = (&row0[start..end], &row1[start..end]);
+    let r0 = |i: usize| i64::from(r0[i]);
+    let r1 = |i: usize| i64::from(r1[i]);
     let (s1, s2, s3) = (stride, 2 * stride, 3 * stride);
     let mut a0c = a0.chunks_exact_mut(LANES);
     let mut b0c = b0.chunks_exact_mut(LANES);
@@ -153,10 +162,10 @@ pub fn gather_pairs2(
     let mut b1c = b1.chunks_exact_mut(LANES);
     let mut j = 0usize;
     for (((oa0, ob0), oa1), ob1) in (&mut a0c).zip(&mut b0c).zip(&mut a1c).zip(&mut b1c) {
-        oa0.copy_from_slice(&[r0[j], r0[j + s1], r0[j + s2], r0[j + s3]]);
-        ob0.copy_from_slice(&[r0[j + 1], r0[j + s1 + 1], r0[j + s2 + 1], r0[j + s3 + 1]]);
-        oa1.copy_from_slice(&[r1[j], r1[j + s1], r1[j + s2], r1[j + s3]]);
-        ob1.copy_from_slice(&[r1[j + 1], r1[j + s1 + 1], r1[j + s2 + 1], r1[j + s3 + 1]]);
+        oa0.copy_from_slice(&[r0(j), r0(j + s1), r0(j + s2), r0(j + s3)]);
+        ob0.copy_from_slice(&[r0(j + 1), r0(j + s1 + 1), r0(j + s2 + 1), r0(j + s3 + 1)]);
+        oa1.copy_from_slice(&[r1(j), r1(j + s1), r1(j + s2), r1(j + s3)]);
+        ob1.copy_from_slice(&[r1(j + 1), r1(j + s1 + 1), r1(j + s2 + 1), r1(j + s3 + 1)]);
         j += 4 * stride;
     }
     let (ra0, rb0) = (a0c.into_remainder(), b0c.into_remainder());
@@ -164,10 +173,10 @@ pub fn gather_pairs2(
     let start_k = n - ra0.len();
     for k in 0..ra0.len() {
         let j = (start_k + k) * stride;
-        ra0[k] = r0[j];
-        rb0[k] = r0[j + 1];
-        ra1[k] = r1[j];
-        rb1[k] = r1[j + 1];
+        ra0[k] = r0(j);
+        rb0[k] = r0(j + 1);
+        ra1[k] = r1(j);
+        rb1[k] = r1(j + 1);
     }
 }
 
@@ -185,7 +194,7 @@ pub fn gather_pairs2(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn signed_sum4(
-    p: &[i64],
+    p: &[Cell],
     stride: usize,
     width: usize,
     height: usize,
@@ -195,13 +204,14 @@ pub fn signed_sum4(
     y1: [i64; 4],
 ) -> [i64; 4] {
     let (w, h) = (width as i64, height as i64);
+    let p = |i: usize| i64::from(p[i]);
     let mut out = [0i64; 4];
     for l in 0..4 {
         let lo_x = clip(x0[l] - 1, w);
         let hi_x = clip(x1[l], w);
         let lo_y = clip(y0[l] - 1, h) * stride;
         let hi_y = clip(y1[l], h) * stride;
-        out[l] = p[hi_x + hi_y] - p[lo_x + hi_y] - p[hi_x + lo_y] + p[lo_x + lo_y];
+        out[l] = p(hi_x + hi_y) - p(lo_x + hi_y) - p(hi_x + lo_y) + p(lo_x + lo_y);
     }
     out
 }
@@ -215,6 +225,10 @@ mod tests {
     fn random_vec(n: usize, seed: u64) -> Vec<i64> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(-1000..1000)).collect()
+    }
+
+    fn random_cells(n: usize, seed: u64) -> Vec<Cell> {
+        random_vec(n, seed).into_iter().map(crate::narrow).collect()
     }
 
     /// Lengths around the unroll width: empty, sub-lane, exact-lane and
@@ -258,15 +272,15 @@ mod tests {
 
     #[test]
     fn gather2_matches_plain_indexing() {
-        let row = random_vec(64, 7);
+        let row = random_cells(64, 7);
         let mut rng = StdRng::seed_from_u64(8);
         for n in lengths() {
             let ia: Vec<usize> = (0..n).map(|_| rng.gen_range(0..64)).collect();
             let ib: Vec<usize> = (0..n).map(|_| rng.gen_range(0..64)).collect();
             let (mut a, mut b) = (vec![0i64; n], vec![0i64; n]);
             gather2(&row, &ia, &ib, &mut a, &mut b);
-            let want_a: Vec<i64> = ia.iter().map(|&i| row[i]).collect();
-            let want_b: Vec<i64> = ib.iter().map(|&i| row[i]).collect();
+            let want_a: Vec<i64> = ia.iter().map(|&i| row[i].into()).collect();
+            let want_b: Vec<i64> = ib.iter().map(|&i| row[i].into()).collect();
             assert_eq!((a, b), (want_a, want_b), "gather2 n={n}");
         }
     }
@@ -275,8 +289,8 @@ mod tests {
     /// upward, at several start offsets.
     #[test]
     fn gather_pairs2_matches_plain_indexing() {
-        let row0 = random_vec(128, 12);
-        let row1 = random_vec(128, 13);
+        let row0 = random_cells(128, 12);
+        let row1 = random_cells(128, 13);
         for stride in [2usize, 3, 5, 10] {
             for start in [0usize, 1, 4] {
                 for n in lengths() {
@@ -289,11 +303,11 @@ mod tests {
                         gather_pairs2(&row0, &row1, start, stride, a0, b0, a1, b1);
                     }
                     let js: Vec<usize> = (0..n).map(|k| start + k * stride).collect();
-                    let want = [
-                        js.iter().map(|&j| row0[j]).collect::<Vec<_>>(),
-                        js.iter().map(|&j| row0[j + 1]).collect(),
-                        js.iter().map(|&j| row1[j]).collect(),
-                        js.iter().map(|&j| row1[j + 1]).collect(),
+                    let want: [Vec<i64>; 4] = [
+                        js.iter().map(|&j| row0[j].into()).collect(),
+                        js.iter().map(|&j| row0[j + 1].into()).collect(),
+                        js.iter().map(|&j| row1[j].into()).collect(),
+                        js.iter().map(|&j| row1[j + 1].into()).collect(),
                     ];
                     assert_eq!(got, want, "stride={stride} start={start} n={n}");
                 }
@@ -311,7 +325,7 @@ mod tests {
         for w in lengths() {
             for h in [0usize, 1, 2, LANES + 1, 2 * LANES + 3] {
                 let a = Dense2D::from_vec(w, h, random_vec(w * h, (w * 31 + h) as u64));
-                let p = PrefixSum2D::build(&a);
+                let p = PrefixSum2D::build(&a).unwrap();
                 for _ in 0..16 {
                     let (mut x0, mut y0) = ([0i64; 4], [0i64; 4]);
                     let (mut x1, mut y1) = ([0i64; 4], [0i64; 4]);

@@ -1,10 +1,10 @@
 use crate::kernels;
-use crate::Dense2D;
+use crate::{narrow, narrow_bounded, try_narrow, Cell, CellOverflow, Dense2D};
 
-/// Row stride granularity, in `i64` elements: 8 × 8 bytes = one 64-byte
+/// Row stride granularity, in [`Cell`]s: 16 × 4 bytes = one 64-byte
 /// cache line, so every row starts at the same line offset and a
 /// four-corner lookup touches at most one line per corner pair.
-const ROW_BLOCK: usize = 8;
+const ROW_BLOCK: usize = 16;
 
 /// The 2-D prefix-sum data cube of \[HAMS97\]: `P(x, y) = Σ_{i≤x, j≤y} A(i, j)`.
 ///
@@ -15,7 +15,7 @@ const ROW_BLOCK: usize = 8;
 /// # Layout
 ///
 /// Storage is row-blocked: each internal row is padded to a multiple of
-/// `ROW_BLOCK` = 8 elements (one cache line), with a zero **guard** row and
+/// `ROW_BLOCK` = 16 cells (one cache line), with a zero **guard** row and
 /// column in front — `p[(x+1) + (y+1)·stride] = P(x, y)`, and index 0 on
 /// either axis is a zero plane. The guard plus a branchless clamp make
 /// every clipped lookup a pure load: a signed coordinate maps to
@@ -24,6 +24,8 @@ const ROW_BLOCK: usize = 8;
 /// fills in `euler-core`) lean on. The padding is
 /// invisible to the API and to persistence — `euler-core`'s `to_bytes`
 /// serializes raw buckets and rebuilds the cube (this layout) on load.
+///
+/// Values are stored as [`Cell`]s and widened to `i64` on every read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixSum2D {
     width: usize,
@@ -31,18 +33,28 @@ pub struct PrefixSum2D {
     /// Padded row stride: `width + 1` rounded up to a cache-line
     /// multiple.
     stride: usize,
-    p: Vec<i64>,
+    p: Vec<Cell>,
 }
 
 impl PrefixSum2D {
-    /// Builds the cube from a dense array in one pass.
+    /// Builds the cube from a dense array in one pass, or reports the
+    /// first array value or prefix sum outside the [`Cell`] range.
+    /// Callers whose sums are bounded (say, by an object count that fits
+    /// a cell) may `expect` the result, stating that bound.
     ///
     /// A degenerate array (`width` or `height` zero) yields a valid empty
     /// cube: every query method returns 0 and [`Self::row_clipped`]
     /// returns guard (all-zero) rows — callers never index through a
     /// `w·h == 0` grid.
-    pub fn build(a: &Dense2D) -> PrefixSum2D {
-        CubeBuffer::from_row_major(a.width(), a.height(), a.raw().to_vec()).into_prefix()
+    pub fn build(a: &Dense2D) -> Result<PrefixSum2D, CellOverflow> {
+        let cells = a
+            .raw()
+            .iter()
+            .map(|&v| try_narrow(v))
+            .collect::<Result<_, _>>()?;
+        let cells = CubeBuffer::from_row_major(a.width(), a.height(), cells);
+        cells.check_prefix()?;
+        Ok(cells.into_prefix())
     }
 
     /// Width of the summarized array.
@@ -62,7 +74,13 @@ impl PrefixSum2D {
     #[inline]
     pub fn prefix(&self, x: usize, y: usize) -> i64 {
         debug_assert!(x < self.width && y < self.height);
-        self.p[(x + 1) + (y + 1) * self.stride]
+        self.at((x + 1) + (y + 1) * self.stride)
+    }
+
+    /// The stored value at internal offset `i`, widened.
+    #[inline(always)]
+    fn at(&self, i: usize) -> i64 {
+        i64::from(self.p[i])
     }
 
     /// Sum over the inclusive index rectangle `[x0, x1] × [y0, y1]`.
@@ -73,10 +91,10 @@ impl PrefixSum2D {
         debug_assert!(x0 <= x1 && x1 < self.width, "x range [{x0},{x1}]");
         debug_assert!(y0 <= y1 && y1 < self.height, "y range [{y0},{y1}]");
         let stride = self.stride;
-        let br = self.p[(x1 + 1) + (y1 + 1) * stride];
-        let tl = self.p[x0 + y0 * stride];
-        let bl = self.p[x0 + (y1 + 1) * stride];
-        let tr = self.p[(x1 + 1) + y0 * stride];
+        let br = self.at((x1 + 1) + (y1 + 1) * stride);
+        let tl = self.at(x0 + y0 * stride);
+        let bl = self.at(x0 + (y1 + 1) * stride);
+        let tr = self.at((x1 + 1) + y0 * stride);
         br + tl - bl - tr
     }
 
@@ -101,7 +119,7 @@ impl PrefixSum2D {
     /// of clipped prefix values once.
     #[inline]
     pub fn prefix_clipped(&self, x: i64, y: i64) -> i64 {
-        self.p[Self::clip(x, self.width) + Self::clip(y, self.height) * self.stride]
+        self.at(Self::clip(x, self.width) + Self::clip(y, self.height) * self.stride)
     }
 
     /// Sum over a *clipped* signed index rectangle: bounds may lie outside
@@ -124,7 +142,7 @@ impl PrefixSum2D {
             return 0;
         }
         let (lo_y, hi_y) = (lo_y * self.stride, hi_y * self.stride);
-        self.p[hi_x + hi_y] - self.p[lo_x + hi_y] - self.p[hi_x + lo_y] + self.p[lo_x + lo_y]
+        self.at(hi_x + hi_y) - self.at(lo_x + hi_y) - self.at(hi_x + lo_y) + self.at(lo_x + lo_y)
     }
 
     /// The internal row at clipped signed row coordinate `y`, including
@@ -134,22 +152,22 @@ impl PrefixSum2D {
     ///
     /// This is the strip-fill primitive of the sweep evaluator: one call
     /// pins the row, then [`crate::kernels`] gathers arbitrary clipped
-    /// column sets out of it with plain indexing.
+    /// column sets out of it with plain indexing, widening each value.
     #[inline]
-    pub fn row_clipped(&self, y: i64) -> &[i64] {
+    pub fn row_clipped(&self, y: i64) -> &[Cell] {
         self.internal_row(Self::clip(y, self.height))
     }
 
     /// Internal row `iy` (0 = the guard row, `iy = y + 1` for array row
     /// `y`): `width + 1` prefix values led by the zero guard column.
     #[inline]
-    pub(crate) fn internal_row(&self, iy: usize) -> &[i64] {
+    pub(crate) fn internal_row(&self, iy: usize) -> &[Cell] {
         &self.p[iy * self.stride..iy * self.stride + self.width + 1]
     }
 
     /// Mutable [`Self::internal_row`].
     #[inline]
-    pub(crate) fn internal_row_mut(&mut self, iy: usize) -> &mut [i64] {
+    pub(crate) fn internal_row_mut(&mut self, iy: usize) -> &mut [Cell] {
         &mut self.p[iy * self.stride..iy * self.stride + self.width + 1]
     }
 
@@ -191,29 +209,35 @@ impl PrefixSum2D {
         let s = self.stride;
         let (hy_a, ly_a) = (Self::clip(a.3, h) * s, Self::clip(a.1 - 1, h) * s);
         let (hy_b, ly_b) = (Self::clip(b.3, h) * s, Self::clip(b.1 - 1, h) * s);
-        let p = &self.p;
+        let p = |i| self.at(i);
         (
-            p[hx_a + hy_a] - p[lx_a + hy_a] - p[hx_a + ly_a] + p[lx_a + ly_a],
-            p[hx_b + hy_b] - p[lx_b + hy_b] - p[hx_b + ly_b] + p[lx_b + ly_b],
+            p(hx_a + hy_a) - p(lx_a + hy_a) - p(hx_a + ly_a) + p(lx_a + ly_a),
+            p(hx_b + hy_b) - p(lx_b + hy_b) - p(hx_b + ly_b) + p(lx_b + ly_b),
         )
     }
 
     /// Sum of the whole array.
     #[inline]
     pub fn total(&self) -> i64 {
-        self.p[self.width + self.height * self.stride]
+        self.at(self.width + self.height * self.stride)
+    }
+
+    /// The least and greatest stored value (the zero guard included).
+    pub fn value_range(&self) -> (i64, i64) {
+        let (lo, hi) = crate::min_max(&self.p);
+        (lo.into(), hi.into())
     }
 
     /// Bytes of storage held by the cube (including row padding).
     pub fn storage_bytes(&self) -> usize {
-        self.p.len() * std::mem::size_of::<i64>()
+        self.p.len() * std::mem::size_of::<Cell>()
     }
 
     /// Bytes a dense cube over a `width × height` array *would* occupy,
     /// without building it — the tier-selection heuristic compares the
     /// compressed encoder's running size against this projection.
     pub fn projected_bytes(width: usize, height: usize) -> usize {
-        (width + 1).next_multiple_of(ROW_BLOCK) * (height + 1) * std::mem::size_of::<i64>()
+        (width + 1).next_multiple_of(ROW_BLOCK) * (height + 1) * std::mem::size_of::<Cell>()
     }
 }
 
@@ -225,6 +249,10 @@ impl PrefixSum2D {
 /// It doubles as a 2-D difference array: [`Self::add_rect_diff`] records
 /// a rectangle's four corners and [`Self::integrate`] materializes every
 /// recorded rectangle in place.
+///
+/// Values are [`Cell`]s: reads widen to `i64`, and every write adds in
+/// `i64` and narrows on store. [`Self::add`] checks the narrowing; the
+/// whole-array passes check it in debug builds only (see [`Cell`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CubeBuffer {
     width: usize,
@@ -232,7 +260,7 @@ pub struct CubeBuffer {
     stride: usize,
     /// Cell `(x, y)` at `(x + 1) + (y + 1) · stride`; the guard row, the
     /// guard column and the row padding stay zero.
-    p: Vec<i64>,
+    p: Vec<Cell>,
 }
 
 impl CubeBuffer {
@@ -250,7 +278,7 @@ impl CubeBuffer {
     /// Re-lays out row-major `data` (`width · height` values) in place:
     /// the vector grows to the padded size and each row moves to its
     /// slot, last row first, so nothing is overwritten before it moves.
-    pub fn from_row_major(width: usize, height: usize, mut data: Vec<i64>) -> CubeBuffer {
+    pub fn from_row_major(width: usize, height: usize, mut data: Vec<Cell>) -> CubeBuffer {
         assert_eq!(data.len(), width * height, "data length mismatch");
         let stride = (width + 1).next_multiple_of(ROW_BLOCK);
         data.resize(stride * (height + 1), 0);
@@ -293,14 +321,18 @@ impl CubeBuffer {
     /// Value at `(x, y)`.
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> i64 {
-        self.p[self.idx(x, y)]
+        i64::from(self.p[self.idx(x, y)])
     }
 
     /// Adds `v` to the value at `(x, y)`.
+    ///
+    /// # Panics
+    ///
+    /// When the sum leaves the [`Cell`] range.
     #[inline]
     pub fn add(&mut self, x: usize, y: usize, v: i64) {
         let i = self.idx(x, y);
-        self.p[i] += v;
+        self.p[i] = narrow(i64::from(self.p[i]) + v);
     }
 
     /// Offset of row `y`'s first cell.
@@ -312,17 +344,20 @@ impl CubeBuffer {
 
     /// Row `y`'s `width` values.
     #[inline]
-    pub fn row(&self, y: usize) -> &[i64] {
+    pub fn row(&self, y: usize) -> &[Cell] {
         let start = self.row_start(y);
         &self.p[start..start + self.width]
     }
 
     /// Applies `f(x, y, value) -> value` to every cell in place.
+    ///
+    /// Every stored value must fit a [`Cell`]: debug builds panic on one
+    /// that does not, release builds store it truncated.
     pub fn map_in_place(&mut self, mut f: impl FnMut(usize, usize, i64) -> i64) {
         for y in 0..self.height {
             let start = self.row_start(y);
             for (x, v) in self.p[start..start + self.width].iter_mut().enumerate() {
-                *v = f(x, y, *v);
+                *v = narrow_bounded(f(x, y, i64::from(*v)));
             }
         }
     }
@@ -351,19 +386,41 @@ impl CubeBuffer {
     /// Replaces every cell by the inclusive 2-D prefix sum of the cells
     /// at or before it, in place: a difference array becomes the values
     /// it records, and a value array becomes its prefix cube.
+    ///
+    /// Every stored value must fit a [`Cell`]: debug builds panic on one
+    /// that does not, release builds store it truncated.
     pub fn integrate(&mut self) {
         let (w, stride) = (self.width, self.stride);
         for iy in 1..=self.height {
             let (prev, cur) = self.p[(iy - 1) * stride..].split_at_mut(stride);
             let mut row_acc = 0i64;
             for x in 1..=w {
-                row_acc += cur[x];
-                cur[x] = row_acc + prev[x];
+                row_acc += i64::from(cur[x]);
+                cur[x] = narrow_bounded(row_acc + i64::from(prev[x]));
             }
         }
     }
 
+    /// Checks, without changing the buffer, that every value
+    /// [`Self::integrate`] would store fits a [`Cell`]; reports the
+    /// first that does not. Sums accumulate in one `i64` row.
+    pub fn check_prefix(&self) -> Result<(), CellOverflow> {
+        let mut above = vec![0i64; self.width];
+        for y in 0..self.height {
+            let mut row_acc = 0i64;
+            for (&v, up) in self.row(y).iter().zip(&mut above) {
+                row_acc += i64::from(v);
+                *up += row_acc;
+                try_narrow(*up)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Sums the array into its prefix cube in the same allocation.
+    ///
+    /// Every stored value must fit a [`Cell`]: debug builds panic on one
+    /// that does not, release builds store it truncated.
     pub fn into_prefix(mut self) -> PrefixSum2D {
         self.integrate();
         PrefixSum2D {
@@ -377,7 +434,7 @@ impl CubeBuffer {
     /// Bytes of storage held by the array (padding and guards included):
     /// the same as the cube it sums into.
     pub fn storage_bytes(&self) -> usize {
-        self.p.len() * std::mem::size_of::<i64>()
+        self.p.len() * std::mem::size_of::<Cell>()
     }
 }
 
@@ -398,14 +455,14 @@ mod tests {
     #[test]
     fn total_matches_dense() {
         let a = random_array(17, 9, 1);
-        let p = PrefixSum2D::build(&a);
+        let p = PrefixSum2D::build(&a).unwrap();
         assert_eq!(p.total(), a.total());
     }
 
     #[test]
     fn range_sums_match_naive_exhaustively() {
         let a = random_array(9, 7, 2);
-        let p = PrefixSum2D::build(&a);
+        let p = PrefixSum2D::build(&a).unwrap();
         for y0 in 0..7 {
             for y1 in y0..7 {
                 for x0 in 0..9 {
@@ -429,7 +486,7 @@ mod tests {
         for &w in &[1, 2, 3, LANES - 1, LANES + 1, ROW_BLOCK - 1, ROW_BLOCK + 1] {
             for &h in &[1, 2, 5] {
                 let a = random_array(w, h, (w * 31 + h) as u64);
-                let p = PrefixSum2D::build(&a);
+                let p = PrefixSum2D::build(&a).unwrap();
                 assert_eq!(p.total(), a.total(), "{w}x{h}");
                 for y0 in 0..h {
                     for y1 in y0..h {
@@ -463,7 +520,7 @@ mod tests {
     fn zero_area_arrays_build_valid_empty_cubes() {
         for (w, h) in [(0usize, 0usize), (0, 5), (5, 0)] {
             let a = Dense2D::from_vec(w, h, vec![]);
-            let p = PrefixSum2D::build(&a);
+            let p = PrefixSum2D::build(&a).unwrap();
             assert_eq!(p.width(), w);
             assert_eq!(p.height(), h);
             assert_eq!(p.total(), 0, "{w}x{h}");
@@ -483,13 +540,17 @@ mod tests {
     #[test]
     fn row_clipped_matches_prefix_clipped() {
         let a = random_array(11, 6, 4);
-        let p = PrefixSum2D::build(&a);
+        let p = PrefixSum2D::build(&a).unwrap();
         for y in -2i64..8 {
             let row = p.row_clipped(y);
             assert_eq!(row.len(), 12);
             assert_eq!(row[0], 0, "guard at row {y}");
             for x in 0..11i64 {
-                assert_eq!(row[(x + 1) as usize], p.prefix_clipped(x, y), "({x},{y})");
+                assert_eq!(
+                    i64::from(row[(x + 1) as usize]),
+                    p.prefix_clipped(x, y),
+                    "({x},{y})"
+                );
             }
         }
     }
@@ -497,7 +558,7 @@ mod tests {
     #[test]
     fn clipped_sums() {
         let a = random_array(5, 5, 3);
-        let p = PrefixSum2D::build(&a);
+        let p = PrefixSum2D::build(&a).unwrap();
         assert_eq!(p.range_sum_clipped(-3, -3, 10, 10), a.total());
         assert_eq!(p.range_sum_clipped(-3, 0, -1, 4), 0);
         assert_eq!(p.range_sum_clipped(5, 0, 9, 4), 0);
@@ -525,14 +586,14 @@ mod tests {
     #[test]
     fn from_row_major_keeps_every_cell_and_zero_padding() {
         for (w, h) in [(0, 3), (3, 0), (1, 1), (7, 3), (8, 2), (9, 4), (15, 5)] {
-            let data: Vec<i64> = (0..w * h).map(|i| i as i64 * 3 - 7).collect();
+            let data: Vec<Cell> = (0..w * h).map(|i| i as Cell * 3 - 7).collect();
             let c = CubeBuffer::from_row_major(w, h, data.clone());
             for y in 0..h {
                 assert_eq!(c.row(y), &data[y * w..(y + 1) * w], "{w}x{h} row {y}");
             }
             assert_eq!(c, {
                 let mut z = CubeBuffer::zeros(w, h);
-                z.map_in_place(|x, y, _| data[y * w + x]);
+                z.map_in_place(|x, y, _| data[y * w + x].into());
                 z
             });
         }
@@ -560,9 +621,51 @@ mod tests {
         }
         c.integrate();
         for y in 0..h {
-            assert_eq!(c.row(y), &naive.raw()[y * w..(y + 1) * w], "row {y}");
+            let row: Vec<i64> = c.row(y).iter().map(|&v| v.into()).collect();
+            assert_eq!(row, &naive.raw()[y * w..(y + 1) * w], "row {y}");
         }
-        assert_eq!(c.into_prefix(), PrefixSum2D::build(&naive));
+        assert_eq!(c.into_prefix(), PrefixSum2D::build(&naive).unwrap());
+    }
+
+    /// A cube value is a 4-byte cell: the paper grid's 719-bucket rows
+    /// pad to a 720-cell stride (one guard cell, no padding), so its cube
+    /// is 720 × 360 × 4 bytes.
+    #[test]
+    fn cells_are_four_bytes_and_rows_start_on_a_line() {
+        assert_eq!(std::mem::size_of::<Cell>(), 4);
+        assert_eq!(ROW_BLOCK * std::mem::size_of::<Cell>(), 64);
+        assert_eq!(PrefixSum2D::projected_bytes(719, 359), 720 * 360 * 4);
+        assert_eq!(CubeBuffer::zeros(719, 359).storage_bytes(), 1_036_800);
+    }
+
+    /// The checked build refuses an array value or a prefix sum past the
+    /// cell range, and accepts the range's ends.
+    #[test]
+    fn build_refuses_values_past_the_cell_range() {
+        let max = i64::from(Cell::MAX);
+        let min = i64::from(Cell::MIN);
+        for ok in [[max, 0], [min, 0], [max, min + 1]] {
+            let p = PrefixSum2D::build(&Dense2D::from_vec(2, 1, ok.to_vec())).unwrap();
+            assert_eq!(p.total(), ok[0] + ok[1]);
+            assert_eq!(p.value_range(), (p.total().min(ok[0]).min(0), ok[0].max(0)));
+        }
+        for (cells, bad) in [
+            ([max + 1, 0], max + 1),
+            ([min - 1, 0], min - 1),
+            ([max, 1], max + 1),
+        ] {
+            let a = Dense2D::from_vec(2, 1, cells.to_vec());
+            assert_eq!(PrefixSum2D::build(&a), Err(CellOverflow(bad)));
+        }
+    }
+
+    /// A write that leaves the cell range panics instead of wrapping.
+    #[test]
+    #[should_panic(expected = "outside the 32-bit cell range")]
+    fn an_add_past_the_cell_range_panics() {
+        let mut c = CubeBuffer::zeros(2, 2);
+        c.add(1, 1, i64::from(Cell::MAX));
+        c.add(1, 1, 1);
     }
 
     proptest! {
@@ -571,7 +674,7 @@ mod tests {
                                      x0 in 0usize..12, y0 in 0usize..10,
                                      dx in 0usize..12, dy in 0usize..10) {
             let a = random_array(12, 10, seed);
-            let p = PrefixSum2D::build(&a);
+            let p = PrefixSum2D::build(&a).unwrap();
             let x1 = (x0 + dx).min(11);
             let y1 = (y0 + dy).min(9);
             prop_assert_eq!(p.range_sum(x0, y0, x1, y1), a.range_sum_naive(x0, y0, x1, y1));
@@ -589,7 +692,7 @@ mod tests {
             x1 in -6i64..18, y1 in -6i64..16)
         {
             let a = random_array(12, 10, seed);
-            let p = PrefixSum2D::build(&a);
+            let p = PrefixSum2D::build(&a).unwrap();
             let (lo_x, hi_x) = (x0.min(x1), x0.max(x1));
             let (lo_y, hi_y) = (y0.min(y1), y0.max(y1));
             prop_assert_eq!(
@@ -609,7 +712,7 @@ mod tests {
             x1 in -6i64..18, y1 in -6i64..16)
         {
             let a = random_array(12, 10, seed);
-            let p = PrefixSum2D::build(&a);
+            let p = PrefixSum2D::build(&a).unwrap();
             let (lo_x, hi_x) = (x0.min(x1), x0.max(x1));
             let (lo_y, hi_y) = (y0.min(y1), y0.max(y1));
             let corners = p.prefix_clipped(hi_x, hi_y)
@@ -627,7 +730,7 @@ mod tests {
             win in prop::collection::vec((-6i64..18, -6i64..16, 0i64..14, 0i64..12), 2))
         {
             let arr = random_array(w, h, seed);
-            let p = PrefixSum2D::build(&arr);
+            let p = PrefixSum2D::build(&arr).unwrap();
             let win: Vec<(i64, i64, i64, i64)> = win
                 .iter()
                 .map(|&(x0, y0, dw, dh)| (x0, y0, x0 + dw, y0 + dh))

@@ -14,7 +14,7 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use euler_core::EulerHistogram;
+use euler_core::{EulerHistogram, MAX_OBJECTS};
 use euler_geom::Rect;
 use euler_grid::{DataSpace, Grid, Snapper};
 
@@ -195,12 +195,37 @@ pub fn load_csv(path: &Path, name: &str, space: DataSpace) -> Result<Dataset, Io
 /// record is snapped and folded into the build's difference array as it
 /// is read, so no `Vec` of the objects is ever held and peak memory is
 /// the grid's own arrays whatever the row count. Fails with the first
-/// bad line's [`IoError::Parse`].
+/// bad line's [`IoError::Parse`] — and with one naming the first record
+/// past [`MAX_OBJECTS`], the most objects a histogram can count.
 pub fn load_csv_histogram(path: &Path, grid: Grid) -> Result<EulerHistogram, IoError> {
+    load_csv_histogram_capped(path, grid, MAX_OBJECTS)
+}
+
+/// [`load_csv_histogram`] with the object cap as a parameter.
+fn load_csv_histogram_capped(path: &Path, grid: Grid, cap: u64) -> Result<EulerHistogram, IoError> {
     let snapper = Snapper::new(grid);
+    let mut rects = CsvRects::open(path)?;
     let mut error = None;
-    let rects = CsvRects::open(path)?.map_while(|r| r.map_err(|e| error = Some(e)).ok());
-    let hist = EulerHistogram::build(grid, rects.map(|r| snapper.snap(&r)));
+    let mut count = 0u64;
+    let snapped = std::iter::from_fn(|| match rects.next()? {
+        Ok(_) if count == cap => {
+            let reason = format!("more than {cap} objects, the histogram's bound");
+            error = Some(IoError::Parse {
+                line: rects.line,
+                reason,
+            });
+            None
+        }
+        Ok(r) => {
+            count += 1;
+            Some(snapper.snap(&r))
+        }
+        Err(e) => {
+            error = Some(e);
+            None
+        }
+    });
+    let hist = EulerHistogram::build(grid, snapped);
     error.map_or(Ok(hist), Err)
 }
 
@@ -244,6 +269,26 @@ mod tests {
         d.save_csv(&path).unwrap();
         let back = Dataset::load_csv(&path, d.name(), *d.space()).unwrap();
         assert_eq!(d.rects(), back.rects());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A CSV past the object cap fails on the first record over it,
+    /// naming its line; one at the cap loads.
+    #[test]
+    fn records_past_the_object_cap_are_refused() {
+        let path = temp_path("cap");
+        std::fs::write(&path, "# three records\n1,1,2,2\n\n3,3,4,4\n5,5,6,6\n").unwrap();
+        let grid = Grid::new(crate::paper_space(), 36, 18).unwrap();
+        let at_cap = load_csv_histogram_capped(&path, grid, 3).unwrap();
+        assert_eq!(at_cap.object_count(), 3);
+        match load_csv_histogram_capped(&path, grid, 2) {
+            Err(IoError::Parse { line, reason }) => {
+                assert_eq!(line, 5);
+                assert!(reason.contains("more than 2 objects"), "{reason}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(load_csv_histogram(&path, grid).unwrap(), at_cap);
         std::fs::remove_file(&path).ok();
     }
 

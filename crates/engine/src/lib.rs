@@ -191,48 +191,64 @@ pub struct ChunkError {
     pub message: String,
 }
 
-/// A batch of aligned queries: borrowed from a slice, or materialized
-/// from a [`Tiling`] / [`QuerySet`] in row-major tile order.
+/// A batch of aligned queries: a slice (borrowed or owned), or a
+/// [`Tiling`] / [`QuerySet`] whose tiles are the queries in row-major
+/// order.
 ///
-/// A batch built from a tiling remembers its shape: when the engine's
+/// A batch built from a tiling keeps only its shape: when the engine's
 /// estimator supports the sweep evaluator
 /// ([`Level2Estimator::supports_sweep`]), [`EstimatorEngine::run_batch`]
 /// answers such a batch with one amortized row-major pass
-/// ([`Level2Estimator::estimate_tiling`]) instead of a per-tile loop.
+/// ([`Level2Estimator::estimate_tiling`]) instead of a per-tile loop, and
+/// the tiles are materialized only when the per-tile loop runs.
 #[derive(Debug, Clone)]
 pub struct QueryBatch<'a> {
-    queries: Cow<'a, [GridRect]>,
-    tiling: Option<Tiling>,
+    source: BatchSource<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum BatchSource<'a> {
+    Queries(Cow<'a, [GridRect]>),
+    Tiling(Tiling),
 }
 
 impl<'a> QueryBatch<'a> {
     /// A batch borrowing an existing query slice.
     pub fn new(queries: &'a [GridRect]) -> QueryBatch<'a> {
         QueryBatch {
-            queries: Cow::Borrowed(queries),
-            tiling: None,
+            source: BatchSource::Queries(Cow::Borrowed(queries)),
         }
     }
 
     /// Number of queries in the batch.
     pub fn len(&self) -> usize {
-        self.queries.len()
+        match &self.source {
+            BatchSource::Queries(q) => q.len(),
+            BatchSource::Tiling(t) => t.len(),
+        }
     }
 
     /// Whether the batch holds no queries.
     pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
+        self.len() == 0
     }
 
-    /// The queries, in batch order.
-    pub fn as_slice(&self) -> &[GridRect] {
-        &self.queries
+    /// The queries, in batch order: borrowed from a slice batch, built
+    /// tile by tile for a tiling batch.
+    pub fn queries(&self) -> Cow<'_, [GridRect]> {
+        match &self.source {
+            BatchSource::Queries(q) => Cow::Borrowed(q),
+            BatchSource::Tiling(t) => Cow::Owned(t.iter().map(|(_, tile)| tile).collect()),
+        }
     }
 
-    /// The tiling this batch was materialized from, if any — the shape
-    /// the sweep evaluator dispatches on.
+    /// The tiling this batch was built from, if any — the shape the
+    /// sweep evaluator dispatches on.
     pub fn tiling(&self) -> Option<&Tiling> {
-        self.tiling.as_ref()
+        match &self.source {
+            BatchSource::Queries(_) => None,
+            BatchSource::Tiling(t) => Some(t),
+        }
     }
 }
 
@@ -245,8 +261,7 @@ impl<'a> From<&'a [GridRect]> for QueryBatch<'a> {
 impl From<Vec<GridRect>> for QueryBatch<'static> {
     fn from(queries: Vec<GridRect>) -> QueryBatch<'static> {
         QueryBatch {
-            queries: Cow::Owned(queries),
-            tiling: None,
+            source: BatchSource::Queries(Cow::Owned(queries)),
         }
     }
 }
@@ -254,18 +269,14 @@ impl From<Vec<GridRect>> for QueryBatch<'static> {
 impl From<&Tiling> for QueryBatch<'static> {
     fn from(tiling: &Tiling) -> QueryBatch<'static> {
         QueryBatch {
-            queries: Cow::Owned(tiling.iter().map(|(_, t)| t).collect()),
-            tiling: Some(*tiling),
+            source: BatchSource::Tiling(*tiling),
         }
     }
 }
 
 impl From<&QuerySet> for QueryBatch<'static> {
     fn from(qs: &QuerySet) -> QueryBatch<'static> {
-        QueryBatch {
-            queries: Cow::Owned(qs.iter().collect()),
-            tiling: Some(*qs.tiling()),
-        }
+        QueryBatch::from(qs.tiling())
     }
 }
 
@@ -625,7 +636,7 @@ impl EstimatorEngine {
     /// reported [`BatchOutcome::Failed`] and nothing runs. Past that
     /// check the dispatch below is the same with or without a deadline.
     ///
-    /// **Dispatch.** A batch materialized from a [`Tiling`] (or
+    /// **Dispatch.** A batch built from a [`Tiling`] (or
     /// [`QuerySet`]) whose estimator supports the sweep evaluator is
     /// answered by amortized row-major
     /// [`Level2Estimator::estimate_tiling`] passes, one per band of
@@ -656,8 +667,7 @@ impl EstimatorEngine {
     /// same counts, by the sweep-equivalence law), which still honours
     /// the deadline.
     pub fn run_batch_with(&self, batch: &QueryBatch<'_>, opts: &BatchOptions) -> BatchResult {
-        let queries = batch.as_slice();
-        let n = queries.len();
+        let n = batch.len();
         let est = &self.estimator;
 
         let deadline = opts.deadline.map(|budget| Instant::now() + budget);
@@ -675,7 +685,7 @@ impl EstimatorEngine {
                             rec.record_degraded_sweep();
                         }
                         return self.run_chunked(
-                            queries,
+                            &batch.queries(),
                             deadline,
                             Some(DegradeReason::SweepPanic),
                             vec![error],
@@ -684,7 +694,7 @@ impl EstimatorEngine {
                 }
             }
         }
-        self.run_chunked(queries, deadline, None, Vec::new())
+        self.run_chunked(&batch.queries(), deadline, None, Vec::new())
     }
 
     /// The deadline passed before the batch started (a zero budget):

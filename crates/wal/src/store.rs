@@ -307,16 +307,16 @@ impl DurableLive {
 
     /// Durably applies one write: WAL append (+ fsync per policy), then
     /// the in-memory apply. Returns the acknowledged write-log version.
-    /// On `Err` the write is **not** acknowledged, not applied, and the
-    /// WAL is poisoned until restart — the fail-stop contract.
+    /// A write the live histogram refuses (a remove past empty, an insert
+    /// at the object bound) is an `InvalidInput` error, checked before
+    /// anything is logged. On any other `Err` the write is **not**
+    /// acknowledged, not applied, and the WAL is poisoned until restart —
+    /// the fail-stop contract.
     pub fn apply(&self, op: DeltaOp) -> io::Result<u64> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if op.sign < 0 && self.live.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "remove from empty live histogram",
-            ));
-        }
+        self.live
+            .admit(&op)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let version = inner.wal.append(&op)?;
         let applied = self.live.apply(op);
         debug_assert_eq!(applied, Ok(version), "checked above, under the WAL lock");

@@ -71,6 +71,9 @@ fn a_streamed_preload_peaks_like_an_empty_service() {
     let grid = Grid::new(DataSpace::paper_world(), 360, 180).unwrap();
     let (ew, eh) = grid.euler_dims();
     let one_cube = PrefixSum2D::projected_bytes(ew, eh) as isize;
+    // 4-byte cells: 720-cell stride (719 buckets + the guard) × 360 rows.
+    assert_eq!(one_cube, 720 * 360 * 4);
+    assert_eq!(one_cube, 1_036_800);
     let mib = |b: isize| b as f64 / (1 << 20) as f64;
 
     let (empty, empty_peak) = peak_during(|| DynamicGeoBrowsingService::new(grid));
