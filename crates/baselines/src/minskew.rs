@@ -71,11 +71,11 @@ impl MinSkew {
         assert!(budget >= 1, "need at least one bucket");
         let (nx, ny) = (grid.nx(), grid.ny());
         // Spatial density: number of objects overlapping each cell.
-        let mut density = euler_cube::Diff2D::zeros(nx, ny);
+        let mut density = euler_cube::CubeBuffer::zeros(nx, ny);
         for o in objects {
-            density.add_rect(o.cx0(), o.cy0(), o.cx1(), o.cy1(), 1);
+            density.add_rect_diff(o.cx0(), o.cy0(), o.cx1(), o.cy1(), 1);
         }
-        let density = density.build();
+        density.integrate();
         let mut sum = DenseNd::zeros(&[nx, ny]);
         let mut sq = DenseNd::zeros(&[nx, ny]);
         for y in 0..ny {

@@ -15,16 +15,13 @@
 //!   (`speedup = dense_p95 / compressed_p95`; the tier goal is staying
 //!   within 1.5× of dense, i.e. a ratio ≥ ~0.67). Bit-identity of the
 //!   two tiers' counts is asserted before any timing.
-//! * **Parallel sweep** — the engine's banded tiling sweep at four
-//!   threads against one on the paper grid's Q₂ tiling
-//!   (`speedup = t1 / t4`), plus a pyramid entry showing an aligned
-//!   coarse zoom served without materializing the finest level
+//! * **Pyramid zoom** — an aligned coarse zoom served without
+//!   materializing the finest level
 //!   (`speedup = projected finest bytes / coarse level bytes`).
 //!
 //! Set `EULER_BENCH_QUICK=1` for the CI smoke subset (grids ≤ 4096²).
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 use euler_browse::PyramidBrowser;
@@ -32,7 +29,6 @@ use euler_core::{EulerHistogram, Level2Estimator, SEulerApprox};
 use euler_cube::PrefixSum2D;
 use euler_datagen::custom::{clustered, ClusterConfig};
 use euler_datagen::{road_like, Dataset, RoadConfig};
-use euler_engine::{EstimatorEngine, QueryBatch, SharedEstimator};
 use euler_grid::{DataSpace, Grid, Tiling};
 
 struct Entry {
@@ -188,54 +184,6 @@ fn main() {
                 forced.storage_bytes()
             ),
             speedup: projected as f64 / forced.storage_bytes().max(1) as f64,
-        });
-    }
-
-    // ── Parallel banded sweep ────────────────────────────────────────
-    // Bit-identity is proven on the paper grid's Q2 tiling; the timing
-    // ratio uses a much heavier sweep so band compute dominates thread
-    // spawn cost. The measured ratio is hardware-bound — on a 1-core
-    // runner it hovers near 1.0 and the ≥1.8× four-thread target only
-    // shows up with ≥4 physical cores (the note records the host).
-    {
-        let paper = Grid::paper_default();
-        let paper_hist = EulerHistogram::build(paper, sparse.snap(&paper));
-        let paper_est: SharedEstimator = Arc::new(SEulerApprox::new(paper_hist.freeze()));
-        let q2 = Tiling::new(paper.full(), 180, 90).expect("Q2 tiling");
-        let q2_batch = QueryBatch::from(&q2);
-        let single = EstimatorEngine::new(Arc::clone(&paper_est)).with_threads(1);
-        let quad = EstimatorEngine::new(Arc::clone(&paper_est)).with_threads(4);
-        assert_eq!(
-            single.run_batch(&q2_batch).counts,
-            quad.run_batch(&q2_batch).counts,
-            "banded sweep diverged from single-thread on Q2"
-        );
-
-        let grid = square_grid(2048);
-        let hist = EulerHistogram::build(grid, sparse.snap(&grid));
-        let est: SharedEstimator = Arc::new(SEulerApprox::new(hist.freeze()));
-        let tiling = Tiling::new(grid.full(), 512, 512).expect("heavy tiling");
-        let batch = QueryBatch::from(&tiling);
-        let single = EstimatorEngine::new(Arc::clone(&est)).with_threads(1);
-        let quad = EstimatorEngine::new(Arc::clone(&est)).with_threads(4);
-        assert_eq!(
-            single.run_batch(&batch).counts,
-            quad.run_batch(&batch).counts,
-            "banded sweep diverged from single-thread"
-        );
-        let ((t1_med, t1_p95), (t4_med, t4_p95)) = time_pair(
-            || single.run_batch(&batch).report.total.intersecting(),
-            || quad.run_batch(&batch).report.total.intersecting(),
-            samples,
-        );
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        entries.push(Entry {
-            id: "sweep_threads/2048/t4".to_string(),
-            note: format!(
-                "t1 p95 {t1_p95} ns vs t4 p95 {t4_p95} ns on 512x512 tiles \
-                 ({cores}-core host; ratio gated on medians)"
-            ),
-            speedup: t1_med as f64 / t4_med.max(1) as f64,
         });
     }
 

@@ -157,7 +157,6 @@ pub fn run_case(spec: &CaseSpec) -> CaseOutcome {
 
     differential_matrix(&grid, &objects, &queries, &oracle, &mut outcome);
     check_compressed_tier(&grid, &objects, &mut outcome.violations);
-    check_parallel_sweep(&grid, &objects, &mut outcome.violations);
     check_dynamic_replay(spec, &grid, &objects, &queries, &mut outcome.violations);
     check_persist_round_trip(&grid, &objects, &queries, &mut outcome.violations);
     check_browse_api(spec, &grid, &queries, &oracle, &mut outcome.violations);
@@ -415,36 +414,6 @@ fn check_compressed_tier(grid: &Grid, objects: &[SnappedRect], out: &mut Vec<Vio
                     got: comp_total,
                     oracle: dense_total,
                 });
-            }
-        }
-    }
-}
-
-/// Parallel-sweep law: a tiling-shaped batch through the engine must be
-/// bit-identical to the per-tile loop at every thread width — the band
-/// split (whole tile rows, remainder row alone) is exact geometry, not
-/// an approximation. Adds no differential comparisons.
-fn check_parallel_sweep(grid: &Grid, objects: &[SnappedRect], out: &mut Vec<Violation>) {
-    let est: SharedEstimator = Arc::new(SEulerApprox::new(
-        EulerHistogram::build(*grid, objects).freeze(),
-    ));
-    for tiling in sweep_tilings(grid) {
-        let baseline: Vec<RelationCounts> = tiling.iter().map(|(_, t)| est.estimate(&t)).collect();
-        for threads in [1usize, 2, 4] {
-            let engine = EstimatorEngine::builder(Arc::clone(&est))
-                .threads(threads)
-                .build();
-            let result = engine.run_batch(&QueryBatch::from(&tiling));
-            for (((_, tile), got), want) in tiling.iter().zip(&result.counts).zip(&baseline) {
-                if got != want {
-                    out.push(Violation {
-                        estimator: format!("parallel-sweep[threads={threads}]"),
-                        law: "banded sweep = per-tile loop, bit-identical",
-                        query: tile,
-                        got: *got,
-                        oracle: *want,
-                    });
-                }
             }
         }
     }

@@ -84,13 +84,12 @@ impl Level2Estimator for SEulerApprox {
     }
 
     fn estimate_tiling(&self, t: &Tiling) -> Vec<RelationCounts> {
-        sweep_s_euler(&self.hist, &self.plan_for(t)).0
+        self.estimate_tiling_total(t).0
     }
 
     fn estimate_tiling_total(&self, t: &Tiling) -> (Vec<RelationCounts>, RelationCounts) {
-        // The sweep core accumulates the total during emission — no
-        // second pass over the per-tile output.
-        sweep_s_euler(&self.hist, &self.plan_for(t))
+        let (size, total) = (self.hist.object_count() as i64, self.hist.total());
+        sweep_s_euler(&self.hist, &self.plan_for(t), size, total, None)
     }
 
     fn supports_sweep(&self) -> bool {

@@ -63,10 +63,10 @@
 use std::borrow::Borrow;
 use std::sync::{Arc, Mutex, RwLock};
 
-use euler_cube::{Cell, Diff2D};
+use euler_cube::{Cell, CubeBuffer};
 use euler_grid::{Grid, GridRect, SnappedRect, Tiling};
 
-use crate::sweep::{sweep_tile_sums, TilingPlan};
+use crate::sweep::{sweep_s_euler, DeltaScatter, TilingPlan};
 use crate::{
     s_euler_counts, EulerHistogram, EulerSource, FrozenEulerHistogram, Level2Estimator,
     RelationCounts, MAX_OBJECTS,
@@ -753,13 +753,15 @@ fn inside_span(bounds: &[usize], c0: usize, c1: usize) -> Option<(usize, usize)>
 /// services hand to the batch engine. Holding it pins the snapshot — all
 /// answers come from one epoch, which [`Level2Estimator::epoch`] reports.
 ///
-/// `estimate_tiling` runs the frozen sweep kernel and then *scatters* the
-/// delta over the tile grid in `O(delta + tiles)` — each op's per-tile
-/// contribution factors into contiguous per-axis runs (see
-/// the `closed_span`/`inside_span` internals), so one difference-array
-/// rectangle add per op per window kind replaces a per-(tile, op) loop.
-/// The result is bit-identical to the per-tile estimate loop, preserving
-/// the workspace's sweep-equivalence law.
+/// A tiling is the frozen tier's fused S-EulerApprox sweep plus one delta
+/// scatter over the whole tile grid, built once per tiling in
+/// `O(delta + tiles)`: each op's per-tile contribution factors into
+/// contiguous per-axis runs (see the `closed_span`/`inside_span`
+/// internals), so one difference-array rectangle add per op per window
+/// kind replaces a per-(tile, op) loop. The sweep adds each scattered
+/// row to the frozen window sums before the shared finish, so the result
+/// is bit-identical to the per-tile estimate loop, preserving the
+/// workspace's sweep-equivalence law.
 #[derive(Debug, Clone)]
 pub struct LiveSEuler {
     snap: Arc<LiveSnapshot>,
@@ -774,6 +776,34 @@ impl LiveSEuler {
     /// The pinned snapshot.
     pub fn snapshot(&self) -> &Arc<LiveSnapshot> {
         &self.snap
+    }
+
+    /// The pinned delta scattered over `plan`'s tile grid, or `None` for
+    /// an empty delta.
+    fn scatter(&self, plan: &TilingPlan) -> Option<DeltaScatter> {
+        if self.snap.delta_len() == 0 {
+            return None;
+        }
+        let mut inside = CubeBuffer::zeros(plan.cols(), plan.rows());
+        let mut closed = CubeBuffer::zeros(plan.cols(), plan.rows());
+        let (xs, ys) = (plan.x_bounds(), plan.y_bounds());
+        self.snap.for_each_delta_op(|op| {
+            let (cx0, cx1) = (op.rect.cx0(), op.rect.cx1());
+            let (cy0, cy1) = (op.rect.cy0(), op.rect.cy1());
+            if let (Some((x0, x1)), Some((y0, y1))) =
+                (inside_span(xs, cx0, cx1), inside_span(ys, cy0, cy1))
+            {
+                inside.add_rect_diff(x0, y0, x1, y1, op.sign);
+            }
+            if let (Some((vx, x0, x1)), Some((vy, y0, y1))) =
+                (closed_span(xs, cx0, cx1), closed_span(ys, cy0, cy1))
+            {
+                closed.add_rect_diff(x0, y0, x1, y1, op.sign * vx * vy);
+            }
+        });
+        inside.integrate();
+        closed.integrate();
+        Some(DeltaScatter { inside, closed })
     }
 }
 
@@ -798,52 +828,20 @@ impl Level2Estimator for LiveSEuler {
     }
 
     fn estimate_tiling(&self, t: &Tiling) -> Vec<RelationCounts> {
+        self.estimate_tiling_total(t).0
+    }
+
+    fn estimate_tiling_total(&self, t: &Tiling) -> (Vec<RelationCounts>, RelationCounts) {
         let plan = TilingPlan::new(t);
-        let sums = sweep_tile_sums(self.snap.frozen(), &plan, None);
-        let (cols, rows) = (plan.cols(), plan.rows());
-        // Scatter the delta over the tile grid: one rectangle add per op
-        // per window kind, then a single difference-array build.
-        let (d_inside, d_closed) = if self.snap.delta_len() == 0 {
-            (None, None)
-        } else {
-            let mut d_in = Diff2D::zeros(cols, rows);
-            let mut d_cl = Diff2D::zeros(cols, rows);
-            let (xs, ys) = (plan.x_bounds(), plan.y_bounds());
-            self.snap.for_each_delta_op(|op| {
-                let (cx0, cx1) = (op.rect.cx0(), op.rect.cx1());
-                let (cy0, cy1) = (op.rect.cy0(), op.rect.cy1());
-                if let (Some((x0, x1)), Some((y0, y1))) =
-                    (inside_span(xs, cx0, cx1), inside_span(ys, cy0, cy1))
-                {
-                    d_in.add_rect(x0, y0, x1, y1, op.sign);
-                }
-                if let (Some((vx, x0, x1)), Some((vy, y0, y1))) =
-                    (closed_span(xs, cx0, cx1), closed_span(ys, cy0, cy1))
-                {
-                    d_cl.add_rect(x0, y0, x1, y1, op.sign * vx * vy);
-                }
-            });
-            (Some(d_in.build()), Some(d_cl.build()))
-        };
+        let delta = self.scatter(&plan);
         let size = self.snap.object_count() as i64;
-        let total = self.snap.total();
-        let mut out = Vec::with_capacity(plan.len());
-        for r in 0..rows {
-            for c in 0..cols {
-                let ts = &sums[r * cols + c];
-                let n_ii = ts.n_ii + d_inside.as_ref().map_or(0, |d| d.get(c, r));
-                let closed = ts.closed + d_closed.as_ref().map_or(0, |d| d.get(c, r));
-                let n_ei = total - closed;
-                let disjoint = size - n_ii;
-                out.push(RelationCounts {
-                    disjoint,
-                    contains: size - n_ei,
-                    contained: 0,
-                    overlaps: n_ei - disjoint,
-                });
-            }
-        }
-        out
+        sweep_s_euler(
+            self.snap.frozen(),
+            &plan,
+            size,
+            self.snap.total(),
+            delta.as_ref(),
+        )
     }
 
     fn supports_sweep(&self) -> bool {
@@ -1114,27 +1112,34 @@ mod tests {
         assert_eq!(live.len(), 1);
     }
 
+    /// A live delta swept over the dense tier of a small grid and over
+    /// the compressed tier of a grid the freeze heuristic compresses.
     #[test]
     fn sweep_tiling_is_bit_identical_to_per_tile_loop() {
-        let g = grid(16, 12);
-        let log = write_log(&g, 150, 4);
-        let live = LiveEulerHistogram::with_config(g, 6, Some(50));
-        for op in &log {
-            live.apply(*op).unwrap();
-        }
-        let est = LiveSEuler::new(live.pin());
-        let tilings = vec![
-            Tiling::new(g.full(), 1, 1).unwrap(),
-            Tiling::new(g.full(), 4, 4).unwrap(),
-            Tiling::new(g.full(), 16, 12).unwrap(),
-            Tiling::new(g.full(), 3, 5).unwrap(),
-            Tiling::new(GridRect::unchecked(2, 3, 13, 11), 4, 3).unwrap(),
-            Tiling::new(GridRect::unchecked(1, 1, 16, 12), 5, 11).unwrap(),
-        ];
-        for t in tilings {
-            let swept = est.estimate_tiling(&t);
-            let looped: Vec<_> = t.iter().map(|(_, tile)| est.estimate(&tile)).collect();
-            assert_eq!(swept, looped, "{t:?}");
+        for (nx, ny, compressed) in [(16, 12, false), (400, 400, true)] {
+            let g = grid(nx, ny);
+            // 150 ops at a refreeze every 60 leave 30 in the delta.
+            let log = write_log(&g, 150, 4);
+            let live = LiveEulerHistogram::with_config(g, 6, Some(60));
+            for op in &log {
+                live.apply(*op).unwrap();
+            }
+            let est = LiveSEuler::new(live.pin());
+            assert_eq!(est.snapshot().delta_len(), 30);
+            assert_eq!(est.snapshot().frozen().is_compressed(), compressed);
+            let tilings = vec![
+                Tiling::new(g.full(), 1, 1).unwrap(),
+                Tiling::new(g.full(), 4, 4).unwrap(),
+                Tiling::new(g.full(), 16, 12).unwrap(),
+                Tiling::new(g.full(), 3, 5).unwrap(),
+                Tiling::new(GridRect::unchecked(2, 3, 13, 11), 4, 3).unwrap(),
+                Tiling::new(GridRect::unchecked(1, 1, 16, 12), 5, 11).unwrap(),
+            ];
+            for t in tilings {
+                let swept = est.estimate_tiling(&t);
+                let looped: Vec<_> = t.iter().map(|(_, tile)| est.estimate(&tile)).collect();
+                assert_eq!(swept, looped, "{nx}x{ny} {t:?}");
+            }
         }
     }
 

@@ -55,9 +55,17 @@ pub trait EulerSource {
 /// [`EulerSource::inside_closed_sums`] call instead of two independent
 /// four-corner lookups.
 pub fn s_euler_counts<H: EulerSource + ?Sized>(h: &H, q: &GridRect) -> RelationCounts {
-    let size = h.object_count() as i64;
     let (n_ii, closed) = h.inside_closed_sums(q);
-    let n_ei = h.total() - closed;
+    s_euler_finish(h.object_count() as i64, h.total(), n_ii, closed)
+}
+
+/// The S-EulerApprox finish (Equations 14–17): one window's relation
+/// counts from its inside sum `n_ii` and closed sum, over `size` objects
+/// whose buckets sum to `total`. The per-query path and the tiling sweep
+/// both end here.
+#[inline(always)]
+pub(crate) fn s_euler_finish(size: i64, total: i64, n_ii: i64, closed: i64) -> RelationCounts {
+    let n_ei = total - closed;
     let disjoint = size - n_ii;
     RelationCounts {
         disjoint,

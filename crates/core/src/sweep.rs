@@ -47,9 +47,10 @@
 //! suite enforces.
 
 use euler_cube::kernels;
-use euler_cube::CubeTier;
+use euler_cube::{CubeBuffer, CubeTier};
 use euler_grid::Tiling;
 
+use crate::source::s_euler_finish;
 use crate::{FrozenEulerHistogram, RegionSplit, RelationCounts};
 
 /// The precomputed corner lattice of a [`Tiling`]: tile-boundary grid
@@ -499,8 +500,7 @@ fn sweep_rows(
 /// The sweep kernel: one row-major pass over the frozen histogram's
 /// prefix cube emitting [`TileSums`] for every tile of the plan, in the
 /// tiling's row-major order. `proxy` selects which Region A/B orientation
-/// (if any) to evaluate alongside; `None` skips the proxy work entirely
-/// (the S-EulerApprox browse path).
+/// (if any) to evaluate alongside; `None` skips the proxy work entirely.
 pub(crate) fn sweep_tile_sums(
     hist: &FrozenEulerHistogram,
     plan: &TilingPlan,
@@ -522,19 +522,30 @@ pub(crate) fn sweep_tile_sums(
     out
 }
 
+/// A live delta scattered over a plan's tile grid: per tile, the delta's
+/// share of the inside (`n_ii`) and closed window sums, one `cols × rows`
+/// array each.
+pub(crate) struct DeltaScatter {
+    pub inside: CubeBuffer,
+    pub closed: CubeBuffer,
+}
+
 /// S-EulerApprox (Equations 14–17) over every tile of a plan, plus the
-/// element-wise total across all tiles. This is the browse hot path, so
-/// it gets its own proxy-free core: no Region B slabs, no proxy rows,
-/// and the relation counts are assembled straight from the four corner
-/// strips in a single pass per tile row — the inside/closed combines
-/// never materialize as intermediate buffers, and the batch total rides
-/// along in registers instead of costing a second pass over the output.
+/// element-wise total across all tiles, for `size` objects whose buckets
+/// sum to `total`. This is the browse hot path of both the frozen and
+/// the live estimator, so it gets its own proxy-free core: no Region B
+/// slabs, no proxy rows, and the relation counts are assembled straight
+/// from the four corner strips in a single pass per tile row. A live
+/// `delta` adds its scattered row to the frozen window sums before the
+/// finish; the inside/closed combines never leave the row buffers, and
+/// the batch total is one pass over the output.
 pub(crate) fn sweep_s_euler(
     hist: &FrozenEulerHistogram,
     plan: &TilingPlan,
+    size: i64,
+    total: i64,
+    delta: Option<&DeltaScatter>,
 ) -> (Vec<RelationCounts>, RelationCounts) {
-    let size = hist.object_count() as i64;
-    let total = hist.total();
     let cum = hist.cum();
     let (cols, rows) = (plan.cols(), plan.rows());
     let bounds = cols + 1;
@@ -600,20 +611,19 @@ pub(crate) fn sweep_s_euler(
             sa_hi.a, sa_hi.b, sb_lo.a, sb_lo.b, sb_hi.b, sb_hi.a, sa_lo.b, sa_lo.a, n_ii_row,
             closed_row,
         );
+        if let Some(d) = delta {
+            for (s, &v) in n_ii_row.iter_mut().zip(d.inside.row(r)) {
+                *s += i64::from(v);
+            }
+            for (s, &v) in closed_row.iter_mut().zip(d.closed.row(r)) {
+                *s += i64::from(v);
+            }
+        }
         out.extend(
             n_ii_row
                 .iter()
                 .zip(closed_row.iter())
-                .map(|(&n_ii, &closed)| {
-                    let n_ei = total - closed;
-                    let disjoint = size - n_ii;
-                    RelationCounts {
-                        disjoint,
-                        contains: size - n_ei,
-                        contained: 0,
-                        overlaps: n_ei - disjoint,
-                    }
-                }),
+                .map(|(&n_ii, &closed)| s_euler_finish(size, total, n_ii, closed)),
         );
         std::mem::swap(&mut sa_lo, &mut sa_hi);
         std::mem::swap(&mut sb_lo, &mut sb_hi);
@@ -672,7 +682,8 @@ mod tests {
     use super::*;
     use crate::euler_approx::n_ei_proxy_x2;
     use crate::{
-        EulerApprox, EulerHistogram, ExactContains2D, Level2Estimator, MEulerApprox, SEulerApprox,
+        EulerApprox, EulerHistogram, ExactContains2D, Level2Estimator, LiveEulerHistogram,
+        LiveSEuler, MEulerApprox, SEulerApprox,
     };
     use euler_geom::Rect;
     use euler_grid::{DataSpace, Grid, GridRect, SnappedRect, Snapper};
@@ -792,9 +803,10 @@ mod tests {
                     "{t:?} under {proxy:?}"
                 );
             }
+            let (size, total) = (dense.object_count() as i64, dense.total());
             assert_eq!(
-                sweep_s_euler(&dense, &plan),
-                sweep_s_euler(&comp, &plan),
+                sweep_s_euler(&dense, &plan, size, total, None),
+                sweep_s_euler(&comp, &plan, size, total, None),
                 "{t:?} s-euler"
             );
         }
@@ -827,20 +839,35 @@ mod tests {
     }
 
     /// The fused batch total equals folding the per-tile counts — for
-    /// the sweep override and the default-trait fold alike.
+    /// the frozen sweep and the live sweep over a nonempty delta alike.
     #[test]
     fn tiling_total_equals_folded_counts() {
         let g = grid(16, 12);
         let objs = random_objects(&g, 130, 17);
         let hist = EulerHistogram::build(g, &objs).freeze();
-        let est = SEulerApprox::new(hist);
-        for t in tilings(&g) {
-            let (counts, total) = est.estimate_tiling_total(&t);
-            assert_eq!(counts, est.estimate_tiling(&t), "{t:?}");
-            let folded = counts
-                .iter()
-                .fold(RelationCounts::default(), |acc, c| acc.add(c));
-            assert_eq!(total, folded, "{t:?}");
+        let live = LiveEulerHistogram::with_config(g, 8, None);
+        for o in &objs[..80] {
+            live.insert(o);
+        }
+        live.refreeze();
+        for o in &objs[80..] {
+            live.insert(o);
+        }
+        for o in &objs[..20] {
+            live.remove(o).unwrap();
+        }
+        assert_eq!(live.pin().delta_len(), 70);
+        let estimators: [&dyn Level2Estimator; 2] =
+            [&SEulerApprox::new(hist), &LiveSEuler::new(live.pin())];
+        for est in estimators {
+            for t in tilings(&g) {
+                let (counts, total) = est.estimate_tiling_total(&t);
+                assert_eq!(counts, est.estimate_tiling(&t), "{t:?}");
+                let folded = counts
+                    .iter()
+                    .fold(RelationCounts::default(), |acc, c| acc.add(c));
+                assert_eq!(total, folded, "{t:?}");
+            }
         }
     }
 

@@ -10,11 +10,12 @@
 //! Provided structures:
 //!
 //! * [`Dense2D`] — a flat row-major 2-D array;
-//! * [`Diff2D`] — a 2-D difference array for O(1) rectangle increments,
-//!   used to bulk-build Euler histograms and exact ground truth;
 //! * [`PrefixSum2D`] — the 2-D prefix-sum cube with O(1) range sums;
-//! * [`CubeBuffer`] — a 2-D array (or difference array) in the cube's
-//!   padded layout, which sums into a [`PrefixSum2D`] in place;
+//! * [`CubeBuffer`] — a 2-D array (or a difference array with O(1)
+//!   rectangle increments) in the cube's padded layout, which integrates
+//!   in place — into the values it records, or into a [`PrefixSum2D`].
+//!   It bulk-builds Euler histograms, scatters a live delta over a
+//!   tiling, and counts exact ground truth and Min-skew densities;
 //! * [`CompressedPrefix2D`] / [`CubeTier`] — a run-length–compressed twin
 //!   of the 2-D cube (parity-pair runs + a deduplicating row directory)
 //!   and the enum that lets frozen histograms pick a tier per dataset,
@@ -32,14 +33,12 @@
 
 mod compressed2d;
 mod dense2d;
-mod diff2d;
 pub mod kernels;
 mod ndim;
 mod prefix2d;
 
 pub use compressed2d::{CompressedPrefix2D, CubeTier};
 pub use dense2d::Dense2D;
-pub use diff2d::Diff2D;
 pub use ndim::{DenseNd, PrefixSumNd};
 pub use prefix2d::{CubeBuffer, PrefixSum2D};
 

@@ -2,8 +2,8 @@
 //!
 //! The evaluation needs exact answers for up to 16,200 tiles × millions of
 //! objects per query set. Scanning objects per tile would cost ~10¹⁰
-//! rectangle tests; instead each object contributes O(1) rectangle updates
-//! per tiling to three difference arrays:
+//! rectangle tests; instead each object contributes O(1) updates per
+//! tiling to three per-tile arrays (the first two difference arrays):
 //!
 //! * **intersect** — the contiguous block of tiles whose open interior the
 //!   object's interior meets;
@@ -18,7 +18,7 @@
 //! purely approximation error.
 
 use euler_core::RelationCounts;
-use euler_cube::Diff2D;
+use euler_cube::CubeBuffer;
 use euler_grid::{GridRect, SnappedRect, Tiling};
 
 /// Exact per-tile relation counts, in the row-major order of
@@ -141,9 +141,9 @@ pub fn ground_truth(objects: &[SnappedRect], tiling: &Tiling) -> GroundTruth {
     let ys = Axis::from_tiling_y(tiling);
     let (cols, rows) = (tiling.cols(), tiling.rows());
 
-    let mut d_intersect = Diff2D::zeros(cols, rows);
-    let mut d_contained = Diff2D::zeros(cols, rows);
-    let mut d_contains = Diff2D::zeros(cols, rows);
+    let mut intersect = CubeBuffer::zeros(cols, rows);
+    let mut contained = CubeBuffer::zeros(cols, rows);
+    let mut contains = CubeBuffer::zeros(cols, rows);
     for o in objects {
         let (Some((ix0, ix1)), Some((iy0, iy1))) = (
             xs.intersect_range(o.a(), o.b()),
@@ -151,25 +151,24 @@ pub fn ground_truth(objects: &[SnappedRect], tiling: &Tiling) -> GroundTruth {
         ) else {
             continue;
         };
-        d_intersect.add_rect(ix0, iy0, ix1, iy1, 1);
+        intersect.add_rect_diff(ix0, iy0, ix1, iy1, 1);
         if let (Some((cx0, cx1)), Some((cy0, cy1))) = (
             xs.contained_range(o.a(), o.b()),
             ys.contained_range(o.c(), o.d()),
         ) {
-            d_contained.add_rect(cx0, cy0, cx1, cy1, 1);
+            contained.add_rect_diff(cx0, cy0, cx1, cy1, 1);
         }
         if let (Some(tx), Some(ty)) = (
             xs.containing_tile(o.a(), o.b()),
             ys.containing_tile(o.c(), o.d()),
         ) {
-            d_contains.add_rect(tx, ty, tx, ty, 1);
+            contains.add(tx, ty, 1);
         }
     }
 
     let size = objects.len() as i64;
-    let intersect = d_intersect.build();
-    let contained = d_contained.build();
-    let contains = d_contains.build();
+    intersect.integrate();
+    contained.integrate();
     let mut counts = Vec::with_capacity(cols * rows);
     for row in 0..rows {
         for col in 0..cols {

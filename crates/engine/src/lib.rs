@@ -638,11 +638,11 @@ impl EstimatorEngine {
     ///
     /// **Dispatch.** A batch built from a [`Tiling`] (or
     /// [`QuerySet`]) whose estimator supports the sweep evaluator is
-    /// answered by amortized row-major
-    /// [`Level2Estimator::estimate_tiling`] passes, one per band of
-    /// whole tile rows — per-tile results are identical to the chunked
-    /// path, the recorder still sees one query per tile, and
-    /// [`Recorder::record_sweep`] logs the dispatch. A sweep is not
+    /// answered by one amortized row-major
+    /// [`Level2Estimator::estimate_tiling_total`] pass on the calling
+    /// thread (`report.threads == 1`) — per-tile results are identical
+    /// to the chunked path, the recorder still sees one query per tile,
+    /// and [`Recorder::record_sweep`] logs the dispatch. A sweep is not
     /// interruptible: it runs to completion and is delivered `Complete`
     /// even if the deadline passes meanwhile. Otherwise the batch is
     /// split into `threads` contiguous chunks; each worker owns a
@@ -899,33 +899,31 @@ impl EstimatorEngine {
         }
     }
 
-    /// The sweep fast path: answers a tiling-shaped batch with row-major
-    /// [`Level2Estimator::estimate_tiling`] passes under `catch_unwind`;
-    /// a panicking sweep returns the [`ChunkError`] for the caller's
-    /// ladder instead of unwinding further.
+    /// The sweep fast path: answers a tiling-shaped batch with one
+    /// row-major [`Level2Estimator::estimate_tiling_total`] pass on the
+    /// dispatch thread under `catch_unwind`; a panicking sweep returns the
+    /// [`ChunkError`] for the caller's ladder instead of unwinding
+    /// further. A sweep costs `O(tiles)` strip entries plus, on a live
+    /// snapshot, one delta scatter, so it runs on one thread at every
+    /// configured width (measured against 2 and 4 row bands in
+    /// EXPERIMENTS.md, "One S-EulerApprox tiling body").
     ///
-    /// With more than one configured thread the tiling is split into
-    /// horizontal bands of whole tile rows ([`band_split`]) and each band
-    /// is swept by its own scoped worker. Band tilings reproduce the
-    /// parent's tile geometry exactly (uniform rows keep the same floor-
-    /// divided height; a remainder-absorbing last row becomes its own
-    /// single-row band), and per-tile counts are pure functions of tile
-    /// geometry, so the concatenated result is **bit-identical** to the
-    /// single sweep — the sweep-equivalence law holds per band and the
-    /// total is an exact integer sum.
-    ///
-    /// Telemetry stays tile-granular — one recorded query per tile, each
-    /// at the tiling's amortized per-tile latency — so `queries`,
-    /// per-relation totals, and latency counts agree with the per-tile
-    /// path; the whole-tiling wall clock additionally lands in the
-    /// recorder's sweep series via [`Recorder::record_sweep`].
+    /// Telemetry stays tile-granular — `n` recorded queries, each at the
+    /// tiling's amortized per-tile latency, folded in as one weighted
+    /// update — so `queries`, per-relation totals, and latency counts
+    /// agree with the per-tile path; the whole-tiling wall clock
+    /// additionally lands in the recorder's sweep series via
+    /// [`Recorder::record_sweep`].
     fn try_sweep(&self, tiling: &Tiling) -> Result<BatchResult, ChunkError> {
         let est = &self.estimator;
         let n = tiling.len();
-        let mut shard = self.recorder.as_ref().map(|_| TelemetryShard::new());
-
-        let bands = band_split(tiling, self.threads);
-        let sweep_error = |payload: Box<dyn std::any::Any + Send>| ChunkError {
+        let (swept, elapsed) = time_it(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                faults::fire(FaultSite::Sweep, None);
+                est.estimate_tiling_total(tiling)
+            }))
+        });
+        let (counts, total) = swept.map_err(|payload| ChunkError {
             chunk: 0,
             queries: 0..n,
             reason: FailReason::Panicked,
@@ -933,62 +931,24 @@ impl EstimatorEngine {
                 "sweep evaluator panicked: {}",
                 panic_message(payload.as_ref())
             ),
-        };
-        let threads = bands.len();
-        let (swept, elapsed) = time_it(|| {
-            if bands.len() == 1 {
-                catch_unwind(AssertUnwindSafe(|| {
-                    faults::fire(FaultSite::Sweep, None);
-                    est.estimate_tiling_total(tiling)
-                }))
-            } else {
-                // Fire the sweep failpoint once, on the dispatch thread,
-                // so fault-injection behaves identically at any width.
-                catch_unwind(AssertUnwindSafe(|| faults::fire(FaultSite::Sweep, None)))?;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = bands
-                        .iter()
-                        .map(|band| {
-                            scope.spawn(move || {
-                                catch_unwind(AssertUnwindSafe(|| est.estimate_tiling_total(band)))
-                            })
-                        })
-                        .collect();
-                    let mut counts = Vec::with_capacity(n);
-                    let mut total = RelationCounts::default();
-                    for handle in handles {
-                        let (band_counts, band_total) =
-                            handle.join().expect("band worker catches its own panics")?;
-                        counts.extend(band_counts);
-                        total = total.add(&band_total);
-                    }
-                    Ok((counts, total))
-                })
-            }
-        });
-        let (counts, total) = match swept {
-            Ok(swept) => swept,
-            Err(payload) => return Err(sweep_error(payload)),
-        };
+        })?;
         debug_assert_eq!(counts.len(), n);
 
         let epoch = est.epoch();
         if let Some(rec) = &self.recorder {
-            let shard = shard.as_mut().expect("shard allocated with recorder");
-            let per_tile = elapsed / n.max(1) as u32;
+            let mut tally = RelationTally::default();
             for c in &counts {
                 let cl = c.clamped();
-                shard.record_query(
-                    per_tile,
-                    RelationTally::new(
-                        cl.disjoint as u64,
-                        cl.contains as u64,
-                        cl.contained as u64,
-                        cl.overlaps as u64,
-                    ),
-                );
+                tally.merge(&RelationTally::new(
+                    cl.disjoint as u64,
+                    cl.contains as u64,
+                    cl.contained as u64,
+                    cl.overlaps as u64,
+                ));
             }
-            rec.absorb(shard);
+            let mut shard = TelemetryShard::new();
+            shard.record_queries(elapsed / n.max(1) as u32, n as u64, tally);
+            rec.absorb(&shard);
             rec.record_batch(elapsed);
             rec.record_sweep(elapsed);
             rec.record_batch_outcome(OutcomeLabel::Complete, elapsed);
@@ -1004,62 +964,13 @@ impl EstimatorEngine {
             report: BatchReport {
                 estimator: est.name(),
                 queries: n,
-                threads,
+                threads: 1,
                 elapsed,
                 total,
                 epoch,
             },
         })
     }
-}
-
-/// Splits a tiling into at most `threads` bands of whole tile rows, in
-/// bottom-to-top order, such that concatenating the bands' row-major
-/// tiles reproduces the parent's row-major tile sequence exactly.
-///
-/// The one geometric hazard is the remainder: when `height % rows != 0`
-/// the parent's **last** tile row absorbs the extra cells, so that row
-/// must become its own single-row band (a single-row tiling is always
-/// exact); every other band holds uniformly-tall rows and re-derives the
-/// parent's floor-divided tile height on its own.
-fn band_split(tiling: &Tiling, threads: usize) -> Vec<Tiling> {
-    let rows = tiling.rows();
-    let threads = threads.clamp(1, rows);
-    if threads == 1 {
-        return vec![*tiling];
-    }
-    let region = tiling.region();
-    let h = region.height() / rows;
-    let remainder = region.height() % rows;
-    // Rows that can be chunked freely (all but a remainder-absorbing
-    // last row), and how many bands they get.
-    let (uniform_rows, reserved) = if remainder > 0 {
-        (rows - 1, 1)
-    } else {
-        (rows, 0)
-    };
-    let mut bands = Vec::with_capacity(threads);
-    let band_count = (threads - reserved).min(uniform_rows).max(1);
-    let per = uniform_rows / band_count;
-    let extra = uniform_rows % band_count;
-    let mut row = 0;
-    for b in 0..band_count {
-        let take = per + usize::from(b < extra);
-        if take == 0 {
-            continue;
-        }
-        let y0 = region.y0 + row * h;
-        let y1 = region.y0 + (row + take) * h;
-        let band = GridRect::unchecked(region.x0, y0, region.x1, y1);
-        bands.push(Tiling::new(band, tiling.cols(), take).expect("uniform band divides evenly"));
-        row += take;
-    }
-    if remainder > 0 {
-        let y0 = region.y0 + uniform_rows * h;
-        let band = GridRect::unchecked(region.x0, y0, region.x1, region.y1);
-        bands.push(Tiling::new(band, tiling.cols(), 1).expect("single-row band is always valid"));
-    }
-    bands
 }
 
 /// `vec![BatchOutcome::Complete; n]`, but filled by block copies. The
@@ -1135,9 +1046,9 @@ mod tests {
     }
 
     /// A Tiling-shaped batch on a sweep-capable estimator dispatches the
-    /// sweep evaluator: same counts as the chunked path, one band per
-    /// configured thread, and the recorder's sweep series sees the
-    /// dispatch.
+    /// sweep evaluator: same counts as the chunked path, one sweep on one
+    /// thread at any configured width, and the recorder's sweep series
+    /// sees the dispatch.
     #[test]
     fn tiling_batch_dispatches_sweep() {
         let (grid, est) = setup(400);
@@ -1155,7 +1066,7 @@ mod tests {
 
         assert_eq!(swept.counts, chunked.counts, "sweep must be bit-identical");
         assert_eq!(swept.report.total, chunked.report.total);
-        assert_eq!(swept.report.threads, 4, "one band sweep per thread");
+        assert_eq!(swept.report.threads, 1, "one sweep on one thread");
         assert_eq!(swept.report.queries, 40);
 
         let stats = recorder.snapshot();
@@ -1166,57 +1077,40 @@ mod tests {
         assert_eq!(stats.query_latency.count(), 80);
     }
 
-    /// Band splitting covers every remainder shape: bands hold whole
-    /// tile rows, concatenate to the parent's row-major tile sequence
-    /// exactly, and a remainder-absorbing last row is always alone.
+    /// A sweep's telemetry, folded in as one weighted update, reads
+    /// exactly as `n` per-tile `record_query` calls at the amortized
+    /// latency would: queries, every latency statistic and bucket, and
+    /// the relation totals.
     #[test]
-    fn band_split_reproduces_tile_geometry() {
-        let grid = Grid::new(DataSpace::paper_world(), 40, 20).unwrap();
-        // (cols, rows) over the 40x20 full region: uniform (20 % 5 == 0),
-        // remainder-absorbing (20 % 3 == 2, 20 % 7 == 6), single row.
-        for (cols, rows) in [(8, 5), (8, 3), (5, 7), (4, 1), (40, 20)] {
-            let tiling = Tiling::new(grid.full(), cols, rows).unwrap();
-            let want: Vec<GridRect> = tiling.iter().map(|(_, t)| t).collect();
-            for threads in [1, 2, 3, 4, 8, 64] {
-                let bands = band_split(&tiling, threads);
-                assert!(!bands.is_empty() && bands.len() <= threads.clamp(1, rows));
-                let got: Vec<GridRect> = bands
-                    .iter()
-                    .flat_map(|b| b.iter().map(|(_, t)| t))
-                    .collect();
-                assert_eq!(got, want, "cols={cols} rows={rows} threads={threads}");
-                if !grid.full().height().is_multiple_of(rows) && bands.len() > 1 {
-                    assert_eq!(bands.last().unwrap().rows(), 1, "remainder row rides alone");
-                }
-            }
-        }
-    }
-
-    /// The parallel sweep is bit-identical to a single-thread sweep at
-    /// every width, including widths beyond the row count.
-    #[test]
-    fn parallel_sweep_matches_single_thread() {
+    fn sweep_telemetry_equals_per_tile_records() {
         let (grid, est) = setup(400);
-        for (cols, rows) in [(8, 5), (8, 3), (5, 7)] {
-            let tiling = Tiling::new(grid.full(), cols, rows).unwrap();
-            let batch = QueryBatch::from(&tiling);
-            let seq = EstimatorEngine::new(est.clone())
-                .with_threads(1)
-                .run_batch(&batch);
-            assert_eq!(seq.report.threads, 1);
-            for threads in [2, 4, 64] {
-                let par = EstimatorEngine::new(est.clone())
-                    .with_threads(threads)
-                    .run_batch(&batch);
-                assert_eq!(
-                    par.counts, seq.counts,
-                    "cols={cols} rows={rows} threads={threads}"
-                );
-                assert_eq!(par.report.total, seq.report.total);
-                assert_eq!(par.report.threads, threads.min(rows));
-                assert!(par.outcomes.iter().all(|o| *o == BatchOutcome::Complete));
-            }
+        let tiling = Tiling::new(grid.full(), 8, 5).unwrap();
+        let recorder = Recorder::shared();
+        let engine = EstimatorEngine::builder(est)
+            .recorder(recorder.clone())
+            .build();
+        let r = engine.run_batch(&QueryBatch::from(&tiling));
+
+        let want = Recorder::new();
+        let per_tile = r.report.elapsed / tiling.len() as u32;
+        for c in &r.counts {
+            let cl = c.clamped();
+            want.record_query(
+                per_tile,
+                RelationTally::new(
+                    cl.disjoint as u64,
+                    cl.contains as u64,
+                    cl.contained as u64,
+                    cl.overlaps as u64,
+                ),
+            );
         }
+        want.record_batch(r.report.elapsed);
+        want.record_sweep(r.report.elapsed);
+        want.record_batch_outcome(OutcomeLabel::Complete, r.report.elapsed);
+        let got = recorder.snapshot();
+        assert_eq!(got.queries, 40);
+        assert_eq!(got, want.snapshot());
     }
 
     /// A batch answered by an epoch-snapshot estimator is tagged with the

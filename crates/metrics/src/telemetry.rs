@@ -276,9 +276,18 @@ impl LocalHistogram {
 
     /// Records one sample in nanoseconds.
     pub fn record_ns(&mut self, ns: u64) {
-        self.buckets[bucket_index(ns)] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
+        self.record_n(ns, 1);
+    }
+
+    /// Records `n` samples of `ns` nanoseconds each in one update: the
+    /// same histogram as `n` calls to [`Self::record_ns`].
+    pub fn record_n(&mut self, ns: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(ns)] += n;
+        self.count += n;
+        self.sum_ns += ns * n;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
     }
@@ -447,10 +456,17 @@ impl TelemetryShard {
     /// Records one served query: its latency and the (clamped) estimate
     /// it produced.
     pub fn record_query(&mut self, latency: Duration, estimate: RelationTally) {
-        self.queries += 1;
-        self.objects_estimated += estimate.total();
-        self.relations.merge(&estimate);
-        self.latency.record(latency);
+        self.record_queries(latency, 1, estimate);
+    }
+
+    /// Records `n` served queries of `latency` each whose (clamped)
+    /// estimates sum to `estimates`: the same shard as `n` calls to
+    /// [`Self::record_query`].
+    pub fn record_queries(&mut self, latency: Duration, n: u64, estimates: RelationTally) {
+        self.queries += n;
+        self.objects_estimated += estimates.total();
+        self.relations.merge(&estimates);
+        self.latency.record_n(saturating_ns(latency), n);
     }
 
     /// Queries recorded so far.

@@ -14,13 +14,13 @@
 //!    advances the version, so epoch/version advance *is* the
 //!    invalidation.
 //! 3. **Engine** — on a miss, whatever remains of the request's deadline
-//!    budget is handed to the engine as a `BrowseRequest` deadline, with
-//!    the requested worker count capped at the machine's cores. The
+//!    budget is handed to the engine as a `BrowseRequest` deadline. The
 //!    engine checks the budget once before it starts. Past that check a
 //!    tiling on a sweep-capable estimator is answered by the sweep, which
-//!    runs to completion; any other browse takes the per-tile loop, which
-//!    polls the budget before every tile and turns an overrun into
-//!    per-tile partial answers (`status:"degraded"`), never a panic.
+//!    runs to completion on one thread; any other browse takes the
+//!    per-tile loop, which polls the budget before every tile and turns
+//!    an overrun into per-tile partial answers (`status:"degraded"`),
+//!    never a panic.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,8 +42,6 @@ pub struct ServeCore {
     cache: TilingCache,
     tenants: TenantRegistry,
     engine_dispatches: Counter,
-    /// The most engine workers one browse may ask for.
-    cores: usize,
     shutdown: AtomicBool,
     in_flight_ops: AtomicUsize,
 }
@@ -72,7 +70,6 @@ impl ServeCore {
             cache,
             tenants: TenantRegistry::new(),
             engine_dispatches: Counter::new(),
-            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             shutdown: AtomicBool::new(false),
             in_flight_ops: AtomicUsize::new(0),
         })
@@ -229,11 +226,6 @@ impl ServeCore {
         }
 
         let mut breq = BrowseRequest::new().deadline(budget - spent);
-        if let Some(threads) = params.threads {
-            // A client may ask for parallelism, but never for more
-            // workers than this machine has cores (`0` = one per core).
-            breq = breq.threads(threads.min(self.cores));
-        }
         if let Some(mega) = params.mega_threshold {
             breq = breq.mega_threshold(mega);
         }

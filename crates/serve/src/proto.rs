@@ -6,7 +6,7 @@
 //! ```text
 //! {"tenant":"alice","op":"browse","cols":4,"rows":3}
 //! {"tenant":"alice","op":"browse","cols":8,"rows":8,
-//!  "region":[0,0,35,17],"deadline_ms":50,"threads":2}
+//!  "region":[0,0,35,17],"deadline_ms":50}
 //! {"tenant":"feed","op":"insert","rect":[10.0,10.0,12.0,11.0]}
 //! {"tenant":"feed","op":"remove","rect":[10.0,10.0,12.0,11.0]}
 //! {"tenant":"alice","op":"stats"}
@@ -85,9 +85,6 @@ pub struct BrowseParams {
     /// Region as grid-line indexes `[x0,y0,x1,y1]` (`x1`/`y1` exclusive
     /// as a cell range); `None` browses the full grid.
     pub region: Option<(usize, usize, usize, usize)>,
-    /// Engine worker count override (capped at the server's core
-    /// count; `0` means one worker per core).
-    pub threads: Option<usize>,
     /// Budget override in milliseconds (clamped to the server max).
     pub deadline_ms: Option<u64>,
     /// Mega-hit advice threshold override.
@@ -202,7 +199,6 @@ impl Request {
                     cols,
                     rows,
                     region,
-                    threads: field_u64(v, "threads")?.map(|n| n as usize),
                     deadline_ms: field_u64(v, "deadline_ms")?,
                     mega_threshold: match v.get("mega_threshold") {
                         None | Some(Json::Null) => None,
@@ -243,9 +239,6 @@ impl Request {
                         "region",
                         Json::Arr(vec![x0.into(), y0.into(), x1.into(), y1.into()]),
                     );
-                }
-                if let Some(t) = p.threads {
-                    j = j.set("threads", t);
                 }
                 if let Some(ms) = p.deadline_ms {
                     j = j.set("deadline_ms", ms);
@@ -544,7 +537,6 @@ mod tests {
             cols: 4,
             rows: 3,
             region: Some((1, 2, 6, 7)),
-            threads: Some(2),
             deadline_ms: Some(50),
             mega_threshold: Some(1000),
         });
@@ -555,7 +547,6 @@ mod tests {
                 assert_eq!(p.tenant, "alice");
                 assert_eq!((p.cols, p.rows), (4, 3));
                 assert_eq!(p.region, Some((1, 2, 6, 7)));
-                assert_eq!(p.threads, Some(2));
                 assert_eq!(p.deadline_ms, Some(50));
                 assert_eq!(p.mega_threshold, Some(1000));
             }

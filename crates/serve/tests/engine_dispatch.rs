@@ -1,18 +1,13 @@
 //! How a cache-missing browse reaches the engine through `ServeCore`:
-//! under the default deadline it is answered by the tiling sweep (for
-//! both read policies, live delta included), and a client's `threads`
-//! never buys more engine workers than the machine has cores.
+//! under the default deadline it is answered by the tiling sweep, for
+//! both read policies, live delta included.
 
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
-use std::thread::ThreadId;
+use std::sync::Arc;
 
-use euler_browse::{BrowseSession, DynamicGeoBrowsingService, GeoBrowsingService, PinnedSession};
-use euler_core::{Level2Estimator, LiveEulerHistogram, RelationCounts};
-use euler_engine::SharedEstimator;
+use euler_browse::{BrowseSession, DynamicGeoBrowsingService, GeoBrowsingService};
+use euler_core::{Level2Estimator, LiveEulerHistogram};
 use euler_geom::Rect;
-use euler_grid::{DataSpace, Grid, GridRect, SnappedRect, Snapper, Tiling};
-use euler_metrics::{Recorder, TelemetrySnapshot};
+use euler_grid::{DataSpace, Grid, SnappedRect, Snapper, Tiling};
 use euler_serve::{BrowseReply, Request, Response, ServeConfig, ServeCore};
 
 fn grid() -> Grid {
@@ -36,10 +31,9 @@ fn rects(n: usize, salt: usize) -> Vec<Rect> {
         .collect()
 }
 
-fn browse(cols: usize, rows: usize, threads: Option<usize>) -> Request {
-    let threads = threads.map_or(String::new(), |t| format!(r#","threads":{t}"#));
+fn browse(cols: usize, rows: usize) -> Request {
     Request::parse(&format!(
-        r#"{{"tenant":"t","op":"browse","cols":{cols},"rows":{rows}{threads}}}"#
+        r#"{{"tenant":"t","op":"browse","cols":{cols},"rows":{rows}}}"#
     ))
     .unwrap()
 }
@@ -81,7 +75,7 @@ fn a_cache_miss_under_the_default_deadline_takes_the_sweep() {
         let (cols, rows) = (8, 5);
         let before = session.telemetry();
 
-        let reply = reply(core.handle(&browse(cols, rows, None)));
+        let reply = reply(core.handle(&browse(cols, rows)));
         assert!(!reply.cache_hit, "{name}");
         assert!(reply.result.is_complete(), "{name}");
 
@@ -97,116 +91,4 @@ fn a_cache_miss_under_the_default_deadline_takes_the_sweep() {
             assert_eq!(*got, want, "{name}: tile {tile}");
         }
     }
-}
-
-/// Forwards to the inner estimator, noting every thread that runs an
-/// estimate or a sweep.
-struct ThreadSpy {
-    inner: SharedEstimator,
-    seen: Arc<Mutex<HashSet<ThreadId>>>,
-}
-
-impl ThreadSpy {
-    fn note(&self) {
-        self.seen
-            .lock()
-            .unwrap()
-            .insert(std::thread::current().id());
-    }
-}
-
-impl Level2Estimator for ThreadSpy {
-    fn name(&self) -> &'static str {
-        "thread-spy"
-    }
-    fn estimate(&self, q: &GridRect) -> RelationCounts {
-        self.note();
-        self.inner.estimate(q)
-    }
-    fn estimate_tiling_total(&self, t: &Tiling) -> (Vec<RelationCounts>, RelationCounts) {
-        self.note();
-        self.inner.estimate_tiling_total(t)
-    }
-    fn supports_sweep(&self) -> bool {
-        self.inner.supports_sweep()
-    }
-    fn object_count(&self) -> u64 {
-        self.inner.object_count()
-    }
-    fn storage_cells(&self) -> u64 {
-        self.inner.storage_cells()
-    }
-}
-
-/// A session whose pinned estimators are [`ThreadSpy`]s.
-struct SpySession {
-    inner: DynamicGeoBrowsingService,
-    seen: Arc<Mutex<HashSet<ThreadId>>>,
-}
-
-impl BrowseSession for SpySession {
-    fn session_name(&self) -> &'static str {
-        "spy-dynamic"
-    }
-    fn grid(&self) -> &Grid {
-        BrowseSession::grid(&self.inner)
-    }
-    fn len(&self) -> u64 {
-        BrowseSession::len(&self.inner)
-    }
-    fn epoch(&self) -> u64 {
-        BrowseSession::epoch(&self.inner)
-    }
-    fn version(&self) -> u64 {
-        BrowseSession::version(&self.inner)
-    }
-    fn insert(&self, rect: &Rect) {
-        BrowseSession::insert(&self.inner, rect)
-    }
-    fn remove(&self, rect: &Rect) {
-        BrowseSession::remove(&self.inner, rect)
-    }
-    fn recorder(&self) -> &Arc<Recorder> {
-        BrowseSession::recorder(&self.inner)
-    }
-    fn telemetry(&self) -> TelemetrySnapshot {
-        BrowseSession::telemetry(&self.inner)
-    }
-    fn pin_session(&self) -> PinnedSession {
-        let pinned = self.inner.pin_session();
-        PinnedSession::new(
-            Arc::new(ThreadSpy {
-                inner: pinned.estimator().clone(),
-                seen: self.seen.clone(),
-            }),
-            pinned.epoch(),
-            pinned.version(),
-        )
-    }
-}
-
-#[test]
-fn a_huge_threads_request_is_capped_at_the_core_count() {
-    let seen = Arc::new(Mutex::new(HashSet::new()));
-    let session = Arc::new(SpySession {
-        inner: DynamicGeoBrowsingService::with_objects(grid(), rects(400, 0)),
-        seen: seen.clone(),
-    });
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let rows = session.grid().ny();
-
-    let greedy = ServeCore::new(session.clone(), ServeConfig::default());
-    let wide = reply(greedy.handle(&browse(1, rows, Some(1_000_000))));
-    let threads_seen = seen.lock().unwrap().len();
-    assert!(
-        threads_seen <= cores,
-        "{threads_seen} engine threads on {cores} core(s)"
-    );
-
-    // A second `ServeCore` has its own cache: this is a fresh engine run.
-    let modest = ServeCore::new(session, ServeConfig::default());
-    let narrow = reply(modest.handle(&browse(1, rows, Some(1))));
-    assert!(!wide.cache_hit && !narrow.cache_hit);
-    assert!(wide.result.is_complete());
-    assert_eq!(wide.result.counts(), narrow.result.counts());
 }
