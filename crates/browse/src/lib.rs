@@ -26,14 +26,15 @@
 //!   cheap and a browse never blocks a concurrent insert;
 //! * [`FacetedService`] — multi-attribute browsing (Figure 1's
 //!   region/date/subject filters) via one live histogram per facet value;
-//! * [`PyramidBrowser`] — §1's "various resolutions": a lazily
-//!   materialized ladder of grids sharing one finest-grid lineage (coarse
-//!   levels derived by exact 2×2 fold, published via epoch snapshots),
-//!   coarse views served from kilobyte histograms;
 //! * [`render_heatmap`] — terminal rendering of a result grid (the
 //!   Figure 1 color map, in ASCII);
 //! * [`advise`] — zero-hit/mega-hit analysis: the query-refinement hints
 //!   that motivate browsing in the first place.
+//!
+//! §1's summaries "at various resolutions" need no second structure: a
+//! coarse zoom is an aligned tiling of coarse tiles on the finest grid,
+//! answered by the same sweep, and a cube past 2 MiB freezes onto the
+//! run-compressed tier.
 //!
 //! Both read policies are driven through [`BrowseSession`] — pin-stamped
 //! snapshot acquisition plus the unified [`BrowseRequest`] browse entry
@@ -47,7 +48,6 @@ mod advise;
 mod browser;
 mod exact_browser;
 mod faceted;
-mod pyramid;
 mod render;
 mod request;
 mod service;
@@ -57,7 +57,6 @@ pub use advise::{advise, Advice};
 pub use browser::{BrowseResult, Relation};
 pub use exact_browser::ExactBrowser;
 pub use faceted::FacetedService;
-pub use pyramid::{PyramidBrowser, PyramidError};
 pub use render::render_heatmap;
 pub use request::BrowseRequest;
 pub use service::{BrowsingService, DynamicGeoBrowsingService, GeoBrowsingService};

@@ -9,9 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use euler_baselines::{BtHistogram, CdHistogram, MinSkew, NaiveScan, RTreeOracle};
-use euler_browse::{
-    BrowseRequest, BrowseSession, DynamicGeoBrowsingService, GeoBrowsingService, PyramidBrowser,
-};
+use euler_browse::{BrowseRequest, BrowseSession, DynamicGeoBrowsingService, GeoBrowsingService};
 use euler_core::model::count_by_classification;
 use euler_core::{
     EulerApprox, EulerHistogram, ExactContains2D, Level2Estimator, LiveEulerHistogram, LiveSEuler,
@@ -160,7 +158,6 @@ pub fn run_case(spec: &CaseSpec) -> CaseOutcome {
     check_dynamic_replay(spec, &grid, &objects, &queries, &mut outcome.violations);
     check_persist_round_trip(&grid, &objects, &queries, &mut outcome.violations);
     check_browse_api(spec, &grid, &queries, &oracle, &mut outcome.violations);
-    check_pyramid_dispatch(spec, &grid, &mut outcome.violations);
     outcome
 }
 
@@ -583,66 +580,6 @@ fn check_browse_api(
                 n,
                 out,
             );
-        }
-    }
-}
-
-/// Pyramid-dispatch law: a browse served from a coarse pyramid level
-/// must equal the same tiling answered at the finest level, count for
-/// count — every level folds out of one finest-grid lineage, so the
-/// dispatch level is unobservable. Skipped when the case grid cannot
-/// halve (odd or tiny dims leave a single-level ladder).
-fn check_pyramid_dispatch(spec: &CaseSpec, grid: &Grid, out: &mut Vec<Violation>) {
-    let (nx, ny) = (grid.nx(), grid.ny());
-    if nx < 4 || ny < 4 || nx % 2 != 0 || ny % 2 != 0 {
-        return;
-    }
-    let rects = spec.rects();
-    let region = grid.space().bounds();
-    let (cols, rows) = (nx / 2, ny / 2);
-    let browse = |levels: usize| {
-        PyramidBrowser::new(*grid.space(), nx, ny, levels, rects.clone())
-            .expect("validated dims")
-            .browse(region, cols, rows)
-    };
-    match (browse(2), browse(1)) {
-        (Ok((coarse, coarse_level)), Ok((fine, fine_level))) => {
-            if coarse_level == fine_level {
-                out.push(Violation {
-                    estimator: "pyramid-dispatch".into(),
-                    law: "half-resolution tiling dispatches to a coarse level",
-                    query: grid.full(),
-                    got: RelationCounts::default(),
-                    oracle: RelationCounts::default(),
-                });
-            }
-            for col in 0..cols {
-                for row in 0..rows {
-                    let (got, want) = (*coarse.get(col, row), *fine.get(col, row));
-                    if got != want {
-                        out.push(Violation {
-                            estimator: format!("pyramid-dispatch[tile=({col},{row})]"),
-                            law: "coarse-level browse = finest-level browse, bit-identical",
-                            query: grid.full(),
-                            got,
-                            oracle: want,
-                        });
-                    }
-                }
-            }
-        }
-        (coarse, fine) => {
-            out.push(Violation {
-                estimator: format!(
-                    "pyramid-dispatch: coarse={:?} fine={:?}",
-                    coarse.as_ref().err(),
-                    fine.as_ref().err()
-                ),
-                law: "full-region half-resolution browse aligns on some level",
-                query: grid.full(),
-                got: RelationCounts::default(),
-                oracle: RelationCounts::default(),
-            });
         }
     }
 }

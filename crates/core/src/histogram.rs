@@ -66,31 +66,6 @@ const COMPRESS_MIN_DENSE_BYTES: usize = 2 << 20;
 /// not a full doomed encode.
 const COMPRESS_KEEP_DIVISOR: usize = 4;
 
-/// Fine Euler-slot span that folds into coarse slot `s` under one 2×2
-/// cell fold: coarse cell `i` is fine cells `{2i, 2i+1}` and coarse grid
-/// line `i` is fine grid line `2i`, so an even (cell/face) slot absorbs
-/// fine slots `2s..=2s+2` — its two cells plus the interior line — and
-/// an odd (line) slot keeps exactly fine slot `2s + 1`. Per axis the
-/// signed sum over this span equals the directly built coarse bucket's
-/// ±1 indicator, which is what makes [`EulerHistogram::fold2x2`] exact.
-#[inline]
-fn fold_span(s: usize) -> (usize, usize) {
-    if s.is_multiple_of(2) {
-        (2 * s, 2 * s + 2)
-    } else {
-        (2 * s + 1, 2 * s + 1)
-    }
-}
-
-/// The halved grid of a 2×2 fold, when both dimensions allow one.
-fn folded_grid(grid: &Grid) -> Option<Grid> {
-    let (nx, ny) = (grid.nx(), grid.ny());
-    if nx < 2 || ny < 2 || !nx.is_multiple_of(2) || !ny.is_multiple_of(2) {
-        return None;
-    }
-    Some(Grid::new(*grid.space(), nx / 2, ny / 2).expect("halved dims stay valid"))
-}
-
 /// Sign of an Euler bucket: `+1` for faces and vertices, `−1` for edges.
 #[inline]
 fn bucket_sign(ex: usize, ey: usize) -> i64 {
@@ -349,36 +324,6 @@ impl EulerHistogram {
             object_count: self.object_count,
         }
     }
-
-    /// Folds this histogram onto the half-resolution grid — the pyramid
-    /// builds coarse levels from fine ones with this instead of
-    /// re-ingesting objects. Each coarse bucket is the signed sum of its
-    /// `fold_span` fine slots, which equals the bucket a direct build
-    /// at the coarse grid would produce (the per-axis span sums are
-    /// exactly the coarse ±1 coverage indicators). `None` when either
-    /// dimension is odd or below 2.
-    pub fn fold2x2(&self) -> Option<EulerHistogram> {
-        let grid = folded_grid(&self.grid)?;
-        let (ew, eh) = grid.euler_dims();
-        let mut buckets = CubeBuffer::zeros(ew, eh);
-        buckets.map_in_place(|ex, ey, _| {
-            let (x0, x1) = fold_span(ex);
-            let (y0, y1) = fold_span(ey);
-            (y0..=y1)
-                .map(|y| {
-                    self.buckets.row(y)[x0..=x1]
-                        .iter()
-                        .map(|&v| i64::from(v))
-                        .sum::<i64>()
-                })
-                .sum()
-        });
-        Some(EulerHistogram {
-            grid,
-            buckets,
-            object_count: self.object_count,
-        })
-    }
 }
 
 /// The cumulative Euler histogram `H_c` of §5.2: all estimator quantities
@@ -468,30 +413,6 @@ impl FrozenEulerHistogram {
             cum: cum.unwrap_or(CubeTier::Dense(cube)),
             object_count: count as u64,
         }
-    }
-
-    /// Folds onto the half-resolution grid without the bucket array:
-    /// each coarse bucket's `fold_span` window is contiguous per axis,
-    /// so it is **one** clipped range sum on the cube — this works on
-    /// either tier and is how the pyramid derives a coarser level from
-    /// an already-frozen finer one. Returns the mutable coarse
-    /// histogram (freeze it to serve); `None` when either dimension is
-    /// odd or below 2.
-    pub fn fold2x2(&self) -> Option<EulerHistogram> {
-        let grid = folded_grid(&self.grid)?;
-        let (ew, eh) = grid.euler_dims();
-        let mut buckets = CubeBuffer::zeros(ew, eh);
-        buckets.map_in_place(|ex, ey, _| {
-            let (x0, x1) = fold_span(ex);
-            let (y0, y1) = fold_span(ey);
-            self.cum
-                .range_sum_clipped(x0 as i64, y0 as i64, x1 as i64, y1 as i64)
-        });
-        Some(EulerHistogram {
-            grid,
-            buckets,
-            object_count: self.object_count,
-        })
     }
 
     /// Both per-query estimator sums — the inside sum (`n_ii`) and the
@@ -903,32 +824,6 @@ mod tests {
         assert!(!EulerHistogram::build(g, dataset(&g, 40))
             .freeze()
             .is_compressed());
-    }
-
-    #[test]
-    fn fold2x2_equals_direct_coarse_build() {
-        let g = grid(12, 8);
-        let objs = dataset(&g, 60);
-        let fine = EulerHistogram::build(g, &objs);
-        // Coarsened spans: a fine snapped object occupying cells
-        // [cx0, cx1] occupies coarse cells [cx0/2, cx1/2].
-        let coarse_objs: Vec<SnappedRect> = objs.iter().map(|o| o.coarsen(2)).collect();
-        let coarse_grid = Grid::new(*g.space(), 6, 4).unwrap();
-        let direct = EulerHistogram::build(coarse_grid, &coarse_objs);
-        let folded = fine.fold2x2().expect("even dims fold");
-        assert_eq!(folded, direct, "mutable fold == direct build");
-        // The frozen fold (range sums on the cube) agrees, on both tiers.
-        assert_eq!(fine.freeze_dense().fold2x2().unwrap(), direct);
-        assert_eq!(fine.freeze_compressed().fold2x2().unwrap(), direct);
-        // Chained fold reaches the quarter grid.
-        let folded2 = folded.fold2x2().expect("still even");
-        let direct2 = EulerHistogram::build(
-            Grid::new(*g.space(), 3, 2).unwrap(),
-            objs.iter().map(|o| o.coarsen(4)).collect::<Vec<_>>(),
-        );
-        assert_eq!(folded2, direct2);
-        // Odd dimensions refuse to fold.
-        assert!(direct2.fold2x2().is_none());
     }
 
     #[test]

@@ -398,15 +398,6 @@ impl CubeTier {
         }
     }
 
-    /// Clipped window sum; see [`PrefixSum2D::range_sum_clipped`].
-    #[inline]
-    pub fn range_sum_clipped(&self, x0: i64, y0: i64, x1: i64, y1: i64) -> i64 {
-        match self {
-            CubeTier::Dense(d) => d.range_sum_clipped(x0, y0, x1, y1),
-            CubeTier::Compressed(c) => c.range_sum_clipped(x0, y0, x1, y1),
-        }
-    }
-
     /// Four clipped window sums in one call; see
     /// [`PrefixSum2D::signed_sum4`].
     #[inline]

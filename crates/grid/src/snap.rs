@@ -100,29 +100,6 @@ impl SnappedRect {
         (self.b - self.a) * (self.d - self.c)
     }
 
-    /// The same object on a grid whose cells are `factor` times larger
-    /// (`factor` a power of two) — the resolution-pyramid lineage: snap
-    /// once at the finest grid, derive every coarser level with this.
-    ///
-    /// Dividing a bound by a power of two is exact in `f64` (pure
-    /// exponent decrement, no mantissa rounding), so integer bounds stay
-    /// integer, non-integer bounds stay strictly non-integer, and
-    /// `floor(a / factor) == floor(a) / factor` rounded down — the cell
-    /// span of the coarsened object is exactly the floor-divided fine
-    /// span, bit-for-bit what re-snapping on the coarse grid yields,
-    /// minus the float-rounding hazard of a fresh snap.
-    #[inline]
-    pub fn coarsen(&self, factor: usize) -> SnappedRect {
-        debug_assert!(factor.is_power_of_two(), "coarsen needs a power of two");
-        let f = factor as f64;
-        SnappedRect {
-            a: self.a / f,
-            b: self.b / f,
-            c: self.c / f,
-            d: self.d / f,
-        }
-    }
-
     /// Does the object's interior intersect the open interior of the
     /// aligned query? (Level 1 `intersect`.)
     #[inline]
@@ -423,27 +400,6 @@ mod tests {
                 let hits = o.a() < (cx + 1) as f64 && o.b() > cx as f64;
                 prop_assert_eq!(in_span, hits);
             }
-        }
-
-        /// Coarsening by a power of two floor-divides the cell span
-        /// exactly: `coarsen(2^l)` yields `cx0 >> l` / `cx1 >> l` (and
-        /// the y analogues), bit-for-bit — the invariant the pyramid's
-        /// snap-once lineage rests on.
-        #[test]
-        fn coarsen_floor_divides_cell_spans(xlo in 0.0..360.0f64, w in 0.01..100.0f64,
-                                            ylo in 0.0..180.0f64, h in 0.01..50.0f64,
-                                            level in 1usize..4) {
-            let s = Snapper::new(Grid::paper_default());
-            let r = Rect::new(xlo, ylo, (xlo + w).min(360.0), (ylo + h).min(180.0)).unwrap();
-            let o = s.snap(&r);
-            let f = 1usize << level;
-            let c = o.coarsen(f);
-            prop_assert_eq!(c.cx0(), o.cx0() >> level);
-            prop_assert_eq!(c.cx1(), o.cx1() >> level);
-            prop_assert_eq!(c.cy0(), o.cy0() >> level);
-            prop_assert_eq!(c.cy1(), o.cy1() >> level);
-            // Chaining two halvings equals one quartering, exactly.
-            prop_assert_eq!(o.coarsen(2).coarsen(2), o.coarsen(4));
         }
 
         /// Level 2 relations vs a query are mutually exclusive & exhaustive.

@@ -1,6 +1,6 @@
 //! The conformance laws, run through the facade at the fixed default seed
 //! and budget 1: the differential battery (which includes the
-//! sweep-equivalence, compressed-tier and pyramid laws),
+//! sweep-equivalence and compressed-tier laws),
 //! the regression corpus, and the interleaving and crash-recovery laws on
 //! one small case. The `euler-conformance` package runs the same laws
 //! with more shapes, thread counts and environment-driven seeds.
